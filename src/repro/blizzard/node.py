@@ -24,9 +24,8 @@ from typing import TYPE_CHECKING, Any, Generator
 from repro.memory.address import SHARED_BASE, AddressLayout
 from repro.memory.cache import Cache, LineState
 from repro.memory.data import MemoryImage
-from repro.memory.mirror import (
-    PAGE_MAPPED, READ_HIT, TLB_PRESENT, WRITE_HIT, AccessMirror,
-)
+from repro.memory.lane import build_access_lanes
+from repro.memory.mirror import AccessMirror
 from repro.memory.page_table import PageTable
 from repro.memory.tags import Tag, TagStore
 from repro.memory.tlb import Tlb
@@ -132,23 +131,20 @@ class BlizzardNode:
         self._page_shift = self.layout.page_size.bit_length() - 1
         self._page_mask = ~(self.layout.page_size - 1)
         self._block_mask = ~(self.layout.block_size - 1)
-        self._block_shift = self.layout.block_size.bit_length() - 1
-        self._bpp_mask = self.layout.blocks_per_page - 1
         self._hit_cycles = self.config.cache_hit_cycles
-        # Per-element lane costs: a checked shared hit is poll + inserted
-        # check + cache hit; private references pay the bare hit.
-        costs = self.costs
-        self._shared_read_cost = (
-            costs.poll_cycles + costs.check_read_cycles + self._hit_cycles
-        )
-        self._shared_write_cost = (
-            costs.poll_cycles + costs.check_write_cycles + self._hit_cycles
-        )
         self._tlb_entries = self.cpu_tlb._entries
         self._pt_entries = self.page_table._entries
         self._counters = machine.stats._counters
         self._image_read = self.image.read
         self._image_write = self.image.write
+        # The batched access lanes (repro.memory.lane): a checked shared
+        # hit is poll + inserted check + cache hit, a private reference
+        # the bare hit, and queued messages must be polled first.
+        costs = self.costs
+        hit = self._hit_cycles
+        self.run_read_prefix, self.run_plan_prefix = build_access_lanes(
+            self, hit, costs.poll_cycles + costs.check_read_cycles + hit,
+            costs.poll_cycles + costs.check_write_cycles + hit, self._inbox)
         machine.interconnect.attach(node_id, self._receive)
 
     # ------------------------------------------------------------------
@@ -339,236 +335,6 @@ class BlizzardNode:
                 engine.now - cycles, engine.now,
             )
         return (result,)
-
-    # ------------------------------------------------------------------
-    # Batched access lanes (vectorised reference engine)
-    # ------------------------------------------------------------------
-    def run_read_prefix(self, addrs, start: int, out: list) -> int:
-        """Commit the longest all-hit prefix of ``addrs[start:]`` in bulk.
-
-        Blizzard's variant of ``TyphoonNode.run_read_prefix``: each
-        shared element charges poll + inserted-check + hit (the inbox is
-        provably empty for the whole batch — no event can fire inside
-        the committed window, so no message can arrive), private
-        elements the bare hit.  Deopts under a fault plan, conformance,
-        a pending FIFO, or a non-empty inbox.
-        """
-        engine = self.engine
-        machine = self.machine
-        if (engine._fifo or self._inbox or machine.fault_plan is not None
-                or machine.conformance is not None):
-            return start
-        shared_cost = self._shared_read_cost
-        private_cost = self._hit_cycles
-        queue = engine._queue
-        now = engine.now
-        # Early reject on the cheapest possible first element (a private
-        # hit): if even that window is dirty, no element can commit.
-        if queue:
-            limit = queue[0][0]
-            # Room for at least two cheapest-cost elements: a
-            # one-element batch costs more in lane setup than the
-            # scalar inline commit it replaces.
-            if limit <= now + 2 * private_cost:
-                return start
-        else:
-            limit = None
-        until = engine._until
-        if until is not None and now + private_cost > until:
-            return start
-        mirror = self.mirror
-        # Cheap first-element probe: in miss phases the common reject is
-        # an open window with a cold first element, and that reject must
-        # not pay the full scan setup below.
-        addr = addrs[start]
-        page = addr >> self._page_shift
-        need = (TLB_PRESENT | PAGE_MAPPED if addr >= SHARED_BASE
-                else TLB_PRESENT)
-        if mirror.page_flags.get(page, 0) & need != need:
-            return start
-        probe = mirror.block_flags.get(page)
-        if probe is None or not (
-                probe[(addr >> self._block_shift) & self._bpp_mask]
-                & READ_HIT):
-            return start
-        page_flags = mirror.page_flags
-        block_flags = mirror.block_flags
-        page_shift = self._page_shift
-        block_shift = self._block_shift
-        bpp_mask = self._bpp_mask
-        image_read = self._image_read
-        out_append = out.append
-        out_base = len(out)
-
-        target = now
-        index = start
-        total = len(addrs)
-        current_page = -1
-        page_cost = private_cost
-        blocks = None
-        while index < total:
-            addr = addrs[index]
-            page = addr >> page_shift
-            if page != current_page:
-                shared = addr >= SHARED_BASE
-                need = (TLB_PRESENT | PAGE_MAPPED if shared
-                        else TLB_PRESENT)
-                if page_flags.get(page, 0) & need != need:
-                    break
-                blocks = block_flags.get(page)
-                if blocks is None:
-                    break
-                current_page = page
-                page_cost = shared_cost if shared else private_cost
-            step = target + page_cost
-            if limit is not None and limit <= step:
-                break
-            if until is not None and step > until:
-                break
-            if not blocks[(addr >> block_shift) & bpp_mask] & READ_HIT:
-                break
-            out_append(image_read(addr))
-            target = step
-            index += 1
-
-        n = index - start
-        if n:
-            engine.now = target
-            self.cpu_tlb.hits += n
-            self.cache.hits += n
-            counters = self._counters
-            counters[self._refs_key] += n
-            counters[self._access_cycles_key] += target - now
-            history = machine.history
-            if history is not None:
-                t = now
-                for i in range(n):
-                    addr = addrs[start + i]
-                    cost = (shared_cost if addr >= SHARED_BASE
-                            else private_cost)
-                    history.record(self.node_id, addr, False,
-                                   out[out_base + i], t, t + cost)
-                    t += cost
-        return index
-
-    def run_plan_prefix(self, ops, start: int, out: list) -> int:
-        """Mixed read/write batched lane; see ``TyphoonNode.run_plan_prefix``.
-
-        ``ops`` is ``(addr, is_write, value)`` tuples; writes need the
-        block resident EXCLUSIVE (mirror WRITE_HIT) and charge the
-        inserted write-check cost on shared pages.
-        """
-        engine = self.engine
-        machine = self.machine
-        if (engine._fifo or self._inbox or machine.fault_plan is not None
-                or machine.conformance is not None):
-            return start
-        shared_read = self._shared_read_cost
-        shared_write = self._shared_write_cost
-        private_cost = self._hit_cycles
-        queue = engine._queue
-        now = engine.now
-        if queue:
-            limit = queue[0][0]
-            # Room for at least two cheapest-cost elements: a
-            # one-element batch costs more in lane setup than the
-            # scalar inline commit it replaces.
-            if limit <= now + 2 * private_cost:
-                return start
-        else:
-            limit = None
-        until = engine._until
-        if until is not None and now + private_cost > until:
-            return start
-        mirror = self.mirror
-        # Cheap first-element probe (see run_read_prefix).
-        addr, is_write, value = ops[start]
-        page = addr >> self._page_shift
-        need = (TLB_PRESENT | PAGE_MAPPED if addr >= SHARED_BASE
-                else TLB_PRESENT)
-        if mirror.page_flags.get(page, 0) & need != need:
-            return start
-        probe = mirror.block_flags.get(page)
-        if probe is None or not (
-                probe[(addr >> self._block_shift) & self._bpp_mask]
-                & (WRITE_HIT if is_write else READ_HIT)):
-            return start
-        page_flags = mirror.page_flags
-        block_flags = mirror.block_flags
-        page_shift = self._page_shift
-        block_shift = self._block_shift
-        bpp_mask = self._bpp_mask
-        block_mask = self._block_mask
-        image_read = self._image_read
-        image_write = self._image_write
-        written_add = self.written_blocks.add
-        out_append = out.append
-        out_base = len(out)
-
-        target = now
-        index = start
-        total = len(ops)
-        current_page = -1
-        page_shared = False
-        blocks = None
-        while index < total:
-            addr, is_write, value = ops[index]
-            page = addr >> page_shift
-            if page != current_page:
-                page_shared = addr >= SHARED_BASE
-                need = (TLB_PRESENT | PAGE_MAPPED if page_shared
-                        else TLB_PRESENT)
-                if page_flags.get(page, 0) & need != need:
-                    break
-                blocks = block_flags.get(page)
-                if blocks is None:
-                    break
-                current_page = page
-            if page_shared:
-                cost = shared_write if is_write else shared_read
-            else:
-                cost = private_cost
-            step = target + cost
-            if limit is not None and limit <= step:
-                break
-            if until is not None and step > until:
-                break
-            if not (blocks[(addr >> block_shift) & bpp_mask]
-                    & (WRITE_HIT if is_write else READ_HIT)):
-                break
-            if is_write:
-                image_write(addr, value)
-                if page_shared:
-                    written_add(addr & block_mask)
-                out_append(None)
-            else:
-                out_append(image_read(addr))
-            target = step
-            index += 1
-
-        n = index - start
-        if n:
-            engine.now = target
-            self.cpu_tlb.hits += n
-            self.cache.hits += n
-            counters = self._counters
-            counters[self._refs_key] += n
-            counters[self._access_cycles_key] += target - now
-            history = machine.history
-            if history is not None:
-                t = now
-                for i in range(n):
-                    addr, is_write, value = ops[start + i]
-                    if not is_write:
-                        value = out[out_base + i]
-                    if addr >= SHARED_BASE:
-                        cost = shared_write if is_write else shared_read
-                    else:
-                        cost = private_cost
-                    history.record(self.node_id, addr, is_write, value,
-                                   t, t + cost)
-                    t += cost
-        return index
 
     def access(self, addr: int, is_write: bool, value: Any = None) -> Generator:
         counters = self._counters

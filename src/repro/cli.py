@@ -28,6 +28,27 @@ import sys
 
 from repro.harness import experiments
 from repro.harness.workloads import APP_NAMES
+from repro.sim.config import ConfigError
+
+
+def _node_count(text: str) -> int:
+    """``--nodes`` type: a machine needs at least one node."""
+    try:
+        nodes = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if nodes < 1:
+        raise argparse.ArgumentTypeError(
+            f"need at least one node, got {nodes}")
+    return nodes
+
+
+def _config_error(prog: str, error: ConfigError) -> int:
+    """Report a machine the configuration cannot build as a usage error."""
+    print(f"{prog}: error: {error}", file=sys.stderr)
+    return 2
+
 
 #: experiment name -> (description, runner taking the parsed args)
 _REGISTRY = {
@@ -213,7 +234,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                         help="comma-separated cache sizes in bytes")
     submit.add_argument("--seeds", default="42",
                         help="comma-separated RNG seeds")
-    submit.add_argument("--nodes", type=int, default=8,
+    submit.add_argument("--nodes", type=_node_count, default=8,
                         help="simulated processors per cell (default 8)")
     submit.add_argument("--workers", type=int, default=1,
                         help="process-pool width for cell execution")
@@ -247,10 +268,18 @@ def build_sweep_parser() -> argparse.ArgumentParser:
 
 
 def sweep_main(argv: list[str]) -> int:
+    parser = build_sweep_parser()
+    args = parser.parse_args(argv)
+    try:
+        return _sweep_command(args)
+    except ConfigError as error:
+        return _config_error(parser.prog, error)
+
+
+def _sweep_command(args) -> int:
     from repro.harness.service import JobIncomplete, SweepJob
     from repro.harness.store import DEFAULT_ROOT, ResultStore
 
-    args = build_sweep_parser().parse_args(argv)
 
     def progress(done, total, cached=False):
         tag = " (cached)" if cached else ""
@@ -345,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(docs/sweeps.md); 'repro litmus' regenerates the "
              "synthesized litmus corpus (docs/protocols.md)",
     )
-    parser.add_argument("--nodes", type=int, default=8,
+    parser.add_argument("--nodes", type=_node_count, default=8,
                         help="simulated processors (paper: 32; default 8)")
     parser.add_argument("--seed", type=int, default=42,
                         help="master RNG seed (default 42)")
@@ -385,6 +414,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     names = sorted(_REGISTRY) if args.experiment == "all" else [args.experiment]
+    try:
+        _run_experiments(names, args)
+    except ConfigError as error:
+        return _config_error(parser.prog, error)
+    return 0
+
+
+def _run_experiments(names: list[str], args) -> None:
     first = True
     for name in names:
         if not first:
@@ -398,7 +435,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(result.to_json())
             else:
                 print(result.to_text())
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -21,9 +21,9 @@ load unchanged.  It is the middle point of the paper's design space:
 
 :class:`DecoupledNode` subclasses :class:`~repro.blizzard.node.BlizzardNode`
 for the shared software-Tempest state (tag store, page table, inserted
-check costs, the batched access lanes) and overrides the paths where the
-second CPU changes the story: message arrival, fault handling, and the
-per-reference cost (no poll term).
+check costs) and overrides the paths where the second CPU changes the
+story: message arrival, fault handling, and the per-reference cost (no
+poll term, in both the inline hit path and the batched access lanes).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Any, Generator
 from repro.blizzard.node import BlizzardNode
 from repro.memory.address import SHARED_BASE
 from repro.memory.cache import LineState
+from repro.memory.lane import build_access_lanes
 from repro.memory.tags import AccessFault, Tag
 from repro.network.message import Message, NACK_HANDLER, VirtualNetwork
 from repro.sim.config import DecoupledCosts
@@ -273,11 +274,14 @@ class DecoupledNode(BlizzardNode):
         # cost section: this backend bills from config.decoupled.
         self.costs = machine.config.decoupled
         costs = self.costs
-        # Per-element lane costs: no inserted poll — the handler
-        # processor watches the network — so a checked shared hit is
-        # just inserted check + cache hit.
-        self._shared_read_cost = costs.check_read_cycles + self._hit_cycles
-        self._shared_write_cost = costs.check_write_cycles + self._hit_cycles
+        # Rebind the batched access lanes to this backend's costs: no
+        # inserted poll — the handler processor watches the network — so
+        # a checked shared hit is just inserted check + cache hit, and
+        # no inbox holds messages back from the compute CPU.
+        hit = self._hit_cycles
+        self.run_read_prefix, self.run_plan_prefix = build_access_lanes(
+            self, hit, costs.check_read_cycles + hit,
+            costs.check_write_cycles + hit)
         self._fills_killed_key = f"{self._prefix}.cpu.fills_killed"
         self._messages_sent_key = f"{self._prefix}.hp.messages_sent"
         # The second CPU.  It replaces the base class's SoftwareDispatcher

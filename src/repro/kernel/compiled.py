@@ -56,13 +56,6 @@ from __future__ import annotations
 
 from heapq import heappush
 
-from repro.memory.address import SHARED_BASE
-from repro.memory.mirror import (
-    PAGE_MAPPED,
-    READ_HIT,
-    TLB_PRESENT,
-    WRITE_HIT,
-)
 from repro.network.message import Message, VirtualNetwork
 from repro.protocols.compiled import (
     CompiledProtocolTable,
@@ -163,7 +156,6 @@ class CompiledKernel:
             ic.send = _make_fast_interconnect_send(ic, dispatch)
         else:
             ic.__dict__.pop("send", None)
-        lanes_fast = monitor is None and not faulty
         if machine.system_name == "typhoon":
             for node in machine.nodes:
                 if self.np_fast:
@@ -173,19 +165,11 @@ class CompiledKernel:
                     )
                 else:
                     _deopt_typhoon_node(node)
-                if lanes_fast:
-                    _install_typhoon_lanes(node)
-                else:
-                    _deopt_lanes(node)
         else:
             for node in machine.nodes:
                 _install_blizzard_node(
                     node, self.tables[node.node_id], monitor
                 )
-                if lanes_fast:
-                    _install_blizzard_lanes(node)
-                else:
-                    _deopt_lanes(node)
 
     def uninstall(self) -> None:
         """Remove every fused closure; the machine is interpreted again."""
@@ -198,7 +182,6 @@ class CompiledKernel:
                 _deopt_typhoon_node(node)
             else:
                 _deopt_blizzard_node(node)
-            _deopt_lanes(node)
 
     def describe(self) -> dict:
         """Introspection row for the CLI and the differential harness."""
@@ -832,367 +815,3 @@ def _deopt_blizzard_node(node) -> None:
     """Back to the interpreted servicing loop (idempotent)."""
     for name in _BLIZZARD_OVERRIDES:
         node.__dict__.pop(name, None)
-
-
-# ----------------------------------------------------------------------
-# Batched access lanes, fused
-# ----------------------------------------------------------------------
-_LANE_OVERRIDES = ("run_read_prefix", "run_plan_prefix")
-
-
-def _deopt_lanes(node) -> None:
-    """Back to the interpreted lane methods (idempotent)."""
-    for name in _LANE_OVERRIDES:
-        node.__dict__.pop(name, None)
-
-
-def _install_typhoon_lanes(node) -> None:
-    """Fused batched access lanes for one Typhoon node.
-
-    The interpreted ``run_read_prefix``/``run_plan_prefix`` rebind their
-    whole environment — mirror dicts, image accessors, cost constants,
-    counter keys — on every call; these closures prebind all of it at
-    install time, so a lane call starts scanning immediately.  Installed
-    only with no fault plan and no conformance monitor (``refresh()``
-    pops them the moment either mode turns on), but each call still
-    re-checks the machine mode: an :class:`~repro.apps.base.AppContext`
-    captures the lane callable at construction, so a mid-run mode flip
-    must deopt per call exactly like the interpreted lanes.
-    """
-    engine = node.engine
-    machine = node.machine
-    mirror = node.mirror
-    page_flags = mirror.page_flags
-    block_flags = mirror.block_flags
-    page_shift = node._page_shift
-    block_shift = node._block_shift
-    bpp_mask = node._bpp_mask
-    block_mask = node._block_mask
-    hit_cycles = node._hit_cycles
-    image_read = node._image_read
-    image_write = node._image_write
-    written_add = node.written_blocks.add
-    counters = node._counters
-    refs_key = node._refs_key
-    access_cycles_key = node._access_cycles_key
-    cpu_tlb = node.cpu_tlb
-    cache = node.cache
-    node_id = node.node_id
-    fifo = engine._fifo
-    queue = engine._queue
-
-    def run_read_prefix(addrs, start, out):
-        if (fifo or machine.fault_plan is not None
-                or machine.conformance is not None):
-            return start
-        now = engine.now
-        if queue:
-            limit = queue[0][0]
-            if limit <= now + 2 * hit_cycles:
-                return start
-        else:
-            limit = None
-        until = engine._until
-        if until is not None and now + hit_cycles > until:
-            return start
-        out_append = out.append
-        out_base = len(out)
-        target = now
-        index = start
-        total = len(addrs)
-        current_page = -1
-        blocks = None
-        while index < total:
-            step = target + hit_cycles
-            if limit is not None and limit <= step:
-                break
-            if until is not None and step > until:
-                break
-            addr = addrs[index]
-            page = addr >> page_shift
-            if page != current_page:
-                need = (TLB_PRESENT | PAGE_MAPPED if addr >= SHARED_BASE
-                        else TLB_PRESENT)
-                if page_flags.get(page, 0) & need != need:
-                    break
-                blocks = block_flags.get(page)
-                if blocks is None:
-                    break
-                current_page = page
-            if not blocks[(addr >> block_shift) & bpp_mask] & READ_HIT:
-                break
-            out_append(image_read(addr))
-            target = step
-            index += 1
-        n = index - start
-        if n:
-            engine.now = target
-            cpu_tlb.hits += n
-            cache.hits += n
-            counters[refs_key] += n
-            counters[access_cycles_key] += n * hit_cycles
-            history = machine.history
-            if history is not None:
-                t = now
-                for i in range(n):
-                    history.record(node_id, addrs[start + i], False,
-                                   out[out_base + i], t, t + hit_cycles)
-                    t += hit_cycles
-        return index
-
-    def run_plan_prefix(ops, start, out):
-        if (fifo or machine.fault_plan is not None
-                or machine.conformance is not None):
-            return start
-        now = engine.now
-        if queue:
-            limit = queue[0][0]
-            if limit <= now + 2 * hit_cycles:
-                return start
-        else:
-            limit = None
-        until = engine._until
-        if until is not None and now + hit_cycles > until:
-            return start
-        out_append = out.append
-        out_base = len(out)
-        target = now
-        index = start
-        total = len(ops)
-        current_page = -1
-        page_shared = False
-        blocks = None
-        while index < total:
-            step = target + hit_cycles
-            if limit is not None and limit <= step:
-                break
-            if until is not None and step > until:
-                break
-            addr, is_write, value = ops[index]
-            page = addr >> page_shift
-            if page != current_page:
-                page_shared = addr >= SHARED_BASE
-                need = (TLB_PRESENT | PAGE_MAPPED if page_shared
-                        else TLB_PRESENT)
-                if page_flags.get(page, 0) & need != need:
-                    break
-                blocks = block_flags.get(page)
-                if blocks is None:
-                    break
-                current_page = page
-            if not (blocks[(addr >> block_shift) & bpp_mask]
-                    & (WRITE_HIT if is_write else READ_HIT)):
-                break
-            if is_write:
-                image_write(addr, value)
-                if page_shared:
-                    written_add(addr & block_mask)
-                out_append(None)
-            else:
-                out_append(image_read(addr))
-            target = step
-            index += 1
-        n = index - start
-        if n:
-            engine.now = target
-            cpu_tlb.hits += n
-            cache.hits += n
-            counters[refs_key] += n
-            counters[access_cycles_key] += n * hit_cycles
-            history = machine.history
-            if history is not None:
-                t = now
-                for i in range(n):
-                    addr, is_write, value = ops[start + i]
-                    if not is_write:
-                        value = out[out_base + i]
-                    history.record(node_id, addr, is_write, value,
-                                   t, t + hit_cycles)
-                    t += hit_cycles
-        return index
-
-    node.run_read_prefix = run_read_prefix
-    node.run_plan_prefix = run_plan_prefix
-
-
-def _install_blizzard_lanes(node) -> None:
-    """Fused batched access lanes for one Blizzard node.
-
-    Same prebinding as :func:`_install_typhoon_lanes`, with Blizzard's
-    per-access cost model (shared accesses charge poll + inserted check
-    + hit; private accesses the bare hit) and the additional inbox
-    deopt: a queued handler message must be serviced between scalar
-    accesses, so the lane refuses the batch exactly like its
-    interpreted twin.
-    """
-    engine = node.engine
-    machine = node.machine
-    mirror = node.mirror
-    page_flags = mirror.page_flags
-    block_flags = mirror.block_flags
-    page_shift = node._page_shift
-    block_shift = node._block_shift
-    bpp_mask = node._bpp_mask
-    block_mask = node._block_mask
-    private_cost = node._hit_cycles
-    shared_read = node._shared_read_cost
-    shared_write = node._shared_write_cost
-    image_read = node._image_read
-    image_write = node._image_write
-    written_add = node.written_blocks.add
-    counters = node._counters
-    refs_key = node._refs_key
-    access_cycles_key = node._access_cycles_key
-    cpu_tlb = node.cpu_tlb
-    cache = node.cache
-    node_id = node.node_id
-    inbox = node._inbox
-    fifo = engine._fifo
-    queue = engine._queue
-
-    def run_read_prefix(addrs, start, out):
-        if (fifo or inbox or machine.fault_plan is not None
-                or machine.conformance is not None):
-            return start
-        now = engine.now
-        if queue:
-            limit = queue[0][0]
-            if limit <= now + 2 * private_cost:
-                return start
-        else:
-            limit = None
-        until = engine._until
-        if until is not None and now + private_cost > until:
-            return start
-        out_append = out.append
-        out_base = len(out)
-        target = now
-        index = start
-        total = len(addrs)
-        current_page = -1
-        page_cost = private_cost
-        blocks = None
-        while index < total:
-            addr = addrs[index]
-            page = addr >> page_shift
-            if page != current_page:
-                shared = addr >= SHARED_BASE
-                need = (TLB_PRESENT | PAGE_MAPPED if shared
-                        else TLB_PRESENT)
-                if page_flags.get(page, 0) & need != need:
-                    break
-                blocks = block_flags.get(page)
-                if blocks is None:
-                    break
-                current_page = page
-                page_cost = shared_read if shared else private_cost
-            step = target + page_cost
-            if limit is not None and limit <= step:
-                break
-            if until is not None and step > until:
-                break
-            if not blocks[(addr >> block_shift) & bpp_mask] & READ_HIT:
-                break
-            out_append(image_read(addr))
-            target = step
-            index += 1
-        n = index - start
-        if n:
-            engine.now = target
-            cpu_tlb.hits += n
-            cache.hits += n
-            counters[refs_key] += n
-            counters[access_cycles_key] += target - now
-            history = machine.history
-            if history is not None:
-                t = now
-                for i in range(n):
-                    addr = addrs[start + i]
-                    cost = (shared_read if addr >= SHARED_BASE
-                            else private_cost)
-                    history.record(node_id, addr, False,
-                                   out[out_base + i], t, t + cost)
-                    t += cost
-        return index
-
-    def run_plan_prefix(ops, start, out):
-        if (fifo or inbox or machine.fault_plan is not None
-                or machine.conformance is not None):
-            return start
-        now = engine.now
-        if queue:
-            limit = queue[0][0]
-            if limit <= now + 2 * private_cost:
-                return start
-        else:
-            limit = None
-        until = engine._until
-        if until is not None and now + private_cost > until:
-            return start
-        out_append = out.append
-        out_base = len(out)
-        target = now
-        index = start
-        total = len(ops)
-        current_page = -1
-        page_shared = False
-        blocks = None
-        while index < total:
-            addr, is_write, value = ops[index]
-            page = addr >> page_shift
-            if page != current_page:
-                page_shared = addr >= SHARED_BASE
-                need = (TLB_PRESENT | PAGE_MAPPED if page_shared
-                        else TLB_PRESENT)
-                if page_flags.get(page, 0) & need != need:
-                    break
-                blocks = block_flags.get(page)
-                if blocks is None:
-                    break
-                current_page = page
-            if page_shared:
-                cost = shared_write if is_write else shared_read
-            else:
-                cost = private_cost
-            step = target + cost
-            if limit is not None and limit <= step:
-                break
-            if until is not None and step > until:
-                break
-            if not (blocks[(addr >> block_shift) & bpp_mask]
-                    & (WRITE_HIT if is_write else READ_HIT)):
-                break
-            if is_write:
-                image_write(addr, value)
-                if page_shared:
-                    written_add(addr & block_mask)
-                out_append(None)
-            else:
-                out_append(image_read(addr))
-            target = step
-            index += 1
-        n = index - start
-        if n:
-            engine.now = target
-            cpu_tlb.hits += n
-            cache.hits += n
-            counters[refs_key] += n
-            counters[access_cycles_key] += target - now
-            history = machine.history
-            if history is not None:
-                t = now
-                for i in range(n):
-                    addr, is_write, value = ops[start + i]
-                    if not is_write:
-                        value = out[out_base + i]
-                    if addr >= SHARED_BASE:
-                        cost = shared_write if is_write else shared_read
-                    else:
-                        cost = private_cost
-                    history.record(node_id, addr, is_write, value,
-                                   t, t + cost)
-                    t += cost
-        return index
-
-    node.run_read_prefix = run_read_prefix
-    node.run_plan_prefix = run_plan_prefix

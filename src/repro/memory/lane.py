@@ -1,0 +1,271 @@
+"""The batched access lane: block-granular hit-prefix commits.
+
+``AppContext.read_run``/``write_run``/``access_plan`` hand whole runs of
+references to a node's ``run_read_prefix``/``run_plan_prefix``.  Those
+two callables commit the longest prefix of the run that would hit, in
+one step, with effects identical to that many scalar inline hits: the
+same clock, counters, data image, ``written_blocks`` and history.  They
+return the index of the first element *not* committed; the caller
+services it through the scalar path and retries from there.
+
+Every Tempest backend runs this one lane.  :func:`build_access_lanes`
+binds it to a node once, from the backend's per-element costs:
+
+* ``private_cost`` — a reference to a private page (the bare cache hit);
+* ``shared_read_cost`` / ``shared_write_cost`` — a reference to a shared
+  page (Typhoon: the bare hit; Blizzard: poll + inserted check + hit;
+  decoupled: inserted check + hit, no poll);
+* ``inbox`` — Blizzard's message inbox: queued messages must be polled
+  between scalar references, so a non-empty inbox refuses the batch.
+
+The lane works per cache block rather than per word.  It probes the
+:class:`~repro.memory.mirror.AccessMirror` page flags only when the page
+changes and the block's flags byte only when the block changes, fetches
+the block's word dict from the :class:`~repro.memory.data.MemoryImage`
+once per block, and adds a written block to ``written_blocks`` once.
+The engine-window bound is computed once per call; each element's
+completion time is compared against it.
+
+A call deopts — returns ``start`` with no side effects — under a live
+fault plan or conformance monitor, with zero-delay work pending, or with
+a non-empty inbox: the scalar path is the oracle those modes observe.
+"""
+
+from __future__ import annotations
+
+from types import MappingProxyType
+
+from repro.memory.address import SHARED_BASE
+from repro.memory.mirror import PAGE_MAPPED, READ_HIT, TLB_PRESENT, WRITE_HIT
+
+#: Stand-in word dict for a block the image has never held: every word
+#: reads as the image's default, 0.  Read-only, so a missed "first write
+#: creates the dict" step fails loudly instead of sharing state.
+_NO_WORDS = MappingProxyType({})
+
+#: The window bound with no queued event and no ``run(until=...)``.
+_NEVER = float("inf")
+
+#: Page-flag bits a hit needs on shared and on private pages.
+_SHARED_NEED = TLB_PRESENT | PAGE_MAPPED
+_PRIVATE_NEED = TLB_PRESENT
+
+
+def build_access_lanes(node, private_cost, shared_read_cost,
+                       shared_write_cost, inbox=()):
+    """Return ``(run_read_prefix, run_plan_prefix)`` bound to ``node``.
+
+    ``node`` supplies the engine, machine, mirror, image, counters and
+    layout shifts; every container it hands over is a stable object
+    (cleared in place, never reassigned), so binding them once is safe.
+    The machine's fault plan, conformance monitor and history are read
+    per call, so a mid-run mode change takes effect on the next call.
+    """
+    engine = node.engine
+    machine = node.machine
+    fifo = engine._fifo
+    queue = engine._queue
+    page_flags_get = node.mirror.page_flags.get
+    block_flags_get = node.mirror.block_flags.get
+    words_of = node.image._blocks
+    words_get = words_of.get
+    written_add = node.written_blocks.add
+    counters = node._counters
+    refs_key = node._refs_key
+    cycles_key = node._access_cycles_key
+    cpu_tlb = node.cpu_tlb
+    cache = node.cache
+    node_id = node.node_id
+    layout = node.layout
+    page_shift = layout.page_size.bit_length() - 1
+    block_shift = layout.block_size.bit_length() - 1
+    block_mask = ~(layout.block_size - 1)
+    block_low = layout.block_size - 1
+    bpp_mask = layout.blocks_per_page - 1
+    # Room for at least two of the cheapest elements: a one-element
+    # batch costs more in lane setup than the scalar inline commit it
+    # replaces (under-claiming is always sound).
+    min_room = 2 * private_cost
+
+    def commit(seq, start, index, now, target, out, plan):
+        """Apply the side effects of committing ``seq[start:index]``."""
+        n = index - start
+        engine.now = target
+        cpu_tlb.hits += n
+        cache.hits += n
+        counters[refs_key] += n
+        if type(now) is int:
+            counters[cycles_key] += target - now
+        else:
+            # A float clock (left by ``run(until=<float>)``): sum the
+            # integer costs exactly, as n scalar commits would.
+            counters[cycles_key] += sum(
+                cost for _addr, _write, _value, cost
+                in elements(seq, start, index, out, plan))
+        history = machine.history
+        if history is not None:
+            t = now
+            for addr, is_write, value, cost in elements(seq, start, index,
+                                                        out, plan):
+                history.record(node_id, addr, is_write, value, t, t + cost)
+                t += cost
+
+    def elements(seq, start, index, out, plan):
+        """``(addr, is_write, value, cost)`` per committed element."""
+        out_base = len(out) - (index - start)
+        for i in range(start, index):
+            if plan:
+                addr, is_write, value = seq[i]
+            else:
+                addr, is_write = seq[i], False
+            if not is_write:
+                value = out[out_base + i - start]
+            if addr < SHARED_BASE:
+                cost = private_cost
+            else:
+                cost = shared_write_cost if is_write else shared_read_cost
+            yield addr, is_write, value, cost
+
+    def run_read_prefix(addrs, start, out):
+        """Commit the longest all-hit prefix of the reads ``addrs[start:]``.
+
+        Appends each committed element's value to ``out`` and returns
+        the index of the first element not committed.
+        """
+        if (fifo or inbox or machine.fault_plan is not None
+                or machine.conformance is not None):
+            return start
+        # The engine window, computed once.  An element completing at
+        # ``step`` commits while ``step < queue head`` (no event fires
+        # inside its hit window) and ``step <= until`` (``run(until=)``).
+        # Only the tighter of the two binds, so each element needs one
+        # comparison, ``step >= bound``; ``inclusive`` decides equality.
+        now = engine.now
+        if queue:
+            bound = queue[0][0]
+            # Reject before anything else: in lock-step phases another
+            # node's event usually sits inside the first hit window.
+            if bound <= now + min_room:
+                return start
+            inclusive = False
+        else:
+            bound, inclusive = _NEVER, True
+        until = engine._until
+        if until is not None and until < bound:
+            if now + private_cost > until:
+                return start
+            bound, inclusive = until, True
+        out_append = out.append
+        target = now
+        base = page = -1
+        for index in range(start, len(addrs)):
+            addr = addrs[index]
+            if addr & block_mask != base:
+                base = addr & block_mask
+                if addr >> page_shift != page:
+                    page = addr >> page_shift
+                    if addr >= SHARED_BASE:
+                        need, cost = _SHARED_NEED, shared_read_cost
+                    else:
+                        need, cost = _PRIVATE_NEED, private_cost
+                    if page_flags_get(page, 0) & need != need:
+                        break
+                    blocks = block_flags_get(page)
+                    if blocks is None:
+                        break
+                if not blocks[(addr >> block_shift) & bpp_mask] & READ_HIT:
+                    break
+                word = words_get(base, _NO_WORDS).get
+            step = target + cost
+            if step >= bound and (step > bound or not inclusive):
+                break
+            out_append(word(addr & block_low, 0))
+            target = step
+        else:
+            index = len(addrs)
+        if index != start:
+            # The per-element window checks prove no event fires inside
+            # [now, target], and the probes schedule nothing, so this
+            # equals index - start sequential inline commits.
+            commit(addrs, start, index, now, target, out, False)
+        return index
+
+    def run_plan_prefix(ops, start, out):
+        """:func:`run_read_prefix` for ``(addr, is_write, value)`` ops.
+
+        A committed read appends its value to ``out``, a write None.  A
+        write needs the block resident EXCLUSIVE (the mirror's WRITE_HIT
+        bit): a write to a SHARED line is an upgrade miss and stops the
+        prefix, exactly as the scalar path rejects it.
+        """
+        if (fifo or inbox or machine.fault_plan is not None
+                or machine.conformance is not None):
+            return start
+        now = engine.now
+        if queue:
+            bound = queue[0][0]
+            if bound <= now + min_room:
+                return start
+            inclusive = False
+        else:
+            bound, inclusive = _NEVER, True
+        until = engine._until
+        if until is not None and until < bound:
+            if now + private_cost > until:
+                return start
+            bound, inclusive = until, True
+        out_append = out.append
+        target = now
+        base = page = -1
+        for index in range(start, len(ops)):
+            addr, is_write, value = ops[index]
+            if addr & block_mask != base:
+                base = addr & block_mask
+                if addr >> page_shift != page:
+                    page = addr >> page_shift
+                    shared = addr >= SHARED_BASE
+                    if shared:
+                        need = _SHARED_NEED
+                        read_cost = shared_read_cost
+                        write_cost = shared_write_cost
+                    else:
+                        need = _PRIVATE_NEED
+                        read_cost = write_cost = private_cost
+                    if page_flags_get(page, 0) & need != need:
+                        break
+                    blocks = block_flags_get(page)
+                    if blocks is None:
+                        break
+                flags = blocks[(addr >> block_shift) & bpp_mask]
+                words = words_get(base, _NO_WORDS)
+                unmarked = shared
+            if is_write:
+                if not flags & WRITE_HIT:
+                    break
+                step = target + write_cost
+                if step >= bound and (step > bound or not inclusive):
+                    break
+                if words is _NO_WORDS:
+                    # First write to a block the image never held:
+                    # create its dict exactly as MemoryImage.write does.
+                    words = words_of[base] = {}
+                words[addr & block_low] = value
+                if unmarked:
+                    written_add(base)
+                    unmarked = False
+                out_append(None)
+            else:
+                if not flags & READ_HIT:
+                    break
+                step = target + read_cost
+                if step >= bound and (step > bound or not inclusive):
+                    break
+                out_append(words.get(addr & block_low, 0))
+            target = step
+        else:
+            index = len(ops)
+        if index != start:
+            commit(ops, start, index, now, target, out, True)
+        return index
+
+    return run_read_prefix, run_plan_prefix

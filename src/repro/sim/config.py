@@ -27,6 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 
+class ConfigError(ValueError):
+    """A configuration that describes no buildable machine."""
+
+
 @dataclass
 class CacheConfig:
     """A set-associative cache (the CPU's hardware cache)."""
@@ -46,13 +50,15 @@ class CacheConfig:
 
     def validate(self) -> None:
         if self.size_bytes % self.block_size:
-            raise ValueError("cache size must be a multiple of the block size")
+            raise ConfigError(
+                "cache size must be a multiple of the block size")
         if self.block_size & (self.block_size - 1):
-            raise ValueError("block size must be a power of two")
+            raise ConfigError("block size must be a power of two")
         if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
+            raise ConfigError("number of sets must be a power of two")
         if self.replacement not in ("random", "lru", "fifo"):
-            raise ValueError(f"unknown replacement policy {self.replacement!r}")
+            raise ConfigError(
+                f"unknown replacement policy {self.replacement!r}")
 
 
 @dataclass
@@ -340,13 +346,16 @@ class MachineConfig:
     def validate(self) -> None:
         self.cache.validate()
         if self.nodes < 1:
-            raise ValueError("need at least one node")
+            raise ConfigError("need at least one node")
         if self.page_size % self.block_size:
-            raise ValueError("page size must be a multiple of the block size")
+            raise ConfigError(
+                "page size must be a multiple of the block size")
         if self.cache.block_size != self.block_size:
-            raise ValueError("cache block size must match machine block size")
+            raise ConfigError(
+                "cache block size must match machine block size")
         if self.page_placement not in ("round_robin", "first_touch"):
-            raise ValueError(f"unknown page placement {self.page_placement!r}")
+            raise ConfigError(
+                f"unknown page placement {self.page_placement!r}")
 
     @property
     def blocks_per_page(self) -> int:

@@ -27,9 +27,8 @@ from typing import TYPE_CHECKING, Any, Callable, Generator
 from repro.memory.address import SHARED_BASE, AddressLayout
 from repro.memory.cache import Cache, LineState
 from repro.memory.data import MemoryImage
-from repro.memory.mirror import (
-    PAGE_MAPPED, READ_HIT, TLB_PRESENT, WRITE_HIT, AccessMirror,
-)
+from repro.memory.lane import build_access_lanes
+from repro.memory.mirror import AccessMirror
 from repro.memory.page_table import PageTable
 from repro.memory.tags import Tag, TagStore
 from repro.memory.tlb import Tlb
@@ -97,8 +96,6 @@ class TyphoonNode:
         self._page_shift = layout.page_size.bit_length() - 1
         self._page_mask = ~(layout.page_size - 1)
         self._block_mask = ~(layout.block_size - 1)
-        self._block_shift = layout.block_size.bit_length() - 1
-        self._bpp_mask = layout.blocks_per_page - 1
         self._hit_cycles = self.config.cache_hit_cycles
         self._tlb_entries = self.cpu_tlb._entries
         self._pt_entries = self.page_table._entries
@@ -110,6 +107,10 @@ class TyphoonNode:
         #: or invalidation.  Custom protocols use it (e.g. migratory
         #: detection probes).
         self.written_blocks: set[int] = set()
+        # The batched access lanes (repro.memory.lane): every Typhoon
+        # hit costs the bare cache hit, private or shared.
+        self.run_read_prefix, self.run_plan_prefix = build_access_lanes(
+            self, self._hit_cycles, self._hit_cycles, self._hit_cycles)
 
         machine.interconnect.attach(node_id, self.np.enqueue_message)
 
@@ -211,232 +212,6 @@ class TyphoonNode:
                 engine.now - hit_cycles, engine.now,
             )
         return (result,)
-
-    # ------------------------------------------------------------------
-    # Batched access lanes (vectorised reference engine)
-    # ------------------------------------------------------------------
-    def run_read_prefix(self, addrs, start: int, out: list) -> int:
-        """Commit the longest all-hit prefix of ``addrs[start:]`` in bulk.
-
-        One vectorised probe over the run: scan the dense mirrors for the
-        first index that would not hit (or whose hit window an event
-        intrudes on), then commit the whole prefix in one step — a single
-        clock advance of ``n * hit_cycles``, counters bumped by ``n``,
-        per-element data-image reads appended to ``out`` — with effects
-        identical to ``n`` scalar inline hits.  Returns the index of the
-        first element *not* committed; the caller services that element
-        through the scalar path and retries the run from there.
-
-        The lane deopts (returns ``start`` untouched, zero side effects)
-        under a live fault plan or conformance monitor, and whenever the
-        zero-delay FIFO is non-empty: the scalar decomposition is the
-        oracle those modes observe.
-        """
-        engine = self.engine
-        machine = self.machine
-        if (engine._fifo or machine.fault_plan is not None
-                or machine.conformance is not None):
-            return start
-        hit_cycles = self._hit_cycles
-        queue = engine._queue
-        now = engine.now
-        # Reject before binding anything: in lock-step phases another
-        # node's event usually sits inside the very first hit window,
-        # and the lane must cost next to nothing when it loses.
-        if queue:
-            limit = queue[0][0]
-            # Require room for at least two elements: a one-element
-            # batch costs more in lane setup than the scalar inline
-            # commit it replaces (under-claiming is always sound).
-            if limit <= now + 2 * hit_cycles:
-                return start
-        else:
-            limit = None
-        until = engine._until
-        if until is not None and now + hit_cycles > until:
-            return start
-        mirror = self.mirror
-        # Cheap first-element probe: in miss phases the common reject is
-        # an open window with a cold first element, and that reject must
-        # not pay the full scan setup below.
-        addr = addrs[start]
-        page = addr >> self._page_shift
-        need = (TLB_PRESENT | PAGE_MAPPED if addr >= SHARED_BASE
-                else TLB_PRESENT)
-        if mirror.page_flags.get(page, 0) & need != need:
-            return start
-        probe = mirror.block_flags.get(page)
-        if probe is None or not (
-                probe[(addr >> self._block_shift) & self._bpp_mask]
-                & READ_HIT):
-            return start
-        page_flags = mirror.page_flags
-        block_flags = mirror.block_flags
-        page_shift = self._page_shift
-        block_shift = self._block_shift
-        bpp_mask = self._bpp_mask
-        image_read = self._image_read
-        out_append = out.append
-        out_base = len(out)
-
-        target = now
-        index = start
-        total = len(addrs)
-        current_page = -1
-        blocks = None
-        while index < total:
-            step = target + hit_cycles
-            if limit is not None and limit <= step:
-                break
-            if until is not None and step > until:
-                break
-            addr = addrs[index]
-            page = addr >> page_shift
-            if page != current_page:
-                need = (TLB_PRESENT | PAGE_MAPPED if addr >= SHARED_BASE
-                        else TLB_PRESENT)
-                if page_flags.get(page, 0) & need != need:
-                    break
-                blocks = block_flags.get(page)
-                if blocks is None:
-                    break
-                current_page = page
-            if not blocks[(addr >> block_shift) & bpp_mask] & READ_HIT:
-                break
-            out_append(image_read(addr))
-            target = step
-            index += 1
-
-        n = index - start
-        if n:
-            # Batch commit: the per-element window checks above prove no
-            # event fires inside [now, target], and the probes schedule
-            # nothing, so this equals n sequential inline commits.
-            engine.now = target
-            self.cpu_tlb.hits += n
-            self.cache.hits += n
-            counters = self._counters
-            counters[self._refs_key] += n
-            counters[self._access_cycles_key] += n * hit_cycles
-            history = machine.history
-            if history is not None:
-                t = now
-                for i in range(n):
-                    history.record(self.node_id, addrs[start + i], False,
-                                   out[out_base + i], t, t + hit_cycles)
-                    t += hit_cycles
-        return index
-
-    def run_plan_prefix(self, ops, start: int, out: list) -> int:
-        """:meth:`run_read_prefix` generalised to mixed reads and writes.
-
-        ``ops`` is a sequence of ``(addr, is_write, value)`` tuples; for
-        each committed op a read appends its value to ``out`` and a write
-        appends None.  A write needs the block resident EXCLUSIVE (the
-        mirror's WRITE_HIT bit) — a write to a SHARED line is an upgrade
-        miss and stops the prefix, exactly as the scalar lane rejects it.
-        """
-        engine = self.engine
-        machine = self.machine
-        if (engine._fifo or machine.fault_plan is not None
-                or machine.conformance is not None):
-            return start
-        hit_cycles = self._hit_cycles
-        queue = engine._queue
-        now = engine.now
-        if queue:
-            limit = queue[0][0]
-            # Require room for at least two elements: a one-element
-            # batch costs more in lane setup than the scalar inline
-            # commit it replaces (under-claiming is always sound).
-            if limit <= now + 2 * hit_cycles:
-                return start
-        else:
-            limit = None
-        until = engine._until
-        if until is not None and now + hit_cycles > until:
-            return start
-        mirror = self.mirror
-        # Cheap first-element probe (see run_read_prefix).
-        addr, is_write, value = ops[start]
-        page = addr >> self._page_shift
-        need = (TLB_PRESENT | PAGE_MAPPED if addr >= SHARED_BASE
-                else TLB_PRESENT)
-        if mirror.page_flags.get(page, 0) & need != need:
-            return start
-        probe = mirror.block_flags.get(page)
-        if probe is None or not (
-                probe[(addr >> self._block_shift) & self._bpp_mask]
-                & (WRITE_HIT if is_write else READ_HIT)):
-            return start
-        page_flags = mirror.page_flags
-        block_flags = mirror.block_flags
-        page_shift = self._page_shift
-        block_shift = self._block_shift
-        bpp_mask = self._bpp_mask
-        block_mask = self._block_mask
-        image_read = self._image_read
-        image_write = self._image_write
-        written_add = self.written_blocks.add
-        out_append = out.append
-        out_base = len(out)
-
-        target = now
-        index = start
-        total = len(ops)
-        current_page = -1
-        page_shared = False
-        blocks = None
-        while index < total:
-            step = target + hit_cycles
-            if limit is not None and limit <= step:
-                break
-            if until is not None and step > until:
-                break
-            addr, is_write, value = ops[index]
-            page = addr >> page_shift
-            if page != current_page:
-                page_shared = addr >= SHARED_BASE
-                need = (TLB_PRESENT | PAGE_MAPPED if page_shared
-                        else TLB_PRESENT)
-                if page_flags.get(page, 0) & need != need:
-                    break
-                blocks = block_flags.get(page)
-                if blocks is None:
-                    break
-                current_page = page
-            if not (blocks[(addr >> block_shift) & bpp_mask]
-                    & (WRITE_HIT if is_write else READ_HIT)):
-                break
-            if is_write:
-                image_write(addr, value)
-                if page_shared:
-                    written_add(addr & block_mask)
-                out_append(None)
-            else:
-                out_append(image_read(addr))
-            target = step
-            index += 1
-
-        n = index - start
-        if n:
-            engine.now = target
-            self.cpu_tlb.hits += n
-            self.cache.hits += n
-            counters = self._counters
-            counters[self._refs_key] += n
-            counters[self._access_cycles_key] += n * hit_cycles
-            history = machine.history
-            if history is not None:
-                t = now
-                for i in range(n):
-                    addr, is_write, value = ops[start + i]
-                    if not is_write:
-                        value = out[out_base + i]
-                    history.record(self.node_id, addr, is_write, value,
-                                   t, t + hit_cycles)
-                    t += hit_cycles
-        return index
 
     def access(self, addr: int, is_write: bool, value: Any = None) -> Generator:
         """One CPU load or store; a generator the worker drives.

@@ -1,8 +1,17 @@
 """Tests for the command-line front end."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.harness import experiments
+from repro.sim.config import MachineConfig
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_list_enumerates_experiments(capsys):
@@ -151,3 +160,49 @@ def test_sweep_cache_experiment_runs(capsys):
     out = capsys.readouterr().out
     assert "cold" in out and "warm" in out
     assert "rows_identical" in out
+
+
+# ----------------------------------------------------------------------
+# Bad machine sizes end in one usage-error line, not a traceback
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("argv", [
+    ["figure4", "--nodes", "0"],
+    ["figure3", "--nodes", "-2"],
+    ["sweep", "submit", "--nodes", "0"],
+])
+def test_node_count_below_one_rejected_by_parser(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --nodes: need at least one node" in err
+
+
+def test_config_validation_error_is_one_line(monkeypatch, capsys):
+    def invalid_machine():
+        MachineConfig(page_size=1000).validate()
+
+    monkeypatch.setattr(experiments, "run_table2", invalid_machine)
+    assert main(["table2"]) == 2
+    assert capsys.readouterr().err == (
+        "repro: error: page size must be a multiple of the block size\n")
+
+
+def test_sweep_config_validation_error_is_one_line(tmp_path, capsys):
+    assert main(["sweep", "submit", "--cache-sizes", "100", "--nodes", "2",
+                 "--store", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "repro sweep: error: cache size must be a multiple of the block "
+        "size\n")
+
+
+def test_node_count_zero_from_the_shell_has_no_traceback():
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "figure4", "--nodes", "0"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == (
+        "repro: error: argument --nodes: need at least one node, got 0")

@@ -11,6 +11,7 @@ interleavings; ``compare_runs`` is the judge.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,9 +26,19 @@ from repro.typhoon.system import TyphoonMachine
 
 #: One record per cache block; 136 records = 4352 bytes, so the flat
 #: (non-striped) array straddles a 4 KB page boundary and generated
-#: runs can cross it.
+#: runs can cross it.  Every record holds four 8-byte words, and runs
+#: address (record, word) slots, so a run can touch several words of
+#: one block -- the path the block-granular lane commits per block.
 RECORDS = 136
 RECORD_BYTES = 32
+WORDS = RECORD_BYTES // 8
+
+
+def _poked(index: int) -> bool:
+    """Only even records are initialised: an odd record's block starts
+    out held by no node's image, so the first write to it creates the
+    image's word dict (on the lane or the scalar path)."""
+    return index % 2 == 0
 
 
 class InterleavingApplication(Application):
@@ -43,38 +54,39 @@ class InterleavingApplication(Application):
         self.array = SharedArray(machine, protocol, RECORDS, RECORD_BYTES,
                                  label="ilv", striped=False)
         for index in range(RECORDS):
-            self.poke(machine, self.array.addr(index), 0)
+            if _poked(index):
+                self.poke(machine, self.array.addr(index), 0)
 
     def worker(self, ctx: AppContext):
-        addr = self.array.addr
         shift = ctx.node_id * 3  # nodes overlap but are not identical
+
+        def addr(slot):
+            index, word = slot
+            return self.array.addr((index + shift) % RECORDS, 8 * word)
+
         value = ctx.node_id * 1000
         for op, payload in self.program:
             if op == "read":
-                yield from ctx.read(addr((payload + shift) % RECORDS))
+                yield from ctx.read(addr(payload))
             elif op == "write":
                 value += 1
-                yield from ctx.write(addr((payload + shift) % RECORDS),
-                                     value)
+                yield from ctx.write(addr(payload), value)
             elif op == "read_run":
-                yield from ctx.read_run(
-                    [addr((i + shift) % RECORDS) for i in payload])
+                yield from ctx.read_run([addr(slot) for slot in payload])
             elif op == "write_run":
                 pairs = []
-                for i in payload:
+                for slot in payload:
                     value += 1
-                    pairs.append((addr((i + shift) % RECORDS), value))
+                    pairs.append((addr(slot), value))
                 yield from ctx.write_run(pairs)
             elif op == "plan":
                 plan = []
-                for i, is_write in payload:
+                for slot, is_write in payload:
                     if is_write:
                         value += 1
-                        plan.append((addr((i + shift) % RECORDS), True,
-                                     value))
+                        plan.append((addr(slot), True, value))
                     else:
-                        plan.append((addr((i + shift) % RECORDS), False,
-                                     None))
+                        plan.append((addr(slot), False, None))
                 yield from ctx.access_plan(plan)
             elif op == "compute":
                 yield from ctx.compute(flops=payload)
@@ -84,42 +96,61 @@ class InterleavingApplication(Application):
 
 
 INDICES = st.integers(0, RECORDS - 1)
-#: Consecutive-biased runs: half the generated runs are a contiguous
-#: slice (the shape the lanes batch best and the shape that straddles
-#: pages), half arbitrary gathers.
+SLOTS = st.tuples(INDICES, st.integers(0, WORDS - 1))
+
+
+def _span(first, length):
+    """``length`` consecutive words from slot ``first``, across blocks."""
+    index, word = first
+    return [((index + (word + k) // WORDS) % RECORDS, (word + k) % WORDS)
+            for k in range(length)]
+
+
+#: Three run shapes: arbitrary gathers; consecutive words (the shape the
+#: lanes batch best, four words per block, straddling pages); and
+#: several words, repeats allowed, of one block.
 RUNS = st.one_of(
-    st.lists(INDICES, min_size=1, max_size=12),
-    st.tuples(INDICES, st.integers(1, 12)).map(
-        lambda span: [(span[0] + k) % RECORDS for k in range(span[1])]),
+    st.lists(SLOTS, min_size=1, max_size=12),
+    st.tuples(SLOTS, st.integers(1, 16)).map(lambda run: _span(*run)),
+    st.tuples(INDICES, st.lists(st.integers(0, WORDS - 1), min_size=1,
+                                max_size=8)).map(
+        lambda run: [(run[0], word) for word in run[1]]),
+)
+#: Plans: arbitrary mixes, and write-then-read-back runs over one block
+#: -- on an odd record, the first write creates the block's word dict
+#: and the reads must see it within the same run.
+PLANS = st.one_of(
+    st.lists(st.tuples(SLOTS, st.booleans()), min_size=1, max_size=10),
+    st.tuples(INDICES, st.lists(st.integers(0, WORDS - 1), min_size=1,
+                                max_size=4)).map(
+        lambda run: [((run[0], word), True) for word in run[1]]
+        + [((run[0], word), False) for word in run[1]]),
 )
 PROGRAMS = st.lists(
     st.one_of(
-        st.tuples(st.just("read"), INDICES),
-        st.tuples(st.just("write"), INDICES),
+        st.tuples(st.just("read"), SLOTS),
+        st.tuples(st.just("write"), SLOTS),
         st.tuples(st.just("read_run"), RUNS),
         st.tuples(st.just("write_run"), RUNS),
-        st.tuples(st.just("plan"),
-                  st.lists(st.tuples(INDICES, st.booleans()),
-                           min_size=1, max_size=10)),
+        st.tuples(st.just("plan"), PLANS),
         st.tuples(st.just("compute"), st.integers(0, 6)),
         st.tuples(st.just("barrier"), st.just(0)),
     ),
     min_size=1, max_size=10,
 )
 
+#: Every Tempest backend: typhoon (hardware NP), blizzard (polling,
+#: inbox deopt), decoupled (no poll term; the compiled kernel falls
+#: back to the interpreted one).
+SYSTEMS = ["typhoon:stache", "blizzard:stache", "decoupled:stache",
+           "typhoon:migratory"]
+KERNELS = ["interpreted", "compiled"]
+
 LOSSY = FaultSpec(name="lossy", drop_pct=0.05, dup_pct=0.03,
                   delay_pct=0.15, delay_min=1, delay_max=9)
 
 
-@given(program=PROGRAMS,
-       system=st.sampled_from(["typhoon:stache", "blizzard:stache",
-                               "typhoon:migratory"]),
-       kernel=st.sampled_from(["interpreted", "compiled"]),
-       faulty=st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_property_interleavings_bit_identical(program, system, kernel,
-                                              faulty):
-    faults = LOSSY if faulty else None
+def _assert_lanes_agree(program, system, kernel, faults=None):
     config = MachineConfig(nodes=2, seed=7).with_cache_size(1024)
     outcomes = {}
     for lanes in ("scalar", "batched"):
@@ -129,7 +160,40 @@ def test_property_interleavings_bit_identical(program, system, kernel,
         )
     diffs = compare_runs(outcomes["scalar"], outcomes["batched"],
                          labels=("scalar", "batched"))
-    assert not diffs, (system, kernel, faulty, diffs)
+    assert not diffs, (system, kernel, faults, diffs)
+
+
+@given(program=PROGRAMS,
+       system=st.sampled_from(SYSTEMS),
+       kernel=st.sampled_from(KERNELS),
+       faulty=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_property_interleavings_bit_identical(program, system, kernel,
+                                              faulty):
+    _assert_lanes_agree(program, system, kernel, LOSSY if faulty else None)
+
+
+#: A fixed program through every lane path the generator aims at:
+#: multi-word runs, a write-then-read-back plan over a block no image
+#: has held (record 1 is odd, so never poked), and page-straddling spans.
+MULTIWORD_PROGRAM = [
+    ("read_run", _span((0, 0), 16)),
+    ("read_run", [(1, 0), (1, 1), (1, 2), (1, 3)]),
+    ("plan", [((1, 2), True), ((1, 0), True), ((1, 2), False),
+              ((1, 0), False), ((1, 3), False)]),
+    ("write_run", _span((126, 1), 16)),
+    ("barrier", 0),
+    ("read_run", _span((126, 0), 24)),
+    ("plan", [((3, word), True) for word in range(WORDS)]
+     + [((3, word), False) for word in range(WORDS)]),
+    ("read_run", [(3, 1), (3, 1), (2, 0), (3, 3)]),
+]
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_multiword_program_bit_identical(system, kernel):
+    _assert_lanes_agree(MULTIWORD_PROGRAM, system, kernel)
 
 
 # ----------------------------------------------------------------------
