@@ -1,30 +1,28 @@
-"""Simulation-kernel throughput benchmark: interpreted vs compiled.
+"""Simulation throughput benchmark of the one dispatch path.
 
 Times representative runs — the workloads the hot-path work in
-``sim/engine.py``, ``sim/process.py``, the node models, and the
-table-driven dispatch kernel (:mod:`repro.kernel.compiled`) targets —
-under **both** dispatch kernels, prints them side by side, and writes
-``BENCH_kernel.json`` at the repo root so successive commits carry a
-throughput trajectory.
+``sim/engine.py``, ``sim/process.py``, the node models, and the shared
+handler-dispatch loop (:mod:`repro.tempest.dispatch`) targets — and
+writes ``BENCH_kernel.json`` at the repo root so successive commits
+carry a throughput trajectory.
 
-Methodology: each cell is run with its variants interleaved and the
-best time kept — wall clock on shared boxes is noisy, and interleaving
-keeps a load spike from biasing one column.  Lane rows run
-``REPRO_BENCH_REPEATS`` times (default 3); the legacy kernel rows are
+Methodology: each cell is run a few times and the best time kept —
+wall clock on shared boxes is noisy.  Lane rows run
+``REPRO_BENCH_REPEATS`` times (default 3), interleaving their two lane
+modes so a load spike cannot bias one column; the dispatch rows are
 trimmed to two repeats to keep the job inside its time budget.  The
 batched-vs-scalar lane speedup is computed from CPU time
-(``time.process_time``), which is immune to machine-load noise.  Events/second uses each
-run's own event count; note the compiled kernel fires *fewer* events for
-identical simulated behaviour (tail dispatches advance the clock
-inline), so its events/s understates its real advantage —
-``cycles_per_second`` (simulated cycles per wall second) is the
-kernel-invariant throughput measure.
+(``time.process_time``), which is immune to machine-load noise.
+Events/second uses each run's own event count; inline handler dispatch
+advances the clock without firing events, so ``cycles_per_second``
+(simulated cycles per wall second) is the throughput measure that does
+not depend on engine bookkeeping.
 
 The asserted properties here are completion, nonzero throughput, and
-kernel equivalence of the simulated outcome (cycles equal between
-kernels).  The regression gate against the committed baseline lives in
-``tools/check_perf.py`` (CI's ``perf`` job), with a wide tolerance for
-machine-to-machine variance.
+lane equivalence of the simulated outcome.  The regression gate against
+the committed baseline lives in ``tools/check_perf.py`` (CI's ``perf``
+job), with a wide tolerance for machine-to-machine variance; the
+spread-aware ledger is ``bench/``.
 """
 
 from __future__ import annotations
@@ -39,22 +37,17 @@ from repro.harness.runner import run_application
 from repro.harness.workloads import workload
 from repro.sim.config import MachineConfig
 
-#: (label, system, application, dataset, cache_bytes, kernels)
-KERNEL_WORKLOADS = [
-    ("ocean-typhoon", "typhoon-stache", "ocean", "small", 2048,
-     ("interpreted", "compiled")),
-    ("mp3d-typhoon", "typhoon-stache", "mp3d", "small", 2048,
-     ("interpreted", "compiled")),
-    ("em3d-dirnnb", "dirnnb", "em3d", "small", 2048,
-     ("interpreted",)),  # hardware protocol: nothing to compile
-    ("ocean-blizzard", "blizzard-stache", "ocean", "small", 2048,
-     ("interpreted", "compiled")),
-    ("ocean-decoupled", "decoupled-stache", "ocean", "small", 2048,
-     ("interpreted",)),  # handler processor not specialised: no compile
+#: (label, system, application, dataset, cache_bytes)
+DISPATCH_WORKLOADS = [
+    ("ocean-typhoon", "typhoon-stache", "ocean", "small", 2048),
+    ("mp3d-typhoon", "typhoon-stache", "mp3d", "small", 2048),
+    ("em3d-dirnnb", "dirnnb", "em3d", "small", 2048),
+    ("ocean-blizzard", "blizzard-stache", "ocean", "small", 2048),
+    ("ocean-decoupled", "decoupled-stache", "ocean", "small", 2048),
 ]
 
 #: Batched-vs-scalar access-lane rows:
-#: (label, system, application, dataset, cache_bytes, nodes, kernel,
+#: (label, system, application, dataset, cache_bytes, nodes,
 #:  lane_floor, microbenchmark).
 #: ``nodes=None`` uses the suite-wide node count.  The lane floor for
 #: microbenchmark rows comes from REPRO_PERF_MIN_LANE_SPEEDUP (default
@@ -64,11 +57,11 @@ KERNEL_WORKLOADS = [
 #: lock-step phases shrink that window as the node count grows.
 LANE_WORKLOADS = [
     ("sweep-lanes", "typhoon-stache", "sweep", "ref", 8192, None,
-     "compiled", None, True),
+     None, True),
     ("ocean-lanes", "typhoon-stache", "ocean", "large", 8192, 2,
-     "compiled", 1.02, False),
+     1.02, False),
     ("barnes-lanes", "typhoon-stache", "barnes", "large", 8192, 2,
-     "compiled", 1.01, False),
+     1.01, False),
 ]
 
 _OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_kernel.json"
@@ -78,24 +71,23 @@ def _repeats() -> int:
     return int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
 
 
-def _kernel_repeats() -> int:
-    # The kernel rows are the legacy half of the suite; two interleaved
-    # repeats keep the whole perf job inside its time budget while the
-    # lane rows get the full repeat count.
+def _dispatch_repeats() -> int:
+    # Two repeats keep the whole perf job inside its time budget while
+    # the lane rows get the full repeat count.
     return max(1, min(_repeats(), 2))
 
 
 def _run_cell(system: str, app_name: str, dataset: str, cache_bytes: int,
-              nodes: int, kernel: str) -> tuple[float, dict]:
+              nodes: int) -> tuple[float, dict]:
     config = MachineConfig(nodes=nodes, seed=42).with_cache_size(cache_bytes)
     app = workload(app_name, dataset).build()
     start = time.perf_counter()
-    outcome = run_application(system, app, config, kernel=kernel)
+    outcome = run_application(system, app, config)
     return time.perf_counter() - start, outcome
 
 
 def _time_lane_cell(system: str, app_name: str, dataset: str,
-                    cache_bytes: int, nodes: int, kernel: str) -> dict:
+                    cache_bytes: int, nodes: int) -> dict:
     """Time one workload under scalar and batched access lanes.
 
     Wall clock is recorded for the throughput columns, but the lane
@@ -112,8 +104,7 @@ def _time_lane_cell(system: str, app_name: str, dataset: str,
             app = workload(app_name, dataset).build()
             wall0 = time.perf_counter()
             cpu0 = time.process_time()
-            outcome = run_application(system, app, config, kernel=kernel,
-                                      lanes=lanes)
+            outcome = run_application(system, app, config, lanes=lanes)
             cpu = time.process_time() - cpu0
             wall = time.perf_counter() - wall0
             if lanes not in best or cpu < best[lanes]["cpu"]:
@@ -125,7 +116,6 @@ def _time_lane_cell(system: str, app_name: str, dataset: str,
         "dataset": dataset,
         "cache_bytes": cache_bytes,
         "nodes": nodes,
-        "kernel": kernel,
         "lanes": {},
     }
     for lanes, sample in best.items():
@@ -147,73 +137,48 @@ def _time_lane_cell(system: str, app_name: str, dataset: str,
 
 
 def _time_cell(system: str, app_name: str, dataset: str, cache_bytes: int,
-               nodes: int, kernels: tuple[str, ...]) -> dict:
-    best: dict[str, tuple[float, dict]] = {}
-    for _ in range(_kernel_repeats()):
-        for kernel in kernels:  # interleaved: noise hits both columns
-            elapsed, outcome = _run_cell(
-                system, app_name, dataset, cache_bytes, nodes, kernel
-            )
-            if kernel not in best or elapsed < best[kernel][0]:
-                best[kernel] = (elapsed, outcome)
-
-    row: dict = {
+               nodes: int) -> dict:
+    best: tuple[float, dict] | None = None
+    for _ in range(_dispatch_repeats()):
+        elapsed, outcome = _run_cell(system, app_name, dataset, cache_bytes,
+                                     nodes)
+        if best is None or elapsed < best[0]:
+            best = (elapsed, outcome)
+    elapsed, outcome = best
+    events = outcome["machine"].engine.events_fired
+    cycles = outcome["execution_time"]
+    return {
         "system": system,
         "application": app_name,
         "dataset": dataset,
         "cache_bytes": cache_bytes,
-        "kernels": {},
+        "wall_seconds": round(elapsed, 6),
+        "events_fired": events,
+        "events_per_second": round(events / elapsed, 1) if elapsed else 0.0,
+        "cycles_per_second": round(cycles / elapsed, 1) if elapsed else 0.0,
+        "simulated_cycles": cycles,
     }
-    for kernel, (elapsed, outcome) in best.items():
-        events = outcome["machine"].engine.events_fired
-        cycles = outcome["execution_time"]
-        row["kernels"][kernel] = {
-            "kernel_installed": outcome["kernel"],
-            "wall_seconds": round(elapsed, 6),
-            "events_fired": events,
-            "events_per_second": round(events / elapsed, 1) if elapsed else 0.0,
-            "cycles_per_second": round(cycles / elapsed, 1) if elapsed else 0.0,
-            "simulated_cycles": cycles,
-        }
-    if "interpreted" in best and "compiled" in best:
-        ti, tc = best["interpreted"][0], best["compiled"][0]
-        row["speedup"] = round(ti / tc, 3) if tc > 0 else None
-    else:
-        row["speedup"] = None
-    return row
 
 
 def test_kernel_throughput():
     nodes = nodes_under_test()
     results = {}
     print()
-    for label, system, app_name, dataset, cache_bytes, kernels \
-            in KERNEL_WORKLOADS:
-        row = _time_cell(system, app_name, dataset, cache_bytes, nodes,
-                         kernels)
-        results[label] = row
-        for kernel in kernels:
-            cell = row["kernels"][kernel]
-            print(f"{label:>16} [{kernel:>11}]: "
-                  f"{cell['wall_seconds'] * 1e3:8.1f} ms  "
-                  f"{cell['events_per_second']:>10,.0f} events/s  "
-                  f"{cell['cycles_per_second']:>10,.0f} cycles/s")
-            assert cell["events_fired"] > 0
-            assert cell["events_per_second"] > 0
-        if row["speedup"] is not None:
-            print(f"{label:>16} [    speedup]: {row['speedup']:8.2f}x "
-                  f"(compiled vs interpreted, wall)")
-            # Observable equivalence: both kernels simulate the same
-            # machine (the differential harness asserts the rest).
-            cycles = {cell["simulated_cycles"]
-                      for cell in row["kernels"].values()}
-            assert len(cycles) == 1, f"kernels disagree on cycles: {cycles}"
+    for label, system, app_name, dataset, cache_bytes in DISPATCH_WORKLOADS:
+        cell = results[label] = _time_cell(system, app_name, dataset,
+                                           cache_bytes, nodes)
+        print(f"{label:>16}: "
+              f"{cell['wall_seconds'] * 1e3:8.1f} ms  "
+              f"{cell['events_per_second']:>10,.0f} events/s  "
+              f"{cell['cycles_per_second']:>10,.0f} cycles/s")
+        assert cell["events_fired"] > 0
+        assert cell["events_per_second"] > 0
 
     lane_results = {}
-    for label, system, app_name, dataset, cache_bytes, row_nodes, kernel, \
+    for label, system, app_name, dataset, cache_bytes, row_nodes, \
             lane_floor, micro in LANE_WORKLOADS:
         row = _time_lane_cell(system, app_name, dataset, cache_bytes,
-                              row_nodes or nodes, kernel)
+                              row_nodes or nodes)
         row["lane_floor"] = lane_floor
         row["microbenchmark"] = micro
         lane_results[label] = row

@@ -32,6 +32,7 @@ from repro.memory.tlb import Tlb
 from repro.network.message import Message, NACK_HANDLER, VirtualNetwork
 from repro.sim.engine import SimulationError
 from repro.sim.process import Future
+from repro.tempest.dispatch import DispatchError, DispatchRows
 from repro.tempest.interface import Tempest
 from repro.tempest.messaging import HandlerRegistry
 from repro.tempest.threads import ComputationThread
@@ -59,7 +60,7 @@ class SoftwareDispatcher:
     def fault_handler_for(self, mode: int, is_write: bool) -> str:
         handler = self._fault_dispatch.get((mode, is_write))
         if handler is None:
-            raise SimulationError(
+            raise DispatchError(
                 f"no fault handler for mode={mode} is_write={is_write} "
                 f"on node {self.node.node_id}"
             )
@@ -109,6 +110,12 @@ class BlizzardNode:
         self.registry = HandlerRegistry(node_id)
         self.np = SoftwareDispatcher(self)
         self.tempest = Tempest(self)
+        # Handler name -> (raw handler, duplicate check, cost): the cost
+        # is the software dispatch sequence plus the handler's
+        # instructions, all charged to this CPU.
+        self._rows = DispatchRows(
+            self.registry, self.costs.cycles_per_instruction,
+            self.costs.software_dispatch_cycles)
         self.page_fault_handler = None
 
         self.written_blocks: set[int] = set()
@@ -219,13 +226,16 @@ class BlizzardNode:
     def _service_one(self) -> Generator:
         """Run one queued handler on the CPU, charging its full cost."""
         message = self._pick_next_message()
-        spec = self.registry.lookup(message.handler)
-        yield (
-            self.costs.software_dispatch_cycles
-            + spec.instructions * self.costs.cycles_per_instruction
-        )
+        fn, seen, cost = self._rows[message.handler]
+        yield cost
         self._counters[self._handlers_run_key] += 1
-        spec.fn(self.tempest, message)
+        if seen is None:
+            fn(self.tempest, message)
+        else:
+            # The DeliveryGuard's body, inline (see DispatchRows).
+            xid = message.xid
+            if xid is None or not seen(message.src, xid):
+                fn(self.tempest, message)
         monitor = self.machine.conformance
         if monitor is not None:
             monitor.after_handler(self.node_id, message)
@@ -378,16 +388,17 @@ class BlizzardNode:
             return self._complete(addr, is_write, value, start)
 
     def _handle_block_fault(self, fault) -> Generator:
-        """Software fault dispatch: handler runs inline, then spin-wait."""
+        """Software fault dispatch: handler runs inline, then spin-wait.
+
+        A fault carries no transaction id, so a guarded fault handler's
+        guard would pass it through: the raw handler is called.
+        """
         entry = self.page_table.lookup(fault.addr)
         handler_name = self.np.fault_handler_for(entry.mode, fault.is_write)
-        spec = self.registry.lookup(handler_name)
+        fn, _seen, cost = self._rows[handler_name]
         suspension = self.thread.suspend()
-        yield (
-            self.costs.software_dispatch_cycles
-            + spec.instructions * self.costs.cycles_per_instruction
-        )
-        spec.fn(self.tempest, fault)
+        yield cost
+        fn(self.tempest, fault)
         monitor = self.machine.conformance
         if monitor is not None:
             monitor.after_handler(self.node_id, fault)

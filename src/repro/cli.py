@@ -44,8 +44,9 @@ def _node_count(text: str) -> int:
     return nodes
 
 
-def _config_error(prog: str, error: ConfigError) -> int:
-    """Report a machine the configuration cannot build as a usage error."""
+def _config_error(prog: str, error: ValueError) -> int:
+    """Report a configuration the simulator cannot build, or a sweep
+    argument naming nothing it has, as a one-line usage error."""
     print(f"{prog}: error: {error}", file=sys.stderr)
     return 2
 
@@ -145,14 +146,13 @@ _REGISTRY = {
         ],
     ),
     "bench": (
-        "Dispatch-kernel throughput on the protocol hot path",
+        "Dispatch throughput on the protocol hot path",
         lambda args: [
-            experiments.run_bench(kernel=args.kernel, nodes=args.nodes,
-                                  seed=args.seed)
+            experiments.run_bench(nodes=args.nodes, seed=args.seed)
         ],
     ),
     "differential": (
-        "Compiled-vs-interpreted kernel differential over the matrix",
+        "Batched-vs-scalar lane differential over the matrix",
         lambda args: [
             experiments.run_differential(nodes=min(args.nodes, 4),
                                          seed=args.seed)
@@ -197,17 +197,57 @@ def _parse_workloads(text: str) -> list[tuple[str, str]]:
     return pairs
 
 
-def _build_sweep(args):
-    from repro.harness.sweep import Sweep
+class SweepArgumentError(ValueError):
+    """A sweep argument names a system, workload or job that does not
+    exist, or is not a list of integers."""
 
+
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(item) for item in text.split(",") if item.strip()]
+    except ValueError:
+        raise SweepArgumentError(
+            f"{flag}: expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _build_sweep(args):
+    """The submitted sweep, with every axis value checked before any
+    job record is written."""
+    from repro.backends import parse_system
+    from repro.harness.sweep import Sweep
+    from repro.harness.workloads import workload
+
+    systems = [name.strip() for name in args.systems.split(",")
+               if name.strip()]
+    for system in systems:
+        try:
+            parse_system(system)
+        except ValueError as error:
+            raise SweepArgumentError(f"--systems: {error}") from None
+    workloads = _parse_workloads(args.workloads)
+    for app_name, dataset in workloads:
+        try:
+            workload(app_name, dataset)
+        except KeyError:
+            raise SweepArgumentError(
+                f"--workloads: no workload {app_name}:{dataset}") from None
     return (
         Sweep()
-        .systems(*[name.strip() for name in args.systems.split(",")
-                   if name.strip()])
-        .workloads(*_parse_workloads(args.workloads))
-        .cache_sizes(*[int(size) for size in args.cache_sizes.split(",")])
-        .seeds(*[int(seed) for seed in args.seeds.split(",")])
+        .systems(*systems)
+        .workloads(*workloads)
+        .cache_sizes(*_int_list("--cache-sizes", args.cache_sizes))
+        .seeds(*_int_list("--seeds", args.seeds))
     )
+
+
+def _load_job(args):
+    from repro.harness.service import SweepJob
+
+    try:
+        return SweepJob.load(args.job, store=args.store)
+    except KeyError as error:
+        raise SweepArgumentError(error.args[0]) from None
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
@@ -272,7 +312,7 @@ def sweep_main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     try:
         return _sweep_command(args)
-    except ConfigError as error:
+    except (ConfigError, SweepArgumentError) as error:
         return _config_error(parser.prog, error)
 
 
@@ -300,7 +340,7 @@ def _sweep_command(args) -> int:
         return 0
 
     if args.command == "status":
-        status = SweepJob.load(args.job, store=args.store).status()
+        status = _load_job(args).status()
         note = "" if status["current"] else \
             f" (submitted under code version {status['digest']})"
         print(f"job {status['job']}: {status['state']} — "
@@ -309,7 +349,7 @@ def _sweep_command(args) -> int:
         return 0
 
     if args.command == "run":
-        job = SweepJob.load(args.job, store=args.store)
+        job = _load_job(args)
         result = job.run(workers=args.workers, progress=progress)
         stats = result.cache_stats
         print(f"job {job.job_id}: executed {stats['executed']} cells, "
@@ -317,7 +357,7 @@ def _sweep_command(args) -> int:
         return 0
 
     if args.command == "result":
-        job = SweepJob.load(args.job, store=args.store)
+        job = _load_job(args)
         try:
             result = job.result()
         except JobIncomplete as error:
@@ -380,10 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master RNG seed (default 42)")
     parser.add_argument("--apps", type=str, default=",".join(APP_NAMES),
                         help="figure3 only: comma-separated app subset")
-    parser.add_argument("--kernel", choices=("interpreted", "compiled"),
-                        default="interpreted",
-                        help="bench only: dispatch kernel to time "
-                             "(default interpreted)")
     parser.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format (default text)")
     return parser

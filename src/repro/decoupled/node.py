@@ -28,28 +28,23 @@ poll term, in both the inline hit path and the batched access lanes).
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.blizzard.node import BlizzardNode
 from repro.memory.address import SHARED_BASE
 from repro.memory.cache import LineState
 from repro.memory.lane import build_access_lanes
-from repro.memory.tags import AccessFault, Tag
-from repro.network.message import Message, NACK_HANDLER, VirtualNetwork
+from repro.memory.tags import Tag
+from repro.network.message import Message
 from repro.sim.config import DecoupledCosts
-from repro.sim.engine import SimulationError
+from repro.tempest.dispatch import HandlerDispatcher
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.decoupled.system import DecoupledMachine
 
 
-class DispatchError(SimulationError):
-    """No fault handler registered for a (mode, access) combination."""
-
-
-class HandlerProcessor:
-    """One node's second CPU: a software dispatch loop polling an inbox.
+class HandlerProcessor(HandlerDispatcher):
+    """One node's second CPU: the shared dispatch loop, run in software.
 
     The software analogue of Typhoon's
     :class:`~repro.typhoon.np.NetworkProcessor`: serial,
@@ -58,210 +53,17 @@ class HandlerProcessor:
     discipline), same occupancy accounting.  What differs is the
     dispatch cost — ``poll_notice_cycles + dispatch_cycles`` of software
     loop per work item instead of hardware-assisted capture — and the
-    absence of the NP's hardware plumbing (no NP TLB, no RTLB, no
-    finite send queues: sends go straight to the interconnect, as on
-    any commodity node).
+    absence of the NP's hardware plumbing (no NP TLB, no RTLB, no BAF
+    bound, no finite send queues: sends go straight to the interconnect,
+    as on any commodity node).  Fault injection's receive bound and
+    stall windows apply as on the NP.
     """
 
     def __init__(self, node: "DecoupledNode", costs: DecoupledCosts):
-        self.node = node
-        self.costs = costs
-        self.engine = node.engine
-        self.stats = node.stats
-        self._prefix = f"node{node.node_id}.hp"
-        # Hot-path stat keys, precomputed so the per-message path does no
-        # string formatting.
-        self._received_key = f"{self._prefix}.messages_received"
-        self._handler_cycles_key = f"{self._prefix}.handler_cycles"
-        self._handlers_run_key = f"{self._prefix}.handlers_run"
-        self._block_faults_key = f"{self._prefix}.block_faults"
-        self._counters = node.stats._counters
-        self._handlers = node.registry._handlers
-
-        self._response_queue: deque[Message] = deque()
-        self._request_queue: deque[Message] = deque()
-        self._fault_queue: deque[AccessFault] = deque()
-        self._busy = False
-        self._extra_charge = 0
-        # Per-dispatch software overhead, folded once.
-        self._dispatch_cost = costs.poll_notice_cycles + costs.dispatch_cycles
-
-        # (page mode, is_write) -> handler name, as on the NP.
-        self._fault_dispatch: dict[tuple[int, bool], str] = {}
-
-        # Fault injection: all inert until install_faults runs a live plan.
-        self._node_id = node.node_id
-        self._fault_plan = None  # non-None only when stall windows are on
-        self._recv_limit: int | None = None
-        self._stall_wake = False
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def install_faults(self, plan) -> None:
-        """Apply a bound FaultPlan's inbox bound and stall windows.
-
-        Send-queue and BAF bounds are NP hardware concepts and do not
-        apply here: sends go straight to the interconnect, and the fault
-        queue is ordinary memory shared with the compute CPU.
-        """
-        spec = plan.spec
-        self._fault_plan = plan if spec.stall_every else None
-        self._recv_limit = spec.recv_queue_limit
-
-    def _nack(self, message: Message) -> None:
-        """Refuse an arriving tracked request: bounce an NI-level NACK."""
-        message.nacked = True
-        self.stats.incr(f"{self._prefix}.nacks_sent")
-        self.stats.incr("tempest.nacks_sent")
-        self.node.machine.interconnect.send(Message(
-            src=self._node_id, dst=message.src, handler=NACK_HANDLER,
-            vnet=VirtualNetwork.RESPONSE, size_words=2,
-            payload={"xid": message.xid},
-        ))
-
-    # ------------------------------------------------------------------
-    # Work arrival
-    # ------------------------------------------------------------------
-    def enqueue_message(self, message: Message) -> None:
-        """Receive-queue arrival (called by the interconnect)."""
-        if message.vnet is VirtualNetwork.RESPONSE:
-            self._response_queue.append(message)
-        else:
-            # Bounded receive queue (fault injection): only tracked
-            # requests are refused — responses must always sink, and
-            # untracked messages have no retransmit path.
-            if (self._recv_limit is not None and message.xid is not None
-                    and len(self._request_queue) >= self._recv_limit):
-                self._nack(message)
-                return
-            self._request_queue.append(message)
-        self._counters[self._received_key] += 1
-        self._pump()
-
-    def enqueue_fault(self, fault: AccessFault) -> None:
-        """The compute CPU parked a faulting access's descriptor for us."""
-        self._counters[self._block_faults_key] += 1
-        for observer in getattr(self.node.machine, "fault_observers", ()):
-            observer(fault)
-        self._fault_queue.append(fault)
-        self._pump()
-
-    def set_fault_handler(self, mode: int, is_write: bool, handler: str) -> None:
-        """Bind a block-access-fault handler for a page mode + access type."""
-        self._fault_dispatch[(mode, is_write)] = handler
-
-    def fault_handler_for(self, mode: int, is_write: bool) -> str:
-        handler = self._fault_dispatch.get((mode, is_write))
-        if handler is None:
-            raise DispatchError(
-                f"no fault handler for mode={mode} is_write={is_write} "
-                f"on node {self._node_id}"
-            )
-        return handler
-
-    # ------------------------------------------------------------------
-    # Dispatch loop
-    # ------------------------------------------------------------------
-    def _pump(self) -> None:
-        if self._busy:
-            return
-        plan = self._fault_plan
-        if plan is not None:
-            # Periodic stall windows: the dispatch loop freezes; queued
-            # work waits for the scheduled wake.  Nothing is lost.
-            if self._stall_wake:
-                return
-            wake = plan.stall_until(self._node_id, self.engine.now)
-            if wake is not None:
-                self._stall_wake = True
-                self.stats.incr(f"{self._prefix}.stalls")
-                self.engine.schedule_at(wake, self._end_stall)
-                return
-        if self._response_queue:
-            self._start_message(self._response_queue.popleft())
-        elif self._fault_queue:
-            self._start_fault(self._fault_queue.popleft())
-        elif self._request_queue:
-            self._start_message(self._request_queue.popleft())
-
-    def _start_message(self, message: Message) -> None:
-        spec = self._handlers.get(message.handler)
-        if spec is None:
-            spec = self.node.registry.lookup(message.handler)  # raises
-        cost = (
-            self._dispatch_cost
-            + spec.instructions * self.costs.cycles_per_instruction
-        )
-        self._begin(cost, spec.fn, message)
-
-    def _start_fault(self, fault: AccessFault) -> None:
-        entry = self.node.page_table.lookup(fault.addr)
-        if entry is None:
-            raise DispatchError(
-                f"fault for unmapped page {fault.addr:#x} on node "
-                f"{self._node_id}"
-            )
-        handler_name = self.fault_handler_for(entry.mode, fault.is_write)
-        spec = self.node.registry.lookup(handler_name)
-        cost = (
-            self._dispatch_cost
-            + spec.instructions * self.costs.cycles_per_instruction
-        )
-        self._begin(cost, spec.fn, fault)
-
-    def _begin(self, cost: int, fn, argument) -> None:
-        self._busy = True
-        self._counters[self._handler_cycles_key] += cost
-        self.engine.schedule(cost, self._execute, fn, argument)
-
-    def _execute(self, fn, argument) -> None:
-        self._extra_charge = 0
-        self._counters[self._handlers_run_key] += 1
-        fn(self.node.tempest, argument)
-        monitor = self.node.machine.conformance
-        if monitor is not None:
-            monitor.after_handler(self._node_id, argument)
-        extra = self._extra_charge
-        self._extra_charge = 0
-        if extra:
-            self._counters[self._handler_cycles_key] += extra
-            self.engine.schedule(extra, self._finish)
-        else:
-            self._finish()
-
-    def _finish(self) -> None:
-        self._busy = False
-        self._pump()
-
-    def _end_stall(self) -> None:
-        self._stall_wake = False
-        self._pump()
-
-    # ------------------------------------------------------------------
-    def charge(self, cycles: int) -> None:
-        """Extend the currently executing handler's occupancy."""
-        if cycles < 0:
-            raise SimulationError("cannot charge negative cycles")
-        self._extra_charge += cycles
-
-    @property
-    def busy(self) -> bool:
-        return self._busy
-
-    @property
-    def queued_work(self) -> int:
-        return (
-            len(self._response_queue)
-            + len(self._request_queue)
-            + len(self._fault_queue)
-        )
-
-    def __repr__(self) -> str:
-        state = "busy" if self._busy else "idle"
-        return (
-            f"HandlerProcessor(node={self._node_id}, {state}, "
-            f"queued={self.queued_work})"
+        super().__init__(
+            node, costs, "hp",
+            message_overhead=costs.poll_notice_cycles + costs.dispatch_cycles,
+            count_handlers=True,
         )
 
 

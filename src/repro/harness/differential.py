@@ -1,33 +1,29 @@
-"""Differential testing: the interpreted dispatcher as the oracle.
+"""Differential testing: the scalar access path as the lanes' oracle.
 
-The compiled kernel (:mod:`repro.kernel.compiled`) promises *observable
-equivalence*: for any workload, any seed, any fault plan, a compiled run
-and an interpreted run produce bit-identical statistics, the same final
-memory image on every node, and the same simulated execution time.  The
-hand-written dispatch loops are thereby demoted from "the implementation"
-to "the oracle" — they define correct behaviour, and this module checks
-the fast kernel against them.
+The batched access lanes (:mod:`repro.memory.lane`) promise *observable
+equivalence*: for any workload, any seed, any fault plan, a run with
+``lanes="batched"`` and one with ``lanes="scalar"`` produce bit-identical
+statistics, the same final memory image on every node, and the same
+simulated execution time.  The scalar decomposition defines correct
+behaviour; this module checks the lanes against it.
 
-One deliberate exception: ``engine.events_fired`` may differ.  The
-compiled kernel's tail-call optimisation advances the clock inline when
-a handler chain is the only work at the current time, eliding the heap
-round-trip the interpreted engine performs; the *order* and *timing* of
-every observable action are identical, but fewer engine events fire.
-``events_fired`` is bookkeeping about the simulator, not about the
-simulated machine, so :func:`compare_runs` excludes it (and asserts
-everything else, including the RNG-sensitive fault counters).
+One deliberate exception: ``engine.events_fired`` may differ.  It is
+bookkeeping about the simulator, not about the simulated machine (a
+committed lane run, like an inline handler dispatch, advances the clock
+without a heap round trip), so :func:`compare_runs` excludes it and
+asserts everything else, including the RNG-sensitive fault counters.
 
 Usage::
 
-    from repro.harness.differential import run_differential
-    result = run_differential("typhoon:stache", "mp3d", "small", config)
+    from repro.harness.differential import run_lane_differential
+    result = run_lane_differential("typhoon:stache", "mp3d", "small")
     assert result.identical
 
-or sweep the whole compilable matrix (what ``python -m repro
-differential`` and ``tests/integration/test_differential.py`` do)::
+or sweep every system (what ``python -m repro differential`` and
+``tests/integration/test_differential.py`` do)::
 
-    for result in run_matrix(nodes=4):
-        assert result.identical or not result.compiled
+    for result in run_lane_matrix(nodes=4):
+        assert result.identical
 """
 
 from __future__ import annotations
@@ -43,41 +39,31 @@ __all__ = [
     "DifferentialResult",
     "IGNORED_STATS",
     "compare_runs",
-    "run_differential",
-    "run_matrix",
     "run_lane_differential",
     "run_lane_matrix",
-    "compilable_systems",
-    "fallback_systems",
-    "all_lane_systems",
 ]
 
 #: Statistics that are *about the simulator*, not the simulated machine:
-#: legitimately kernel-dependent, excluded from the identity check.
-#: (Currently empty — events_fired is read off the engine, not Stats,
-#: so no stat key needs masking; the tuple exists so a future
-#: simulator-internal counter has a documented place to go.)
+#: excluded from the identity check.  (Currently empty — events_fired is
+#: read off the engine, not Stats, so no stat key needs masking; the
+#: tuple exists so a future simulator-internal counter has a documented
+#: place to go.)
 IGNORED_STATS: tuple[str, ...] = ()
 
 
 @dataclass
 class DifferentialResult:
-    """Outcome of one compiled-vs-interpreted comparison."""
+    """Outcome of one scalar-vs-batched comparison."""
 
     system: str
     app: str
     dataset: str
-    #: True when the compiled kernel actually installed (False means the
-    #: system fell back to interpreted — the comparison is then trivially
-    #: identical and ``fallback_reason`` says why it ran interpreted).
-    compiled: bool
-    fallback_reason: str | None
     #: Human-readable descriptions of every divergence (empty = pass).
     diffs: list[str] = field(default_factory=list)
     execution_time: float = 0.0
     stats_compared: int = 0
-    events_interpreted: int = 0
-    events_compiled: int = 0
+    events_scalar: int = 0
+    events_batched: int = 0
 
     @property
     def identical(self) -> bool:
@@ -86,220 +72,105 @@ class DifferentialResult:
     def __repr__(self) -> str:
         status = "identical" if self.identical else f"{len(self.diffs)} diffs"
         return (f"DifferentialResult({self.system!r}, {self.app}/"
-                f"{self.dataset}, compiled={self.compiled}, {status})")
+                f"{self.dataset}, {status})")
 
 
-def compare_runs(interpreted: dict[str, Any],
-                 compiled: dict[str, Any],
-                 labels: tuple[str, str] = ("interpreted", "compiled"),
+def compare_runs(left: dict[str, Any], right: dict[str, Any],
+                 labels: tuple[str, str] = ("scalar", "batched"),
                  ) -> list[str]:
     """Compare two :func:`run_application` outcomes; return divergences.
 
     Checks, in order of diagnostic value: simulated execution time,
     the full statistics dictionaries (every counter, every
     distribution moment), and the final per-node memory images.
-    ``labels`` names the two runs in the divergence messages (the lane
-    axis passes ``("scalar", "batched")``).
+    ``labels`` names the two runs in the divergence messages.
     """
     left_name, right_name = labels
     diffs: list[str] = []
-    if interpreted["execution_time"] != compiled["execution_time"]:
+    if left["execution_time"] != right["execution_time"]:
         diffs.append(
-            f"execution_time: {left_name}={interpreted['execution_time']} "
-            f"{right_name}={compiled['execution_time']}"
+            f"execution_time: {left_name}={left['execution_time']} "
+            f"{right_name}={right['execution_time']}"
         )
-    istats = interpreted["machine"].stats.as_dict()
-    cstats = compiled["machine"].stats.as_dict()
+    lstats = left["machine"].stats.as_dict()
+    rstats = right["machine"].stats.as_dict()
     for key in IGNORED_STATS:
-        istats.pop(key, None)
-        cstats.pop(key, None)
-    for key in sorted(istats.keys() | cstats.keys()):
-        left, right = istats.get(key), cstats.get(key)
-        if left != right:
+        lstats.pop(key, None)
+        rstats.pop(key, None)
+    for key in sorted(lstats.keys() | rstats.keys()):
+        lvalue, rvalue = lstats.get(key), rstats.get(key)
+        if lvalue != rvalue:
             diffs.append(
-                f"stat {key}: {left_name}={left} {right_name}={right}"
+                f"stat {key}: {left_name}={lvalue} {right_name}={rvalue}"
             )
-    imachine = interpreted["machine"]
-    cmachine = compiled["machine"]
-    if hasattr(imachine, "shared_image"):
+    lmachine = left["machine"]
+    rmachine = right["machine"]
+    if hasattr(lmachine, "shared_image"):
         # DirNNB keeps one machine-wide image instead of per-node copies.
-        image_pairs = [("shared", imachine.shared_image,
-                        cmachine.shared_image)]
+        image_pairs = [("shared", lmachine.shared_image,
+                        rmachine.shared_image)]
     else:
         image_pairs = [
-            (f"node {inode.node_id}", inode.image, cnode.image)
-            for inode, cnode in zip(imachine.nodes, cmachine.nodes)
+            (f"node {lnode.node_id}", lnode.image, rnode.image)
+            for lnode, rnode in zip(lmachine.nodes, rmachine.nodes)
         ]
-    for label, iimage, cimage in image_pairs:
-        left = sorted(iimage.items())
-        right = sorted(cimage.items())
-        if left != right:
-            delta = sum(1 for a, b in zip(left, right) if a != b)
-            delta += abs(len(left) - len(right))
+    for label, limage, rimage in image_pairs:
+        lwords = sorted(limage.items())
+        rwords = sorted(rimage.items())
+        if lwords != rwords:
+            delta = sum(1 for a, b in zip(lwords, rwords) if a != b)
+            delta += abs(len(lwords) - len(rwords))
             diffs.append(f"memory image {label}: {delta} words differ")
     return diffs
-
-
-def run_differential(system: str, app: str = "mp3d", dataset: str = "small",
-                     config: MachineConfig | None = None,
-                     faults=None) -> DifferentialResult:
-    """Run ``system`` twice — interpreted and compiled — and compare.
-
-    Both runs get a freshly built application and machine from the same
-    seed, so the only variable is the dispatch kernel.  ``faults``
-    (forwarded to both runs) lets callers exercise the deopt paths:
-    a live fault plan forces the kernel's network fast paths off, and
-    the comparison then also proves the deopted closures byte-match.
-    """
-    if config is None:
-        config = MachineConfig(nodes=4, seed=42).with_cache_size(2048)
-    interpreted = run_application(
-        system, workload(app, dataset).build(), config,
-        faults=faults, kernel="interpreted",
-    )
-    compiled = run_application(
-        system, workload(app, dataset).build(), config,
-        faults=faults, kernel="compiled",
-    )
-    machine = compiled["machine"]
-    result = DifferentialResult(
-        system=system,
-        app=app,
-        dataset=dataset,
-        compiled=compiled["kernel"] == "compiled",
-        fallback_reason=machine.kernel_fallback_reason,
-        diffs=compare_runs(interpreted, compiled),
-        execution_time=interpreted["execution_time"],
-        stats_compared=len(interpreted["machine"].stats.as_dict()),
-        events_interpreted=interpreted["machine"].engine.events_fired,
-        events_compiled=machine.engine.events_fired,
-    )
-    return result
 
 
 def run_lane_differential(system: str, app: str = "mp3d",
                           dataset: str = "small",
                           config: MachineConfig | None = None,
-                          faults=None,
-                          kernel: str = "interpreted") -> DifferentialResult:
+                          faults=None) -> DifferentialResult:
     """Run ``system`` with scalar and batched lanes and compare.
 
-    The batched access lanes promise the same observable equivalence as
-    the compiled kernel: ``lanes="batched"`` changes wall-clock only —
-    simulated time, every statistic, and every node's final memory
-    image are bit-identical to the scalar decomposition.  ``faults``
-    exercises the lane deopt (a live fault plan turns the lanes off
-    per-call, so the batched run must decompose exactly like scalar).
-    The lane axis composes with the kernel axis; pass
-    ``kernel="compiled"`` to prove the fused compiled lanes too.
+    ``lanes="batched"`` changes wall-clock only — simulated time, every
+    statistic, and every node's final memory image are bit-identical to
+    the scalar decomposition.  ``faults`` exercises the lane deopt (a
+    live fault plan turns the lanes off per call, so the batched run
+    must decompose exactly like scalar).
     """
     if config is None:
         config = MachineConfig(nodes=4, seed=42).with_cache_size(2048)
     scalar = run_application(
         system, workload(app, dataset).build(), config,
-        faults=faults, kernel=kernel, lanes="scalar",
+        faults=faults, lanes="scalar",
     )
     batched = run_application(
         system, workload(app, dataset).build(), config,
-        faults=faults, kernel=kernel, lanes="batched",
+        faults=faults, lanes="batched",
     )
-    machine = batched["machine"]
     return DifferentialResult(
         system=system,
         app=app,
         dataset=dataset,
-        compiled=batched["kernel"] == "compiled",
-        fallback_reason=machine.kernel_fallback_reason,
-        diffs=compare_runs(scalar, batched, labels=("scalar", "batched")),
+        diffs=compare_runs(scalar, batched),
         execution_time=scalar["execution_time"],
         stats_compared=len(scalar["machine"].stats.as_dict()),
-        events_interpreted=scalar["machine"].engine.events_fired,
-        events_compiled=machine.engine.events_fired,
+        events_scalar=scalar["machine"].engine.events_fired,
+        events_batched=batched["machine"].engine.events_fired,
     )
-
-
-def all_lane_systems() -> list[str]:
-    """Every system; the lane axis applies regardless of compilability."""
-    from repro.backends import all_systems
-
-    return list(all_systems())
 
 
 def run_lane_matrix(app: str = "mp3d", dataset: str = "small",
                     nodes: int = 4, seed: int = 42, cache_bytes: int = 2048,
-                    faults=None,
-                    kernel: str = "interpreted") -> list[DifferentialResult]:
+                    faults=None) -> list[DifferentialResult]:
     """Batched-vs-scalar comparison across *every* system.
 
-    Unlike :func:`run_matrix`, no system is exempt: the lanes live in
-    the node models, so even systems whose protocol cannot compile
-    (DirNNB, the EM3D update protocol) must be bit-identical across
+    No system is exempt: the lanes live in the node models, so even
+    DirNNB and the EM3D update protocol must be bit-identical across
     the axis.
     """
-    config = MachineConfig(nodes=nodes, seed=seed).with_cache_size(cache_bytes)
-    return [
-        run_lane_differential(system, app, dataset, config,
-                              faults=faults, kernel=kernel)
-        for system in all_lane_systems()
-    ]
-
-
-def compilable_systems() -> list[str]:
-    """Every system whose backend *and* protocol the kernel compiles."""
-    from repro.backends import all_systems, parse_system
-    from repro.kernel import COMPILED_BACKENDS
-    from repro.protocols.compiled import compilable_spec
-
-    systems = []
-    for system in all_systems():
-        backend, protocol = parse_system(system)
-        if protocol is None:  # hardware protocol (DirNNB)
-            continue
-        if backend.name not in COMPILED_BACKENDS:
-            # e.g. decoupled: its handler processor is not specialised
-            # yet, so every decoupled system exercises the fallback path.
-            continue
-        if compilable_spec(protocol.name) is not None:
-            systems.append(system)
-    return systems
-
-
-def fallback_systems() -> list[str]:
-    """Every system that must *refuse* the compiled kernel."""
     from repro.backends import all_systems
 
-    compilable = set(compilable_systems())
-    return [s for s in all_systems() if s not in compilable]
-
-
-def run_matrix(app: str = "mp3d", dataset: str = "small",
-               nodes: int = 4, seed: int = 42, cache_bytes: int = 2048,
-               faults=None) -> list[DifferentialResult]:
-    """Differential comparison across the full compilable matrix.
-
-    Also runs every *non*-compilable system once with
-    ``kernel="compiled"`` requested, verifying the fallback engages and
-    records its reason (those rows have ``compiled=False``).
-    """
     config = MachineConfig(nodes=nodes, seed=seed).with_cache_size(cache_bytes)
-    results = []
-    for system in compilable_systems():
-        results.append(
-            run_differential(system, app, dataset, config, faults=faults)
-        )
-    for system in fallback_systems():
-        outcome = run_application(
-            system, workload(app, dataset).build(), config, kernel="compiled"
-        )
-        machine = outcome["machine"]
-        results.append(DifferentialResult(
-            system=system,
-            app=app,
-            dataset=dataset,
-            compiled=False,
-            fallback_reason=machine.kernel_fallback_reason,
-            execution_time=outcome["execution_time"],
-            events_interpreted=machine.engine.events_fired,
-            events_compiled=machine.engine.events_fired,
-        ))
-    return results
+    return [
+        run_lane_differential(system, app, dataset, config, faults=faults)
+        for system in all_systems()
+    ]

@@ -1022,10 +1022,9 @@ def run_system_matrix(nodes: int = 2, cache_bytes: int = 1024,
 
 
 # ----------------------------------------------------------------------
-# Dispatch-kernel benchmark and differential check
+# Dispatch throughput benchmark and the lane differential check
 # ----------------------------------------------------------------------
-def run_bench(kernel: str = "interpreted", nodes: int = 8,
-              seed: int = 42, cache_bytes: int = 2048,
+def run_bench(nodes: int = 8, seed: int = 42, cache_bytes: int = 2048,
               cells: tuple[tuple[str, str, str], ...] = (
                   ("typhoon:stache", "mp3d", "small"),
                   ("typhoon:stache", "ocean", "small"),
@@ -1034,33 +1033,20 @@ def run_bench(kernel: str = "interpreted", nodes: int = 8,
                   ("dirnnb", "ocean", "small"),
               ),
               repeats: int = 3) -> ExperimentResult:
-    """Time the protocol hot path under the selected dispatch kernel.
+    """Time the protocol hot path (dispatch, handlers, network).
 
     One row per ``(system, app, dataset)`` cell: best-of-``repeats``
-    wall time, engine events per second, and simulated cycles.  Run it
-    twice — ``python -m repro bench --kernel interpreted`` and
-    ``--kernel compiled`` — to see the table-driven kernel's speedup on
-    the same cells (the committed trajectory lives in
-    ``BENCH_kernel.json``; see ``benchmarks/test_perf_kernel.py``).
-
-    The ``kernel`` column reports what actually ran, and ``fallback``
-    says why when that differs from what was requested — the
-    em3d-update and dirnnb cells exist precisely to keep the fallback
-    path visible in the table rather than silently timing interpreted
-    dispatch under a "compiled" heading.
+    wall time, engine events per second, and simulated cycles — a quick
+    look; the committed trajectory lives in ``BENCH_kernel.json`` (see
+    ``benchmarks/test_perf_kernel.py``) and the spread-aware ledger in
+    ``bench/``.
     """
     import time
 
-    from repro.kernel import KERNELS
-
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}: expected {KERNELS}")
     result = ExperimentResult(
         "bench",
-        f"Dispatch-kernel throughput ({kernel} kernel, {nodes} nodes, "
-        f"best of {repeats})",
-        ["system", "app", "kernel", "wall_s", "events", "events_per_s",
-         "cycles", "fallback"],
+        f"Dispatch throughput ({nodes} nodes, best of {repeats})",
+        ["system", "app", "wall_s", "events", "events_per_s", "cycles"],
     )
     for system, app_name, dataset in cells:
         best = None
@@ -1069,28 +1055,24 @@ def run_bench(kernel: str = "interpreted", nodes: int = 8,
             start = time.perf_counter()
             outcome = run_application(
                 system, app, _config(nodes, cache_bytes, seed),
-                kernel=kernel,
             )
             elapsed = time.perf_counter() - start
             if best is None or elapsed < best[0]:
                 best = (elapsed, outcome)
         elapsed, outcome = best
         events = outcome["machine"].engine.events_fired
-        reason = outcome["machine"].kernel_fallback_reason or ""
         result.add_row(
             system=system,
             app=f"{app_name}/{dataset}",
-            kernel=outcome["kernel"],
             wall_s=round(elapsed, 4),
             events=events,
             events_per_s=round(events / elapsed) if elapsed > 0 else 0,
             cycles=round(outcome["execution_time"]),
-            fallback=reason if len(reason) < 44 else reason[:41] + "...",
         )
     result.notes.append(
-        "kernel='compiled' fires fewer engine events for identical "
-        "simulated behaviour (tail dispatches advance the clock inline); "
-        "compare events_per_s across kernels, not events"
+        "inline handler dispatch and lane commits advance the clock "
+        "without firing engine events, so events is bookkeeping; "
+        "cycles is the simulated outcome"
     )
     return result
 
@@ -1098,64 +1080,44 @@ def run_bench(kernel: str = "interpreted", nodes: int = 8,
 def run_differential(nodes: int = 4, seed: int = 42,
                      cache_bytes: int = 2048, app: str = "mp3d",
                      dataset: str = "small") -> ExperimentResult:
-    """Two differential axes over the full system matrix.
+    """The lane differential over the full system matrix.
 
-    Axis ``kernel``: every compilable ``backend:protocol`` system runs
-    the same workload twice — interpreted and compiled — and the
+    Every system (no exemptions — the lanes live in the node models)
+    runs the same workload with batched and with scalar lanes, and the
     harness (:mod:`repro.harness.differential`) asserts bit-identical
-    statistics, final memory images, and execution time.
-    Non-compilable systems verify the fallback path instead.
-
-    Axis ``lanes``: every system (no exemptions — the lanes live in the
-    node models, not the kernel) runs batched and scalar, under both
-    dispatch kernels, and must match the same way.  A ``diffs`` column
-    that is not 0 is a kernel or lane bug.
+    statistics, final memory images, and execution time.  A ``diffs``
+    column that is not 0 is a lane bug.
     """
-    from repro.harness.differential import run_lane_matrix, run_matrix
+    from repro.harness.differential import run_lane_matrix
 
     result = ExperimentResult(
         "differential",
-        f"Kernel and lane differential axes ({app}/{dataset}, "
-        f"{nodes} nodes)",
-        ["axis", "system", "kernel", "identical", "diffs", "cycles",
-         "events_interp", "events_compiled", "fallback_reason"],
+        f"Lane differential ({app}/{dataset}, {nodes} nodes)",
+        ["axis", "system", "identical", "diffs", "cycles",
+         "events_scalar", "events_batched"],
     )
     failures = 0
-
-    def add(axis: str, row, kernel_label: str) -> None:
-        nonlocal failures
+    for row in run_lane_matrix(app, dataset, nodes=nodes, seed=seed,
+                               cache_bytes=cache_bytes):
         failures += 0 if row.identical else 1
-        reason = row.fallback_reason or ""
         result.add_row(
-            axis=axis,
+            axis="lanes",
             system=row.system,
-            kernel=kernel_label,
             identical="yes" if row.identical else "NO",
             diffs=len(row.diffs),
             cycles=round(row.execution_time),
-            events_interp=row.events_interpreted,
-            events_compiled=row.events_compiled,
-            fallback_reason=reason if len(reason) < 48 else reason[:45] + "...",
+            events_scalar=row.events_scalar,
+            events_batched=row.events_batched,
         )
-
-    for row in run_matrix(app, dataset, nodes=nodes, seed=seed,
-                          cache_bytes=cache_bytes):
-        add("kernel", row, "compiled" if row.compiled else "interpreted")
-    for kernel in ("interpreted", "compiled"):
-        for row in run_lane_matrix(app, dataset, nodes=nodes, seed=seed,
-                                   cache_bytes=cache_bytes, kernel=kernel):
-            add("lanes", row, kernel)
     if failures:
         raise AssertionError(
-            f"differential check failed on {failures} row(s): a fast "
-            f"path (compiled kernel or batched lanes) diverged from "
-            f"its oracle"
+            f"differential check failed on {failures} row(s): the "
+            f"batched lanes diverged from the scalar decomposition"
         )
     result.notes.append(
         "identical = statistics, memory images, and execution time all "
         "bit-equal across the axis (events_fired is engine bookkeeping "
-        "and may legitimately differ); axis=lanes compares "
-        "batched-vs-scalar under each dispatch kernel"
+        "and may legitimately differ)"
     )
     return result
 

@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.backends import compose
-from repro.kernel import install_kernel
 from repro.network.faults import FaultRule, ScriptedFaultPlan
 from repro.protocols.explore import (
     SynthesizedCase,
@@ -70,11 +69,6 @@ REPLAY_SYSTEMS = {
     "ivy": ("typhoon:ivy", "decoupled:ivy", "blizzard:ivy"),
     "em3d-update": ("typhoon:em3d-update", "decoupled:em3d-update"),
 }
-
-#: Kernels every replay runs under.  Systems whose machines cannot
-#: compile simply record a fallback and run interpreted — the point is
-#: that the *request* is exercised everywhere.
-REPLAY_KERNELS = ("interpreted", "compiled")
 
 
 def corpus_path(directory: str | Path, protocol: str) -> Path:
@@ -198,11 +192,10 @@ def load_corpus(directory: str | Path,
 # ----------------------------------------------------------------------
 @dataclass
 class LitmusReplay:
-    """Outcome of one case on one system under one kernel."""
+    """Outcome of one case on one system."""
 
     case: str
     system: str
-    kernel: str
     execution_time: float
     checks: int
     stats: dict = field(default_factory=dict)
@@ -225,7 +218,6 @@ def _rules(case: SynthesizedCase) -> list[FaultRule]:
 
 
 def replay_case(case: SynthesizedCase, system: str,
-                kernel: str = "interpreted",
                 config: MachineConfig | None = None) -> LitmusReplay:
     """Run one synthesized case on the real simulator.
 
@@ -246,7 +238,6 @@ def replay_case(case: SynthesizedCase, system: str,
         protocol.setup_region(region)
     machine.history = AccessHistory()
     monitor = machine.enable_conformance(strict=True)
-    install_kernel(machine, kernel)
     machine.install_fault_plan(ScriptedFaultPlan(_rules(case)))
 
     def factory(node_id: int):
@@ -272,7 +263,6 @@ def replay_case(case: SynthesizedCase, system: str,
     return LitmusReplay(
         case=case.name,
         system=system,
-        kernel=kernel,
         execution_time=machine.execution_time,
         checks=monitor.checks,
         stats={key: machine.stats.get(key) for key in case.expect_stats},

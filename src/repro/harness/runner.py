@@ -35,7 +35,6 @@ def build_machine(system: str, config: MachineConfig):
 
 def run_application(system: str, app, config: MachineConfig,
                     faults=None, conformance: bool = False,
-                    kernel: str = "interpreted",
                     lanes: str = "batched") -> dict[str, Any]:
     """Run ``app`` on a fresh machine; returns timing and key statistics.
 
@@ -50,13 +49,6 @@ def run_application(system: str, app, config: MachineConfig,
     Requires a system whose protocol has a spec (the EM3D update
     protocol deliberately has none).
 
-    ``kernel="compiled"`` selects the table-driven dispatch kernel
-    (:mod:`repro.kernel`); systems whose protocol is not compilable
-    fall back to interpreted with the reason recorded on the returned
-    machine's ``kernel_fallback_reason``.  Compiled and interpreted
-    runs are statistically bit-identical (the differential harness,
-    :mod:`repro.harness.differential`, asserts exactly that).
-
     ``lanes="scalar"`` turns the batched access lanes off so every
     ``read_run``/``write_run`` decomposes to scalar accesses — the
     other differential axis (batched runs are bit-identical to scalar,
@@ -67,10 +59,6 @@ def run_application(system: str, app, config: MachineConfig,
                          "expected 'batched' or 'scalar'")
     machine, protocol = build_machine(system, config)
     machine.batch_lanes = lanes == "batched"
-    if kernel != "interpreted":
-        from repro.kernel import install_kernel
-
-        install_kernel(machine, kernel)
     if conformance:
         machine.enable_conformance()
     if faults is not None:
@@ -79,7 +67,6 @@ def run_application(system: str, app, config: MachineConfig,
     stats = machine.stats
     return {
         "system": system,
-        "kernel": machine.kernel_name,
         "lanes": lanes,
         "execution_time": execution_time,
         "refs": stats.total(".cpu.refs"),

@@ -76,16 +76,6 @@ class MachineBase:
         #: :class:`repro.tempest.port.CostDomain`); set by machines that
         #: host user-level protocols (None on all-hardware DirNNB).
         self.costs = None
-        #: Dispatch kernel (see :mod:`repro.kernel`): None means the
-        #: interpreted hand-written dispatch loops; a
-        #: :class:`~repro.kernel.compiled.CompiledKernel` means the
-        #: table-driven fast paths are installed.  Set via
-        #: :func:`repro.kernel.install_kernel`.
-        self.kernel = None
-        self.kernel_name = "interpreted"
-        #: Why a requested ``kernel="compiled"`` fell back (None when the
-        #: request was honoured or never made).
-        self.kernel_fallback_reason = None
 
     # ------------------------------------------------------------------
     def install_fault_plan(self, faults):
@@ -118,11 +108,6 @@ class MachineBase:
             install = getattr(node, "install_faults", None)
             if install is not None:
                 install(plan)
-        if self.kernel is not None:
-            # Fault semantics (stalls, NACKs, drops) live in the
-            # interpreted loops: the compiled kernel deopts the paths
-            # that would bypass them.
-            self.kernel.refresh()
         return plan
 
     # ------------------------------------------------------------------
@@ -163,10 +148,6 @@ class MachineBase:
         self.conformance = monitor
         if self.transport is not None:
             self.transport.flight_recorder = monitor.recorder
-        if self.kernel is not None:
-            # Re-specialise the compiled dispatch closures so the
-            # monitor's after_handler hook is fused into them.
-            self.kernel.refresh()
         return monitor
 
     def _maybe_auto_conformance(self) -> None:

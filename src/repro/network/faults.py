@@ -316,9 +316,9 @@ class ScriptedFaultPlan(FaultPlan):
 
     @property
     def is_null(self) -> bool:
-        """A scripted plan with rules always installs (and deopts the
-        compiled kernel's fast paths), even though its base spec draws
-        no random faults."""
+        """A scripted plan with rules always installs (and takes the
+        interconnect off its reliable-network fast path), even though
+        its base spec draws no random faults."""
         return not self.rules and self.spec.is_null
 
     def link_verdict(self, message: Message) -> tuple[str | None, int]:

@@ -10,6 +10,7 @@ enabled to check that the conclusions are contention-robust.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Callable
 
 from repro.network.message import Message, NACK_HANDLER
@@ -37,11 +38,15 @@ class Interconnect:
         self.stats = stats if stats is not None else Stats()
         self.model_contention = model_contention
         self._max_payload = config.max_payload_words
-        # Hot-path caches: the topology's latency function, the raw
+        # Hot-path caches: the per-pair latency table (the topology is
+        # pure and fixed, so it is evaluated once per pair), the raw
         # counter dict (a defaultdict — plain indexing is the same as
         # Stats.incr) and the latency distribution, created on first send
         # so an idle interconnect publishes no counters.
-        self._latency = topology.latency
+        self._latencies = [
+            [topology.latency(src, dst) for dst in range(topology.nodes)]
+            for src in range(topology.nodes)
+        ]
         self._counters = self.stats._counters
         self._latency_dist = None
         self._sinks: dict[int, Callable[[Message], None]] = {}
@@ -79,9 +84,11 @@ class Interconnect:
         Local messages (src == dst) short-circuit the network and arrive
         next cycle, modelling the CPU->local-NP direct path of Section 5.1.
         """
-        if message.dst not in self._sinks:
-            raise SimulationError(f"message to unattached node {message.dst}")
-        if message.size_words > self._max_payload:
+        dst = message.dst
+        if dst not in self._sinks:
+            raise SimulationError(f"message to unattached node {dst}")
+        size = message.size_words
+        if size > self._max_payload:
             message.validated(self._max_payload)  # raises PacketTooLarge
         engine = self.engine
         now = engine.now
@@ -89,17 +96,39 @@ class Interconnect:
 
         counters = self._counters
         counters["network.packets"] += 1
-        counters["network.words"] += message.size_words
+        counters["network.words"] += size
         if self.observers:
             for observer in self.observers:
                 observer("send", message)
-        if message.src == message.dst:
+        src = message.src
+        if src == dst:
             counters["network.local_packets"] += 1
             engine.schedule_anon(1, self._deliver, message)
             return
+        if self._fault_plan is None and not self.model_contention:
+            # Reliable, contention-free: every packet on a channel takes
+            # the same fixed latency and is sent no earlier than the one
+            # before it, so it arrives no earlier either and the
+            # channel's FIFO floor never binds.  The floor is not kept:
+            # packets sent after a fault plan is installed also arrive
+            # after every packet scheduled here.
+            arrival = now + self._latencies[src][dst]
+            dist = self._latency_dist
+            if dist is None:
+                dist = self._latency_dist = self.stats.distribution(
+                    "network.latency")
+            dist.add(arrival - now)
+            if arrival > now:
+                seq = engine._seq
+                engine._seq = seq + 1
+                engine._live += 1
+                heappush(engine._queue,
+                         (arrival, seq, None, self._deliver, (message,)))
+            else:
+                engine.schedule_at_anon(arrival, self._deliver, message)
+            return
 
-        latency = self._latency(message.src, message.dst)
-        arrival = now + latency
+        arrival = now + self._latencies[src][dst]
         plan = self._fault_plan
         action = None
         if plan is not None:
@@ -150,8 +179,9 @@ class Interconnect:
                                     self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
-        for observer in self.observers:
-            observer("deliver", message)
+        if self.observers:
+            for observer in self.observers:
+                observer("deliver", message)
         transport = self._transport
         if transport is not None and message.handler == NACK_HANDLER:
             # NI-level negative acknowledgement: consumed here, never

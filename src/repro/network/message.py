@@ -48,7 +48,7 @@ class Message:
     vnet: VirtualNetwork = VirtualNetwork.REQUEST
     payload: dict[str, Any] = field(default_factory=dict)
     size_words: int = 2  # handler word + one argument word, minimum
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
+    msg_id: int = field(default_factory=_message_ids.__next__)
     send_time: float = 0
     #: Reliable-transport transaction id; assigned on first injection when
     #: a fault plan is active (None on a perfectly reliable network).

@@ -18,7 +18,7 @@ deterministically *pinned* litmus test (an access program plus a
 Three things fall out:
 
 * **Coverage, not sampling.**  Every reachable ``(state, event)`` edge
-  of every compilable :class:`ProtocolSpec` is enumerated; the emitted
+  of every explorable :class:`ProtocolSpec` is enumerated; the emitted
   corpus is a greedy set cover, so replaying it drives the real machine
   through every edge the model can reach.  The grant-vs-invalidation
   overtaking family is *derived*, not guessed.

@@ -70,13 +70,6 @@ class ProtocolEntry:
     #: registered protocol carries one (em3d-update's is step-indexed);
     #: None remains legal for out-of-tree protocols without a table.
     conformance: str | None
-    #: True when the protocol's dispatch can be lowered into the
-    #: table-driven compiled kernel (:mod:`repro.protocols.compiled`):
-    #: its behaviour is fully described by registered handlers plus a
-    #: conformance transition table.  Protocols that deliberately step
-    #: outside the table (em3d-update's delayed updates) stay False and
-    #: always run interpreted.
-    compilable: bool = False
 
 
 def _stache():
@@ -114,7 +107,6 @@ PROTOCOLS: dict[str, ProtocolEntry] = {
                         "invalidation (paper Section 3)",
             requires=frozenset({"fine-grain-tags", "active-messages"}),
             conformance="stache",
-            compilable=True,
         ),
         ProtocolEntry(
             name="migratory",
@@ -125,7 +117,6 @@ PROTOCOLS: dict[str, ProtocolEntry] = {
             # MigratoryProtocol.name is "stache-migratory"; the spec
             # table keys on that.
             conformance="stache-migratory",
-            compilable=True,
         ),
         ProtocolEntry(
             name="ivy",
@@ -136,7 +127,6 @@ PROTOCOLS: dict[str, ProtocolEntry] = {
                 "fine-grain-tags", "active-messages", "bulk-transfer",
             }),
             conformance="ivy",
-            compilable=True,
         ),
         ProtocolEntry(
             name="em3d-update",

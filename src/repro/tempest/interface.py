@@ -76,6 +76,7 @@ class Tempest:
         self.image: MemoryImage = backend.image
         self._tags = backend.tags
         self._send_message = backend.send_message
+        self._np_charge = backend.np_charge
         # Eager: every node must have the bulk receive handlers installed
         # before any peer can target it with a transfer.
         self._bulk_engine = BulkTransferEngine(backend)
@@ -222,7 +223,7 @@ class Tempest:
         For data-dependent handler work (e.g. one pointer update per
         sharer) beyond the registered fixed path length.
         """
-        self._backend.np_charge(cycles)
+        self._np_charge(cycles)
 
     def __repr__(self) -> str:
         return f"Tempest(node={self.node_id}/{self.num_nodes})"

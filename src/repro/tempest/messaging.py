@@ -267,10 +267,11 @@ class DeliveryGuard:
         """Wrap a handler so duplicate deliveries become no-ops.
 
         The wrapper is tagged with ``__wrapped__`` (the raw handler) and
-        ``__guard__`` (this guard), so the compiled kernel can fuse the
-        duplicate check into its dispatch table instead of paying a call
-        frame per invocation — with identical semantics, because the
-        fused check is exactly the body below.
+        ``__guard__`` (this guard), so the dispatch loops
+        (:class:`~repro.tempest.dispatch.DispatchRows`) can call the
+        duplicate check inline instead of paying a call frame per
+        invocation — with identical semantics, because the inline check
+        is exactly the body below.
         """
         def guarded(tempest: Any, message: Any) -> Any:
             xid = getattr(message, "xid", None)

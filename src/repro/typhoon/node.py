@@ -32,7 +32,6 @@ from repro.memory.mirror import AccessMirror
 from repro.memory.page_table import PageTable
 from repro.memory.tags import Tag, TagStore
 from repro.memory.tlb import Tlb
-from repro.network.message import Message
 from repro.sim.engine import SimulationError
 from repro.tempest.interface import Tempest
 from repro.tempest.messaging import HandlerRegistry
@@ -78,6 +77,12 @@ class TyphoonNode:
         self.thread = ComputationThread(self.engine, node_id)
         self.registry = HandlerRegistry(node_id)
         self.np = NetworkProcessor(self, machine.config.typhoon)
+        # Every send goes through the NP's send queues, which also count
+        # it, and every handler charge is NP occupancy: binding the
+        # backend surface straight to the NP keeps Tempest.send and
+        # Tempest.charge one call away from it.
+        self.send_message = self.np.send
+        self.np_charge = self.np.charge
         self.tempest = Tempest(self)
         self.page_fault_handler: PageFaultHandler | None = None
         # Hot-path stat keys, precomputed so the per-reference path does
@@ -88,7 +93,6 @@ class TyphoonNode:
         self._block_faults_key = f"{self._prefix}.cpu.block_faults"
         self._local_misses_key = f"{self._prefix}.cpu.local_misses"
         self._fills_killed_key = f"{self._prefix}.cpu.fills_killed"
-        self._messages_sent_key = f"{self._prefix}.np.messages_sent"
         # Address arithmetic and container handles for the per-reference
         # path.  The TLB / page-table dicts are stable objects (cleared in
         # place, never reassigned), so caching them here is safe.
@@ -121,10 +125,6 @@ class TyphoonNode:
     def num_nodes(self) -> int:
         return self.machine.num_nodes
 
-    def send_message(self, message: Message) -> None:
-        self._counters[self._messages_sent_key] += 1
-        self.np.send(message)
-
     def invalidate_cpu_copy(self, block_addr: int) -> None:
         self.cache.invalidate(block_addr)
         self.written_blocks.discard(block_addr)
@@ -137,9 +137,6 @@ class TyphoonNode:
         """TLB shoot-down after unmap/remap: CPU TLB and NP reverse TLB."""
         self.cpu_tlb.evict(self.layout.page_number(vaddr))
         self.np.rtlb.shoot_down(vaddr)
-
-    def np_charge(self, cycles: int) -> None:
-        self.np.charge(cycles)
 
     def install_faults(self, plan) -> None:
         """Node-level fault injection lives in the NP (queues, stalls)."""

@@ -57,25 +57,24 @@ def test_parser_defaults():
     assert args.seed == 42
 
 
-def test_bench_kernel_flag(capsys):
-    assert main(["bench", "--kernel", "compiled", "--nodes", "2"]) == 0
+def test_bench_runs(capsys):
+    assert main(["bench", "--nodes", "2"]) == 0
     out = capsys.readouterr().out
-    assert "compiled kernel" in out
+    assert "Dispatch throughput" in out
     assert "events_per_s" in out
 
 
-def test_bench_defaults_to_interpreted():
-    args = build_parser().parse_args(["bench"])
-    assert args.kernel == "interpreted"
+def test_bench_has_no_kernel_flag():
+    """There is one dispatch path, so there is nothing to select."""
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["bench", "--kernel", "jit"])
+        build_parser().parse_args(["bench", "--kernel", "compiled"])
 
 
 def test_differential_subcommand(capsys):
     assert main(["differential", "--nodes", "2"]) == 0
     out = capsys.readouterr().out
     assert "typhoon:stache" in out
-    assert "NO" not in out.split("fallback_reason")[-1]
+    assert "NO" not in out.split("events_batched")[-1]
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +193,34 @@ def test_sweep_config_validation_error_is_one_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "repro sweep: error: cache size must be a multiple of the block "
         "size\n")
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--systems", "nosuch", "--systems: unknown system 'nosuch'"),
+    ("--workloads", "ocean:huge", "--workloads: no workload ocean:huge"),
+    ("--cache-sizes", "abc",
+     "--cache-sizes: expected comma-separated integers, got 'abc'"),
+    ("--seeds", "x", "--seeds: expected comma-separated integers, got 'x'"),
+])
+def test_sweep_submit_bad_input_is_one_line_and_writes_no_job(
+        tmp_path, capsys, flag, value, message):
+    store = tmp_path / "store"
+    assert main(["sweep", "submit", flag, value, "--nodes", "2",
+                 "--store", str(store)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"repro sweep: error: {message}")
+    assert err.count("\n") == 1
+    assert not (store / "jobs").exists() or not list(
+        (store / "jobs").iterdir())
+
+
+@pytest.mark.parametrize("command", ["status", "result", "run"])
+def test_sweep_unknown_job_is_one_line(tmp_path, capsys, command):
+    assert main(["sweep", command, "nosuchjob",
+                 "--store", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro sweep: error: no job 'nosuchjob'")
+    assert err.count("\n") == 1
 
 
 def test_node_count_zero_from_the_shell_has_no_traceback():

@@ -1,4 +1,4 @@
-"""Pinned end-to-end goldens for the hot-path kernel work.
+"""Pinned end-to-end goldens for the hot-path performance work.
 
 The simulator's contract is that performance work never changes results:
 for a fixed seed, every cycle count, message count, and statistic is

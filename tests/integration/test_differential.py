@@ -1,86 +1,60 @@
-"""Differential testing: compiled kernel vs the interpreted oracle.
+"""Differential testing: batched lanes vs the scalar oracle, and the
+comparison itself.
 
-The compiled kernel's whole contract is observable equivalence
+The batched access lanes' contract is observable equivalence
 (``docs/performance.md``): identical statistics, identical final memory
-images, identical execution time — for every compilable system, with
-and without conformance monitoring, and under deterministic lossy
-networks (where the kernel deopts its network fast paths but keeps the
-table-driven NP dispatch).  ``events_fired`` is the one deliberate
-exception (engine bookkeeping; the compiled kernel's tail dispatches
-skip the event queue).
+images, identical execution time — for every system, with and without
+deterministic lossy networks.  ``events_fired`` is the one deliberate
+exception (engine bookkeeping).  The single dispatch path is held to
+the pre-merge outcomes by ``test_dispatch_goldens.py``.
 """
 
 from __future__ import annotations
 
 import os
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.synthetic import ProducerConsumerApplication
+from repro.backends import all_systems
 from repro.harness.differential import (
     compare_runs,
-    compilable_systems,
-    fallback_systems,
-    run_differential,
-    run_matrix,
+    run_lane_differential,
+    run_lane_matrix,
 )
 from repro.harness.runner import run_application
 from repro.network.faults import FaultSpec
 from repro.sim.config import MachineConfig
 
-SMALL = dict(nodes=2, cache_bytes=1024)
 
-
-def _tiny_outcome(system, kernel, seed, faults=None):
+def _tiny_outcome(system, seed, faults=None):
     config = MachineConfig(nodes=2, seed=seed).with_cache_size(1024)
     return run_application(
         system, ProducerConsumerApplication(buffer_records=4, phases=2),
-        config, faults=faults, kernel=kernel,
+        config, faults=faults,
     )
 
 
 # ----------------------------------------------------------------------
 # The full matrix (what CI's differential job runs at nodes=4)
 # ----------------------------------------------------------------------
-def test_matrix_covers_every_system():
-    assert set(compilable_systems()) == {
-        "typhoon:stache", "typhoon:migratory", "typhoon:ivy",
-        "blizzard:stache", "blizzard:migratory", "blizzard:ivy",
-    }
-    # The decoupled backend's handler processor is not specialised by
-    # the compiled kernel yet, so all four of its systems exercise the
-    # declared-fallback path.
-    assert set(fallback_systems()) == {
-        "dirnnb", "typhoon:em3d-update",
-        "decoupled:stache", "decoupled:migratory", "decoupled:ivy",
-        "decoupled:em3d-update",
-    }
-
-
-def test_differential_matrix_bit_identical():
-    results = run_matrix(nodes=2, cache_bytes=1024)
-    assert len(results) == len(compilable_systems()) + len(fallback_systems())
+def test_lane_matrix_bit_identical():
+    """Every system, no exemptions: the lanes live in the node models."""
+    results = run_lane_matrix("ocean", "small", nodes=2, cache_bytes=1024)
+    assert [r.system for r in results] == list(all_systems())
     for result in results:
         assert result.identical, (result.system, result.diffs)
-    compiled = [r for r in results if r.compiled]
-    assert {r.system for r in compiled} == set(compilable_systems())
-    for result in [r for r in results if not r.compiled]:
-        assert result.fallback_reason
 
 
-def test_differential_under_lossy_network():
+def test_lane_differential_under_lossy_network():
     lossy = FaultSpec(name="lossy", drop_pct=0.08, dup_pct=0.04,
                       delay_pct=0.2, delay_min=1, delay_max=12)
-    result = run_differential(
+    result = run_lane_differential(
         "typhoon:stache", "mp3d", "small",
         MachineConfig(nodes=2, seed=11).with_cache_size(1024),
         faults=lossy,
     )
-    # A live plan deopts the network fast paths; dispatch stays
-    # table-driven, and the runs must still be bit-identical.
-    assert result.compiled
     assert result.identical, result.diffs
 
 
@@ -88,19 +62,16 @@ def test_divergence_is_detected_not_assumed():
     """compare_runs must actually see through the stats/image/exec-time
     surfaces — feed it two runs that genuinely differ and expect diffs."""
     lossy = FaultSpec(name="lossy", drop_pct=0.1, dup_pct=0.05)
-    left = _tiny_outcome("typhoon:stache", "interpreted", seed=7,
-                         faults=lossy)
-    right = _tiny_outcome("typhoon:stache", "interpreted", seed=8,
-                          faults=lossy)
+    left = _tiny_outcome("typhoon:stache", seed=7, faults=lossy)
+    right = _tiny_outcome("typhoon:stache", seed=8, faults=lossy)
     # Different fault-RNG seeds drop different packets: real divergence.
     assert compare_runs(left, right)
-    same = _tiny_outcome("typhoon:stache", "interpreted", seed=7,
-                         faults=lossy)
+    same = _tiny_outcome("typhoon:stache", seed=7, faults=lossy)
     assert not compare_runs(left, same)
 
 
 # ----------------------------------------------------------------------
-# Property: random lossy networks, conformance on, kernels agree
+# Property: random lossy networks, conformance on, runs reproduce
 # ----------------------------------------------------------------------
 @settings(max_examples=12, deadline=None)
 @given(
@@ -109,10 +80,10 @@ def test_divergence_is_detected_not_assumed():
     delay=st.integers(0, 25),
     seed=st.integers(0, 2**16),
 )
-def test_property_lossy_conformance_stats_identical(drop, dup, delay, seed):
-    """Any seeded lossy plan, REPRO_CONFORMANCE=1: both kernels produce
-    identical statistics and memory images (and the fused conformance
-    monitor checked every transition in both)."""
+def test_property_lossy_conformance_runs_reproduce(drop, dup, delay, seed):
+    """Any seeded lossy plan, REPRO_CONFORMANCE=1: two runs produce
+    identical statistics and memory images, and the conformance monitor
+    checked every transition of both."""
     spec = FaultSpec(
         name="prop", drop_pct=drop / 100, dup_pct=dup / 100,
         delay_pct=delay / 100, delay_min=1, delay_max=9,
@@ -120,22 +91,17 @@ def test_property_lossy_conformance_stats_identical(drop, dup, delay, seed):
     previous = os.environ.get("REPRO_CONFORMANCE")
     os.environ["REPRO_CONFORMANCE"] = "1"
     try:
-        interpreted = _tiny_outcome(
-            "typhoon:stache", "interpreted", seed, faults=spec
-        )
-        compiled = _tiny_outcome(
-            "typhoon:stache", "compiled", seed, faults=spec
-        )
+        first = _tiny_outcome("typhoon:stache", seed, faults=spec)
+        second = _tiny_outcome("typhoon:stache", seed, faults=spec)
     finally:
         if previous is None:
             del os.environ["REPRO_CONFORMANCE"]
         else:
             os.environ["REPRO_CONFORMANCE"] = previous
-    assert compiled["kernel"] == "compiled"
-    diffs = compare_runs(interpreted, compiled)
+    diffs = compare_runs(first, second, labels=("first", "second"))
     assert not diffs, diffs
-    imon = interpreted["machine"].conformance
-    cmon = compiled["machine"].conformance
-    assert imon is not None and cmon is not None
-    assert imon.checks == cmon.checks
-    assert imon.checks > 0
+    first_monitor = first["machine"].conformance
+    second_monitor = second["machine"].conformance
+    assert first_monitor is not None and second_monitor is not None
+    assert first_monitor.checks == second_monitor.checks
+    assert first_monitor.checks > 0

@@ -140,37 +140,33 @@ PROGRAMS = st.lists(
 )
 
 #: Every Tempest backend: typhoon (hardware NP), blizzard (polling,
-#: inbox deopt), decoupled (no poll term; the compiled kernel falls
-#: back to the interpreted one).
+#: inbox deopt), decoupled (no poll term; handlers on a second CPU).
 SYSTEMS = ["typhoon:stache", "blizzard:stache", "decoupled:stache",
            "typhoon:migratory"]
-KERNELS = ["interpreted", "compiled"]
 
 LOSSY = FaultSpec(name="lossy", drop_pct=0.05, dup_pct=0.03,
                   delay_pct=0.15, delay_min=1, delay_max=9)
 
 
-def _assert_lanes_agree(program, system, kernel, faults=None):
+def _assert_lanes_agree(program, system, faults=None):
     config = MachineConfig(nodes=2, seed=7).with_cache_size(1024)
     outcomes = {}
     for lanes in ("scalar", "batched"):
         outcomes[lanes] = run_application(
             system, InterleavingApplication(program), config,
-            faults=faults, kernel=kernel, lanes=lanes,
+            faults=faults, lanes=lanes,
         )
     diffs = compare_runs(outcomes["scalar"], outcomes["batched"],
                          labels=("scalar", "batched"))
-    assert not diffs, (system, kernel, faults, diffs)
+    assert not diffs, (system, faults, diffs)
 
 
 @given(program=PROGRAMS,
        system=st.sampled_from(SYSTEMS),
-       kernel=st.sampled_from(KERNELS),
        faulty=st.booleans())
 @settings(max_examples=60, deadline=None)
-def test_property_interleavings_bit_identical(program, system, kernel,
-                                              faulty):
-    _assert_lanes_agree(program, system, kernel, LOSSY if faulty else None)
+def test_property_interleavings_bit_identical(program, system, faulty):
+    _assert_lanes_agree(program, system, LOSSY if faulty else None)
 
 
 #: A fixed program through every lane path the generator aims at:
@@ -190,10 +186,9 @@ MULTIWORD_PROGRAM = [
 ]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_multiword_program_bit_identical(system, kernel):
-    _assert_lanes_agree(MULTIWORD_PROGRAM, system, kernel)
+def test_multiword_program_bit_identical(system):
+    _assert_lanes_agree(MULTIWORD_PROGRAM, system)
 
 
 # ----------------------------------------------------------------------

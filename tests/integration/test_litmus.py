@@ -2,7 +2,7 @@
 
 The explorer's traces are only as good as their replays: every
 committed case runs on every ``backend:protocol`` system its corpus
-maps to, under both dispatch kernels, with strict conformance
+maps to, with strict conformance
 monitoring and register-consistency checking.  The late-grant
 overtaking family — the race the FaultPlan vocabulary exists to pin —
 is additionally asserted *by its counters*: the pinned schedule must
@@ -17,7 +17,6 @@ import pytest
 from repro.backends import all_systems
 from repro.harness.litmus import (
     CORPUS_PROTOCOLS,
-    REPLAY_KERNELS,
     REPLAY_SYSTEMS,
     check_corpus,
     load_corpus,
@@ -67,15 +66,14 @@ def test_cli_litmus_check_reports_drift(tmp_path, capsys):
 # Full-matrix replay
 # ----------------------------------------------------------------------
 MATRIX = [
-    (protocol, system, kernel)
+    (protocol, system)
     for protocol in CORPUS_PROTOCOLS
     for system in REPLAY_SYSTEMS[protocol]
-    for kernel in REPLAY_KERNELS
 ]
 
 
-@pytest.mark.parametrize("protocol,system,kernel", MATRIX)
-def test_corpus_replays_clean(protocol, system, kernel):
+@pytest.mark.parametrize("protocol,system", MATRIX)
+def test_corpus_replays_clean(protocol, system):
     """Every case of every corpus file: no conformance violation, no
     register-consistency violation, nothing left in flight, and the
     monitor actually watched the run."""
@@ -83,10 +81,10 @@ def test_corpus_replays_clean(protocol, system, kernel):
     assert cases
     total_checks = 0
     for case in cases:
-        replay = replay_case(case, system, kernel=kernel)
-        assert replay.consistency == [], (case.name, system, kernel)
-        assert replay.violations == [], (case.name, system, kernel)
-        assert replay.in_flight == 0, (case.name, system, kernel)
+        replay = replay_case(case, system)
+        assert replay.consistency == [], (case.name, system)
+        assert replay.violations == [], (case.name, system)
+        assert replay.in_flight == 0, (case.name, system)
         total_checks += replay.checks
     assert total_checks > 0
 

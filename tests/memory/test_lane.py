@@ -11,7 +11,6 @@ import pytest
 
 from repro.apps.base import AppContext
 from repro.backends import compose
-from repro.kernel import install_kernel
 from repro.network.message import Message
 from repro.sim.config import MachineConfig
 
@@ -264,21 +263,12 @@ def test_first_write_to_unheld_block_creates_its_words():
 
 
 # ----------------------------------------------------------------------
-# The kernels share the one lane
+# Every access context runs the node's one lane
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_kernel_install_leaves_the_lanes_alone(system):
+def test_app_context_binds_the_node_lanes(system):
     machine, _ = compose(system, MachineConfig(nodes=2, seed=7))
-    lanes = [(node.run_read_prefix, node.run_plan_prefix)
-             for node in machine.nodes]
-    kernel = install_kernel(machine, "compiled")
-    assert [(node.run_read_prefix, node.run_plan_prefix)
-            for node in machine.nodes] == lanes
-    if kernel is not None:
-        kernel.uninstall()
-    for node, (read, plan) in zip(machine.nodes, lanes):
-        assert node.run_read_prefix is read
-        assert node.run_plan_prefix is plan
+    for node in machine.nodes:
         context = AppContext(machine, node.node_id)
-        assert context._run_reads is read
-        assert context._run_plan is plan
+        assert context._run_reads == node.run_read_prefix
+        assert context._run_plan == node.run_plan_prefix

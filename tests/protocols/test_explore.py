@@ -5,7 +5,7 @@ tables, same corpus, byte for byte), it enforces the declarative specs
 against its own protocol models (a table edit that legalizes nothing
 new makes exploration *fail*, not silently shrink), and the committed
 litmus corpus covers every reachable ``(state, event)`` edge of every
-compilable ProtocolSpec.  Replay of the corpus on the real machines
+explorable ProtocolSpec.  Replay of the corpus on the real machines
 lives in tests/integration/test_litmus.py.
 """
 
@@ -102,7 +102,7 @@ def test_corpus_covers_every_reachable_edge(protocol):
     """The committed corpus is a *complete* set cover: the union of its
     cases' edges equals every (state, event, dst-state) edge the
     bounded exploration of the protocol's spec can reach.  One test per
-    unique compilable spec (migratory shares stache's tables and
+    unique explorable spec (migratory shares stache's tables and
     em3d-update's corpus is stache-derived)."""
     cases, result = synthesize_corpus(protocol)
     covered = {tuple(edge) for case in cases for edge in case.edges}

@@ -3,8 +3,8 @@
 
 Compares a freshly measured ``BENCH_kernel.json`` (written by
 ``benchmarks/test_perf_kernel.py``) against the baseline committed at
-``HEAD`` and fails on regression.  Three checks per workload/kernel
-cell, in increasing strictness:
+``HEAD`` and fails on regression.  Two checks per workload cell, in
+increasing strictness:
 
 1. **Determinism** (exact, no tolerance): ``events_fired`` and
    ``simulated_cycles`` must equal the committed baseline.  These are
@@ -17,12 +17,6 @@ cell, in increasing strictness:
    ``(1 - tolerance)`` of the baseline.  Default tolerance 0.25 —
    the gate of CI's ``perf`` job — overridable with
    ``REPRO_PERF_TOLERANCE`` (e.g. ``0.5`` on very noisy hosts).
-
-3. **Kernel ordering** (tolerant): on cells measured under both
-   kernels, the compiled kernel's wall-clock speedup over interpreted
-   must stay above ``REPRO_PERF_MIN_SPEEDUP`` (default 0.75, i.e. the
-   compiled kernel may never be more than 25% *slower* than the
-   interpreted oracle, whatever the host).
 
 The batched-access-lane rows (the ``lanes`` payload section) get the
 same determinism and throughput checks per lane cell, plus two of their
@@ -78,10 +72,6 @@ def main(argv: list[str] | None = None) -> int:
                         default=float(os.environ.get(
                             "REPRO_PERF_TOLERANCE", "0.25")),
                         help="allowed fractional events/s regression")
-    parser.add_argument("--min-speedup", type=float,
-                        default=float(os.environ.get(
-                            "REPRO_PERF_MIN_SPEEDUP", "0.75")),
-                        help="floor on compiled-vs-interpreted speedup")
     parser.add_argument("--min-lane-speedup", type=float,
                         default=float(os.environ.get(
                             "REPRO_PERF_MIN_LANE_SPEEDUP", "1.3")),
@@ -111,36 +101,26 @@ def main(argv: list[str] | None = None) -> int:
         if base_row is None:
             print(f"{label:>16}: new workload (no baseline) -- recorded")
             continue
-        for kernel, cell in sorted(fresh_row.get("kernels", {}).items()):
-            base = base_row.get("kernels", {}).get(kernel)
-            if base is None:
-                print(f"{label:>16} [{kernel}]: new kernel column -- recorded")
-                continue
-            for field in ("events_fired", "simulated_cycles"):
-                if cell[field] != base[field]:
-                    failures.append(
-                        f"{label} [{kernel}]: {field} changed "
-                        f"{base[field]} -> {cell[field]} (simulated "
-                        f"behaviour drifted; regenerate and commit "
-                        f"BENCH_kernel.json in this PR)"
-                    )
-            floor = base["events_per_second"] * (1 - args.tolerance)
-            ok = cell["events_per_second"] >= floor
-            print(f"{label:>16} [{kernel:>11}]: "
-                  f"{cell['events_per_second']:>10,.0f} events/s vs "
-                  f"baseline {base['events_per_second']:>10,.0f} "
-                  f"(floor {floor:,.0f}) {'ok' if ok else 'REGRESSED'}")
-            if not ok:
+        cell = fresh_row
+        for field in ("events_fired", "simulated_cycles"):
+            if cell[field] != base_row[field]:
                 failures.append(
-                    f"{label} [{kernel}]: events/s regressed more than "
-                    f"{args.tolerance:.0%}: {cell['events_per_second']:,.0f}"
-                    f" < {floor:,.0f}"
+                    f"{label}: {field} changed "
+                    f"{base_row[field]} -> {cell[field]} (simulated "
+                    f"behaviour drifted; regenerate and commit "
+                    f"BENCH_kernel.json in this PR)"
                 )
-        speedup = fresh_row.get("speedup")
-        if speedup is not None and speedup < args.min_speedup:
+        floor = base_row["events_per_second"] * (1 - args.tolerance)
+        ok = cell["events_per_second"] >= floor
+        print(f"{label:>16}: "
+              f"{cell['events_per_second']:>10,.0f} events/s vs "
+              f"baseline {base_row['events_per_second']:>10,.0f} "
+              f"(floor {floor:,.0f}) {'ok' if ok else 'REGRESSED'}")
+        if not ok:
             failures.append(
-                f"{label}: compiled kernel speedup {speedup:.2f}x fell "
-                f"below the {args.min_speedup:.2f}x floor"
+                f"{label}: events/s regressed more than "
+                f"{args.tolerance:.0%}: {cell['events_per_second']:,.0f}"
+                f" < {floor:,.0f}"
             )
 
     base_lanes = baseline.get("lanes", {})
@@ -205,8 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {failure}", file=sys.stderr)
         return 1
     print("\nall performance checks passed "
-          f"(tolerance {args.tolerance:.0%}, "
-          f"min speedup {args.min_speedup:.2f}x)")
+          f"(tolerance {args.tolerance:.0%})")
     return 0
 
 
