@@ -1,8 +1,10 @@
 """A Blizzard node: software access control, CPU-run handlers, polling.
 
 The node implements the same :class:`~repro.tempest.interface.Tempest`
-backend surface as a Typhoon node, so user-level protocol libraries load
-unchanged.  The differences are where the paper says they are:
+backend surface as a Typhoon node, and runs the same CPU access path
+(:class:`~repro.tempest.node.TempestNode`), so user-level protocol
+libraries load unchanged.  The differences are where the paper says
+they are:
 
 * **Tag checks** are inserted code: each checked load/store pays the
   configured software check cost (0 for loads under the ECC trick).
@@ -19,23 +21,13 @@ unchanged.  The differences are where the paper says they are:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Generator
 
-from repro.memory.address import SHARED_BASE, AddressLayout
-from repro.memory.cache import Cache, LineState
-from repro.memory.data import MemoryImage
-from repro.memory.lane import build_access_lanes
-from repro.memory.mirror import AccessMirror
-from repro.memory.page_table import PageTable
-from repro.memory.tags import Tag, TagStore
-from repro.memory.tlb import Tlb
 from repro.network.message import Message, NACK_HANDLER, VirtualNetwork
 from repro.sim.engine import SimulationError
 from repro.sim.process import Future
 from repro.tempest.dispatch import DispatchError, DispatchRows
-from repro.tempest.interface import Tempest
-from repro.tempest.messaging import HandlerRegistry
-from repro.tempest.threads import ComputationThread
+from repro.tempest.node import TempestNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.blizzard.system import BlizzardMachine
@@ -76,111 +68,30 @@ class SoftwareDispatcher:
         return charge
 
 
-class BlizzardNode:
+class BlizzardNode(TempestNode):
     """CPU + cache + TLB + software Tempest; handlers share the CPU."""
 
     def __init__(self, node_id: int, machine: "BlizzardMachine"):
-        self.node_id = node_id
-        self.machine = machine
-        self.engine = machine.engine
-        self.stats = machine.stats
-        self.config = machine.config
-        self.costs = machine.config.blizzard
-        self.layout: AddressLayout = machine.layout
-        self.heap = machine.heap
-        self._prefix = f"node{node_id}"
-
-        self.tags = TagStore(self.layout, node_id)
-        self.page_table = PageTable(self.layout, self.tags, node_id)
-        self.image = MemoryImage(self.layout, node_id)
-        self.cache = Cache(
-            machine.config.cache,
-            machine.rng.stream(f"{self._prefix}.cache"),
-            name=f"{self._prefix}.cache",
-        )
-        self.cpu_tlb = Tlb(machine.config.tlb, name=f"{self._prefix}.tlb")
-        # Dense hit-probe mirror for the batched access lanes (see
-        # repro.memory.mirror); kept coherent by the structures' own
-        # mutation paths.
-        self.mirror = AccessMirror(self.layout)
-        self.cpu_tlb.mirror = self.mirror
-        self.page_table.mirror = self.mirror
-        self.cache.mirror = self.mirror
-        self.thread = ComputationThread(self.engine, node_id)
-        self.registry = HandlerRegistry(node_id)
-        self.np = SoftwareDispatcher(self)
-        self.tempest = Tempest(self)
+        self.costs = costs = machine.config.blizzard
+        self._inbox: deque[Message] = deque()
+        # A checked shared reference is poll + inserted check + hit, and
+        # queued messages must be polled first.
+        super().__init__(node_id, machine,
+                         check_read_cycles=costs.check_read_cycles,
+                         check_write_cycles=costs.check_write_cycles,
+                         poll_cycles=costs.poll_cycles, inbox=self._inbox)
         # Handler name -> (raw handler, duplicate check, cost): the cost
         # is the software dispatch sequence plus the handler's
         # instructions, all charged to this CPU.
         self._rows = DispatchRows(
-            self.registry, self.costs.cycles_per_instruction,
-            self.costs.software_dispatch_cycles)
-        self.page_fault_handler = None
-
-        self.written_blocks: set[int] = set()
-        self._inbox: deque[Message] = deque()
+            self.registry, costs.cycles_per_instruction,
+            costs.software_dispatch_cycles)
         self._arrival: Future | None = None
         # Fault injection: inbox bound (None = unbounded, the default).
         self._recv_limit: int | None = None
-        # Hot-path stat keys, precomputed so the per-reference path does
-        # no string formatting.
-        self._refs_key = f"{self._prefix}.cpu.refs"
-        self._access_cycles_key = f"{self._prefix}.cpu.access_cycles"
-        self._tlb_misses_key = f"{self._prefix}.cpu.tlb_misses"
-        self._block_faults_key = f"{self._prefix}.cpu.block_faults"
-        self._local_misses_key = f"{self._prefix}.cpu.local_misses"
         self._messages_sent_key = f"{self._prefix}.sw.messages_sent"
         self._handlers_run_key = f"{self._prefix}.sw.handlers_run"
-        # Address arithmetic and container handles for the per-reference
-        # path.  The TLB / page-table dicts are stable objects (cleared in
-        # place, never reassigned), so caching them here is safe.
-        self._page_shift = self.layout.page_size.bit_length() - 1
-        self._page_mask = ~(self.layout.page_size - 1)
-        self._block_mask = ~(self.layout.block_size - 1)
-        self._hit_cycles = self.config.cache_hit_cycles
-        self._tlb_entries = self.cpu_tlb._entries
-        self._pt_entries = self.page_table._entries
-        self._counters = machine.stats._counters
-        self._image_read = self.image.read
-        self._image_write = self.image.write
-        # The batched access lanes (repro.memory.lane): a checked shared
-        # hit is poll + inserted check + cache hit, a private reference
-        # the bare hit, and queued messages must be polled first.
-        costs = self.costs
-        hit = self._hit_cycles
-        self.run_read_prefix, self.run_plan_prefix = build_access_lanes(
-            self, hit, costs.poll_cycles + costs.check_read_cycles + hit,
-            costs.poll_cycles + costs.check_write_cycles + hit, self._inbox)
-        machine.interconnect.attach(node_id, self._receive)
-
-    # ------------------------------------------------------------------
-    # TempestBackend surface
-    # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return self.machine.num_nodes
-
-    def send_message(self, message: Message) -> None:
-        self._counters[self._messages_sent_key] += 1
-        self.machine.interconnect.send(message)
-
-    def invalidate_cpu_copy(self, block_addr: int) -> None:
-        self.cache.invalidate(block_addr)
-        self.written_blocks.discard(block_addr)
-
-    def downgrade_cpu_copy(self, block_addr: int) -> None:
-        self.cache.downgrade(block_addr)
-        self.written_blocks.discard(block_addr)
-
-    def shoot_down_page(self, vaddr: int) -> None:
-        self.cpu_tlb.evict(self.layout.page_number(vaddr))
-
-    def np_charge(self, cycles: int) -> None:
-        self.np.charge(cycles)
-
-    def set_page_fault_handler(self, handler) -> None:
-        self.page_fault_handler = handler
+        self._connect(SoftwareDispatcher(self), self._receive)
 
     def install_faults(self, plan) -> None:
         """Apply a bound FaultPlan's inbox bound (no NP, so no stalls)."""
@@ -280,113 +191,8 @@ class BlizzardNode:
         yield from self._spin_until(future)
 
     # ------------------------------------------------------------------
-    # CPU access path
+    # Block access faults: run on this CPU
     # ------------------------------------------------------------------
-    def access_inline(self, addr: int, is_write: bool, value: Any = None):
-        """Service a checked-hit access without touching the event queue.
-
-        Blizzard's common case is a shared reference whose inserted poll
-        finds an empty inbox, whose inserted tag check passes, and whose
-        block hits in the hardware cache.  All of that is a fixed cycle
-        charge (poll + check + hit) with no protocol activity, so when
-        the engine can prove no event would fire inside that window the
-        whole access commits inline.  Returns ``(result,)`` on success,
-        or None (side-effect free) when :meth:`access` must run.
-
-        The engine window is checked *first* (see
-        ``TyphoonNode.access_inline``): rejection in lock-step phases must
-        cost attribute reads, not probes the fallback then repeats.
-        """
-        engine = self.engine
-        if engine._fifo or self._inbox:
-            return None
-        shared = addr >= SHARED_BASE
-        if shared:
-            costs = self.costs
-            cycles = costs.poll_cycles + self._hit_cycles + (
-                costs.check_write_cycles if is_write else costs.check_read_cycles
-            )
-        else:
-            cycles = self._hit_cycles
-        target = engine.now + cycles
-        queue = engine._queue
-        if queue and queue[0][0] <= target:
-            return None
-        until = engine._until
-        if until is not None and target > until:
-            return None
-        if (addr >> self._page_shift) not in self._tlb_entries:
-            return None
-        if shared and (addr & self._page_mask) not in self._pt_entries:
-            return None
-        block = addr & self._block_mask
-        line = self.cache.lookup(block)
-        if line is None or (is_write and line.state is LineState.SHARED):
-            return None
-        # Commit: identical effects to the generator path's hit branch.
-        # The probes above cannot schedule events, so the window check
-        # still holds and the clock can move directly.
-        engine.now = target
-        self.cpu_tlb.hits += 1
-        self.cache.hits += 1
-        counters = self._counters
-        counters[self._refs_key] += 1
-        if is_write:
-            self._image_write(addr, value)
-            if shared:
-                self.written_blocks.add(block)
-            result = None
-        else:
-            result = value = self._image_read(addr)
-        counters[self._access_cycles_key] += cycles
-        if self.machine.history is not None:
-            self.machine.history.record(
-                self.node_id, addr, is_write, value,
-                engine.now - cycles, engine.now,
-            )
-        return (result,)
-
-    def access(self, addr: int, is_write: bool, value: Any = None) -> Generator:
-        counters = self._counters
-        counters[self._refs_key] += 1
-        start = self.engine.now
-        shared = addr >= SHARED_BASE
-        if shared:
-            yield from self._poll()
-        if not self.cpu_tlb.access(addr >> self._page_shift):
-            counters[self._tlb_misses_key] += 1
-            yield self.config.tlb.miss_cycles
-
-        block = addr & self._block_mask
-        while True:
-            if shared and (addr & self._page_mask) not in self._pt_entries:
-                yield from self._handle_page_fault(addr, is_write)
-                continue
-            if shared:
-                # Inserted check code (Blizzard-S/E): loads may ride the
-                # ECC trick; stores pay the lookup.
-                check = (self.costs.check_write_cycles if is_write
-                         else self.costs.check_read_cycles)
-                if check:
-                    yield check
-            if self.cache.access(block, is_write):
-                yield self._hit_cycles
-                return self._complete(addr, is_write, value, start)
-            if shared:
-                fault = self.tags.check(addr, is_write)
-                if fault is not None:
-                    counters[self._block_faults_key] += 1
-                    yield from self._handle_block_fault(fault)
-                    continue
-            yield self.config.local_miss_cycles
-            counters[self._local_misses_key] += 1
-            if shared and self.tags.read_tag(addr) is Tag.READ_ONLY:
-                state = LineState.SHARED
-            else:
-                state = LineState.EXCLUSIVE
-            self.cache.insert(block, state)
-            return self._complete(addr, is_write, value, start)
-
     def _handle_block_fault(self, fault) -> Generator:
         """Software fault dispatch: handler runs inline, then spin-wait.
 
@@ -407,37 +213,3 @@ class BlizzardNode:
             yield extra
         if not suspension.done:
             yield from self._spin_until(suspension)
-
-    def _handle_page_fault(self, addr: int, is_write: bool) -> Generator:
-        self.stats.incr(f"{self._prefix}.cpu.page_faults")
-        if self.page_fault_handler is None:
-            raise SimulationError(
-                f"page fault at {addr:#x} on node {self.node_id} "
-                "with no user-level handler installed"
-            )
-        # The user-level page fault handler runs on the primary CPU,
-        # charged at this backend's own resolved cost (Blizzard runs
-        # used to bill Typhoon's NP instruction count here).
-        yield self.machine.costs.page_fault
-        extra = self.page_fault_handler(self.tempest, addr, is_write)
-        if extra:
-            yield extra
-
-    def _complete(self, addr: int, is_write: bool, value: Any,
-                  start: float) -> Any:
-        if is_write:
-            self._image_write(addr, value)
-            if addr >= SHARED_BASE:
-                self.written_blocks.add(addr & self._block_mask)
-            result = None
-        else:
-            result = value = self._image_read(addr)
-        self._counters[self._access_cycles_key] += self.engine.now - start
-        if self.machine.history is not None:
-            self.machine.history.record(
-                self.node_id, addr, is_write, value, start, self.engine.now
-            )
-        return result
-
-    def __repr__(self) -> str:
-        return f"BlizzardNode({self.node_id})"

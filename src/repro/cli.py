@@ -9,14 +9,12 @@ Lets a user regenerate any paper artifact without writing code::
     python -m repro messages
     python -m repro ablations
 
-plus the sweep service (``docs/sweeps.md``) — submit parameter sweeps
-as jobs over the content-addressed result store, query them, and
-manage the store::
+plus cached parameter sweeps (``docs/sweeps.md``) — run a sweep over
+the content-addressed result store, where cells already in the store
+are hits, and manage the store::
 
-    python -m repro sweep submit --systems dirnnb,typhoon:stache \\
-        --workloads ocean:small --seeds 1,2 --nodes 2
-    python -m repro sweep status <job-id>
-    python -m repro sweep result <job-id> --format csv
+    python -m repro sweep run --systems dirnnb,typhoon:stache \\
+        --workloads ocean:small --seeds 1,2 --nodes 2 --format csv
     python -m repro sweep store stats
     python -m repro sweep store gc
 """
@@ -158,13 +156,6 @@ _REGISTRY = {
                                          seed=args.seed)
         ],
     ),
-    "sweep-cache": (
-        "Cold vs warm sweep through the content-addressed result store",
-        lambda args: [
-            experiments.run_sweep_cache(nodes=min(args.nodes, 4),
-                                        seed=args.seed)
-        ],
-    ),
     "ablations": (
         "NP-speed, topology, contention, and first-touch ablations",
         lambda args: [
@@ -183,7 +174,7 @@ _REGISTRY = {
 
 
 # ----------------------------------------------------------------------
-# The sweep service: python -m repro sweep <subcommand>
+# Cached sweeps: python -m repro sweep <subcommand>
 # ----------------------------------------------------------------------
 def _parse_workloads(text: str) -> list[tuple[str, str]]:
     """``"ocean:small,em3d:small"`` -> [("ocean", "small"), ...]."""
@@ -198,8 +189,8 @@ def _parse_workloads(text: str) -> list[tuple[str, str]]:
 
 
 class SweepArgumentError(ValueError):
-    """A sweep argument names a system, workload or job that does not
-    exist, or is not a list of integers."""
+    """A sweep argument names a system or workload that does not exist,
+    or is not a list of integers."""
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -212,11 +203,12 @@ def _int_list(flag: str, text: str) -> list[int]:
 
 
 def _build_sweep(args):
-    """The submitted sweep, with every axis value checked before any
-    job record is written."""
+    """The requested sweep, with every axis value checked before any
+    cell runs."""
     from repro.backends import parse_system
     from repro.harness.sweep import Sweep
     from repro.harness.workloads import workload
+    from repro.sim.config import MachineConfig
 
     systems = [name.strip() for name in args.systems.split(",")
                if name.strip()]
@@ -232,29 +224,23 @@ def _build_sweep(args):
         except KeyError:
             raise SweepArgumentError(
                 f"--workloads: no workload {app_name}:{dataset}") from None
+    cache_sizes = _int_list("--cache-sizes", args.cache_sizes)
+    for size in cache_sizes:
+        MachineConfig().with_cache_size(size).cache.validate()
     return (
         Sweep()
         .systems(*systems)
         .workloads(*workloads)
-        .cache_sizes(*_int_list("--cache-sizes", args.cache_sizes))
+        .cache_sizes(*cache_sizes)
         .seeds(*_int_list("--seeds", args.seeds))
     )
-
-
-def _load_job(args):
-    from repro.harness.service import SweepJob
-
-    try:
-        return SweepJob.load(args.job, store=args.store)
-    except KeyError as error:
-        raise SweepArgumentError(error.args[0]) from None
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro sweep",
-        description="Submit, query, and serve parameter sweeps through "
-                    "the content-addressed result store "
+        description="Run parameter sweeps through the content-addressed "
+                    "result store, and maintain the store "
                     "(docs/sweeps.md).",
     )
     common = argparse.ArgumentParser(add_help=False)
@@ -263,40 +249,23 @@ def build_sweep_parser() -> argparse.ArgumentParser:
                              ".repro-store)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    submit = sub.add_parser(
-        "submit", parents=[common],
-        help="register a sweep job and (by default) run it")
-    submit.add_argument("--systems", default="dirnnb,typhoon:stache",
-                        help="comma-separated system names")
-    submit.add_argument("--workloads", default="ocean:small",
-                        help="comma-separated app:dataset pairs")
-    submit.add_argument("--cache-sizes", default="2048",
-                        help="comma-separated cache sizes in bytes")
-    submit.add_argument("--seeds", default="42",
-                        help="comma-separated RNG seeds")
-    submit.add_argument("--nodes", type=_node_count, default=8,
-                        help="simulated processors per cell (default 8)")
-    submit.add_argument("--workers", type=int, default=1,
-                        help="process-pool width for cell execution")
-    submit.add_argument("--no-run", action="store_true",
-                        help="register only; execute later with "
-                             "'sweep run <job-id>'")
-
-    for name, help_text in (
-            ("status", "job state and cells-in-store progress"),
-            ("result", "assemble the result table from the store"),
-            ("run", "execute a registered job's missing cells")):
-        command = sub.add_parser(name, parents=[common], help=help_text)
-        command.add_argument("job", help="job id from 'sweep submit'")
-        if name == "run":
-            command.add_argument("--workers", type=int, default=1)
-        if name == "result":
-            command.add_argument("--format",
-                                 choices=("text", "csv", "json"),
-                                 default="text")
-
-    sub.add_parser("jobs", parents=[common],
-                   help="list every registered job id")
+    run = sub.add_parser(
+        "run", parents=[common],
+        help="run a sweep; cells already in the store are hits")
+    run.add_argument("--systems", default="dirnnb,typhoon:stache",
+                     help="comma-separated system names")
+    run.add_argument("--workloads", default="ocean:small",
+                     help="comma-separated app:dataset pairs")
+    run.add_argument("--cache-sizes", default="2048",
+                     help="comma-separated cache sizes in bytes")
+    run.add_argument("--seeds", default="42",
+                     help="comma-separated RNG seeds")
+    run.add_argument("--nodes", type=_node_count, default=8,
+                     help="simulated processors per cell (default 8)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="process-pool width for cell execution")
+    run.add_argument("--format", choices=("text", "csv", "json"),
+                     default="text", help="output format (default text)")
 
     store = sub.add_parser("store", help="store maintenance")
     store_sub = store.add_subparsers(dest="store_command", required=True)
@@ -317,65 +286,20 @@ def sweep_main(argv: list[str]) -> int:
 
 
 def _sweep_command(args) -> int:
-    from repro.harness.service import JobIncomplete, SweepJob
     from repro.harness.store import DEFAULT_ROOT, ResultStore
 
-
-    def progress(done, total, cached=False):
-        tag = " (cached)" if cached else ""
-        print(f"  cell {done}/{total}{tag}", file=sys.stderr)
-
-    if args.command == "submit":
-        job = SweepJob.submit(_build_sweep(args), nodes=args.nodes,
-                              store=args.store)
-        status = job.status()
-        print(f"job {job.job_id}: {status['total']} cells at "
-              f"{job.nodes} nodes -> {status['store']}")
-        if not args.no_run:
-            result = job.run(workers=args.workers, progress=progress)
-            stats = result.cache_stats
-            print(f"executed {stats['executed']} cells, "
-                  f"{stats['hits']} hits")
-        print(f"state: {job.status()['state']}")
-        return 0
-
-    if args.command == "status":
-        status = _load_job(args).status()
-        note = "" if status["current"] else \
-            f" (submitted under code version {status['digest']})"
-        print(f"job {status['job']}: {status['state']} — "
-              f"{status['done']}/{status['total']} cells in store"
-              f"{note}")
-        return 0
-
     if args.command == "run":
-        job = _load_job(args)
-        result = job.run(workers=args.workers, progress=progress)
+        def progress(done, total, cached=False):
+            tag = " (cached)" if cached else ""
+            print(f"  cell {done}/{total}{tag}", file=sys.stderr)
+
+        result = _build_sweep(args).run(
+            nodes=args.nodes, progress=progress, workers=args.workers,
+            store=args.store if args.store is not None else "auto")
         stats = result.cache_stats
-        print(f"job {job.job_id}: executed {stats['executed']} cells, "
-              f"{stats['hits']} hits; state: {job.status()['state']}")
-        return 0
-
-    if args.command == "result":
-        job = _load_job(args)
-        try:
-            result = job.result()
-        except JobIncomplete as error:
-            print(str(error), file=sys.stderr)
-            return 1
-        if args.format == "csv":
-            print(result.to_csv(), end="")
-        elif args.format == "json":
-            print(result.to_json())
-        else:
-            print(result.to_text())
-        return 0
-
-    if args.command == "jobs":
-        for job_id in SweepJob.jobs(store=args.store):
-            status = SweepJob.load(job_id, store=args.store).status()
-            print(f"{job_id}  {status['state']:<8} "
-                  f"{status['done']}/{status['total']} cells")
+        print(f"executed {stats['executed']} cells, {stats['hits']} hits",
+              file=sys.stderr)
+        _print_result(result, args.format)
         return 0
 
     assert args.command == "store"
@@ -410,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         choices=sorted(_REGISTRY) + ["list", "all"],
         help="which artifact to regenerate ('list' to enumerate); "
-             "'repro sweep ...' enters the sweep-service CLI "
+             "'repro sweep ...' runs cached sweeps "
              "(docs/sweeps.md); 'repro litmus' regenerates the "
              "synthesized litmus corpus (docs/protocols.md)",
     )
@@ -465,12 +389,16 @@ def _run_experiments(names: list[str], args) -> None:
         first = False
         _description, runner = _REGISTRY[name]
         for result in runner(args):
-            if args.format == "csv":
-                print(result.to_csv(), end="")
-            elif args.format == "json":
-                print(result.to_json())
-            else:
-                print(result.to_text())
+            _print_result(result, args.format)
+
+
+def _print_result(result, output_format: str) -> None:
+    if output_format == "csv":
+        print(result.to_csv(), end="")
+    elif output_format == "json":
+        print(result.to_json())
+    else:
+        print(result.to_text())
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -19,25 +19,19 @@ load unchanged.  It is the middle point of the paper's design space:
   compute thread and enqueues the fault to the handler processor; the
   handler's ``resume`` restarts the thread.
 
-:class:`DecoupledNode` subclasses :class:`~repro.blizzard.node.BlizzardNode`
-for the shared software-Tempest state (tag store, page table, inserted
-check costs) and overrides the paths where the second CPU changes the
-story: message arrival, fault handling, and the per-reference cost (no
-poll term, in both the inline hit path and the batched access lanes).
+:class:`DecoupledNode` runs the CPU access path every Tempest backend
+shares (:class:`~repro.tempest.node.TempestNode`) with this backend's
+data — the inserted check costs, no poll, faults to the handler
+processor — and adds only the handler processor itself.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING
 
-from repro.blizzard.node import BlizzardNode
-from repro.memory.address import SHARED_BASE
-from repro.memory.cache import LineState
-from repro.memory.lane import build_access_lanes
-from repro.memory.tags import Tag
-from repro.network.message import Message
 from repro.sim.config import DecoupledCosts
 from repro.tempest.dispatch import HandlerDispatcher
+from repro.tempest.node import TempestNode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.decoupled.system import DecoupledMachine
@@ -67,154 +61,23 @@ class HandlerProcessor(HandlerDispatcher):
         )
 
 
-class DecoupledNode(BlizzardNode):
+class DecoupledNode(TempestNode):
     """CPU + cache + TLB + software Tempest; handlers on a second CPU."""
 
     def __init__(self, node_id: int, machine: "DecoupledMachine"):
-        super().__init__(node_id, machine)
-        # Re-resolve everything the base class derived from the Blizzard
-        # cost section: this backend bills from config.decoupled.
-        self.costs = machine.config.decoupled
-        costs = self.costs
-        # Rebind the batched access lanes to this backend's costs: no
-        # inserted poll — the handler processor watches the network — so
-        # a checked shared hit is just inserted check + cache hit, and
-        # no inbox holds messages back from the compute CPU.
-        hit = self._hit_cycles
-        self.run_read_prefix, self.run_plan_prefix = build_access_lanes(
-            self, hit, costs.check_read_cycles + hit,
-            costs.check_write_cycles + hit)
-        self._fills_killed_key = f"{self._prefix}.cpu.fills_killed"
-        self._messages_sent_key = f"{self._prefix}.hp.messages_sent"
-        # The second CPU.  It replaces the base class's SoftwareDispatcher
-        # as ``np`` — the NP-shaped object protocols program against —
-        # and as the interconnect sink (``_receive`` below forwards, so
-        # the sink the base class attached already routes here).
+        self.costs = costs = machine.config.decoupled
+        # No inserted poll — the handler processor watches the network —
+        # so a checked shared reference is just inserted check + hit.
+        super().__init__(node_id, machine,
+                         check_read_cycles=costs.check_read_cycles,
+                         check_write_cycles=costs.check_write_cycles)
+        # The second CPU: the NP-shaped object protocols program against,
+        # and the interconnect's sink for this node.  Sends go straight
+        # to the interconnect, as on any commodity node.
         self.hp = HandlerProcessor(self, costs)
-        self.np = self.hp
-
-    # ------------------------------------------------------------------
-    # Message arrival: straight to the handler processor
-    # ------------------------------------------------------------------
-    def _receive(self, message: Message) -> None:
-        self.hp.enqueue_message(message)
+        self._messages_sent_key = f"{self._prefix}.hp.messages_sent"
+        self._connect(self.hp, self.hp.enqueue_message)
 
     def install_faults(self, plan) -> None:
         """Apply a bound FaultPlan to the handler processor."""
         self.hp.install_faults(plan)
-
-    # ------------------------------------------------------------------
-    # CPU access path
-    # ------------------------------------------------------------------
-    def access_inline(self, addr: int, is_write: bool, value: Any = None):
-        """Service a checked-hit access without touching the event queue.
-
-        The decoupled common case is a shared reference whose inserted
-        tag check passes and whose block hits in the hardware cache —
-        cheaper than Blizzard's (no poll term), and safe on the same
-        argument as Typhoon's: any pending handler-processor work has a
-        scheduled engine event, so the engine-window check subsumes an
-        inbox probe.  Returns ``(result,)`` on success, or None
-        (side-effect free) when :meth:`access` must run.
-        """
-        engine = self.engine
-        if engine._fifo:
-            return None
-        shared = addr >= SHARED_BASE
-        if shared:
-            costs = self.costs
-            cycles = self._hit_cycles + (
-                costs.check_write_cycles if is_write else costs.check_read_cycles
-            )
-        else:
-            cycles = self._hit_cycles
-        target = engine.now + cycles
-        queue = engine._queue
-        if queue and queue[0][0] <= target:
-            return None
-        until = engine._until
-        if until is not None and target > until:
-            return None
-        if (addr >> self._page_shift) not in self._tlb_entries:
-            return None
-        if shared and (addr & self._page_mask) not in self._pt_entries:
-            return None
-        block = addr & self._block_mask
-        line = self.cache.lookup(block)
-        if line is None or (is_write and line.state is LineState.SHARED):
-            return None
-        # Commit: identical effects to the generator path's hit branch.
-        engine.now = target
-        self.cpu_tlb.hits += 1
-        self.cache.hits += 1
-        counters = self._counters
-        counters[self._refs_key] += 1
-        if is_write:
-            self._image_write(addr, value)
-            if shared:
-                self.written_blocks.add(block)
-            result = None
-        else:
-            result = value = self._image_read(addr)
-        counters[self._access_cycles_key] += cycles
-        if self.machine.history is not None:
-            self.machine.history.record(
-                self.node_id, addr, is_write, value,
-                engine.now - cycles, engine.now,
-            )
-        return (result,)
-
-    def access(self, addr: int, is_write: bool, value: Any = None) -> Generator:
-        counters = self._counters
-        counters[self._refs_key] += 1
-        start = self.engine.now
-        shared = addr >= SHARED_BASE
-        if not self.cpu_tlb.access(addr >> self._page_shift):
-            counters[self._tlb_misses_key] += 1
-            yield self.config.tlb.miss_cycles
-
-        block = addr & self._block_mask
-        while True:
-            if shared and (addr & self._page_mask) not in self._pt_entries:
-                yield from self._handle_page_fault(addr, is_write)
-                continue
-            if shared:
-                # Inserted check code (Blizzard-S/E): loads may ride the
-                # ECC trick; stores pay the lookup.
-                check = (self.costs.check_write_cycles if is_write
-                         else self.costs.check_read_cycles)
-                if check:
-                    yield check
-            if self.cache.access(block, is_write):
-                yield self._hit_cycles
-                return self._complete(addr, is_write, value, start)
-            if shared:
-                fault = self.tags.check(addr, is_write)
-                if fault is not None:
-                    # Typhoon-shaped fault handling: suspend, hand the
-                    # descriptor to the handler processor, retry when its
-                    # handler resumes us.  The handler runs concurrently
-                    # with whatever other work this CPU cannot do while
-                    # suspended — but other nodes' CPUs keep computing.
-                    counters[self._block_faults_key] += 1
-                    suspension = self.thread.suspend()
-                    self.hp.enqueue_fault(fault)
-                    yield suspension
-                    continue  # retry the whole access
-            yield self.config.local_miss_cycles
-            counters[self._local_misses_key] += 1
-            if shared and self.tags.check(addr, is_write) is not None:
-                # The handler processor invalidated (or downgraded) the
-                # block while our fill was in flight: relinquish and
-                # retry rather than installing a stale line.
-                counters[self._fills_killed_key] += 1
-                continue
-            if shared and self.tags.read_tag(addr) is Tag.READ_ONLY:
-                state = LineState.SHARED
-            else:
-                state = LineState.EXCLUSIVE
-            self.cache.insert(block, state)
-            return self._complete(addr, is_write, value, start)
-
-    def __repr__(self) -> str:
-        return f"DecoupledNode({self.node_id})"

@@ -1120,71 +1120,3 @@ def run_differential(nodes: int = 4, seed: int = 42,
         "and may legitimately differ)"
     )
     return result
-
-
-# ----------------------------------------------------------------------
-# The sweep result store: cold vs warm over the same matrix
-# ----------------------------------------------------------------------
-def run_sweep_cache(nodes: int = 2, seed: int = 42) -> ExperimentResult:
-    """Demonstrate the content-addressed sweep store: cold run, warm read.
-
-    Runs a small systems x workloads matrix twice against a fresh
-    store (:mod:`repro.harness.store`).  The first pass executes every
-    cell and persists each row under its content address (cell axes +
-    ``repro.__source_digest__``); the second pass is pure cache reads —
-    zero cells execute — and the experiment *asserts* its rows are
-    bit-identical to the cold pass before reporting the speedup.  This
-    is the serving story for repeated queries over the evaluation
-    matrix: warm-cache reads, not recomputes (CI's ``sweep-cache`` job
-    runs the same shape through the ``python -m repro sweep`` CLI).
-    """
-    import tempfile
-    import time
-
-    from repro.harness.store import ResultStore
-    from repro.harness.sweep import Sweep
-
-    def matrix() -> Sweep:
-        return (
-            Sweep()
-            .systems("dirnnb", "typhoon:stache", "blizzard:stache")
-            .workloads(("ocean", "small"), ("mp3d", "small"))
-            .cache_sizes(2048)
-            .seeds(seed)
-        )
-
-    result = ExperimentResult(
-        "sweep-cache",
-        f"Cold vs warm sweep over the result store "
-        f"({matrix().cells} cells, {nodes} nodes)",
-        ["pass", "cells", "executed", "hits", "wall_s", "speedup",
-         "rows_identical"],
-    )
-    with tempfile.TemporaryDirectory() as root:
-        store = ResultStore(root)
-        passes = []
-        for label in ("cold", "warm"):
-            start = time.perf_counter()
-            outcome = matrix().run(nodes=nodes, store=store)
-            passes.append((label, time.perf_counter() - start, outcome))
-        (_, cold_wall, cold), (_, warm_wall, warm) = passes
-        if cold.rows != warm.rows:
-            raise AssertionError(
-                "warm-run rows are not bit-identical to the cold run")
-        for label, wall, outcome in passes:
-            stats = outcome.cache_stats
-            result.add_row(
-                **{"pass": label},
-                cells=stats["cells"],
-                executed=stats["executed"],
-                hits=stats["hits"],
-                wall_s=round(wall, 4),
-                speedup=round(cold_wall / wall, 1) if wall > 0 else 0.0,
-                rows_identical="yes",
-            )
-    result.notes.append(
-        f"store keyed by cell axes + source digest "
-        f"{store.digest}; the warm pass executed "
-        f"{warm.cache_stats['executed']} cells"
-    )
-    return result

@@ -16,15 +16,13 @@ With the store in place, :meth:`repro.harness.sweep.Sweep.run`
 partitions its cells into hits and misses and executes **only the
 misses** — a repeated sweep over an unchanged tree executes zero cells
 and returns rows bit-identical to the cold run (regression-tested in
-``tests/harness/test_sweep.py``).  The async job front end
-(:mod:`repro.harness.service`) and the ``python -m repro sweep`` CLI
-build on the same store.
+``tests/harness/test_sweep.py``).  The ``python -m repro sweep run``
+CLI is a thin front end over the same call.
 
 Layout (one JSON document per cell, sharded by key prefix)::
 
     <root>/
       objects/<key[:2]>/<key>.json    cached cell rows
-      jobs/<job_id>.json              SweepJob specs (service.py)
 
 The root defaults to ``.repro-store/`` in the current directory and is
 overridable with the ``REPRO_STORE`` environment variable; setting
@@ -218,35 +216,6 @@ class ResultStore:
         os.replace(tmp, path)
         self.writes += 1
         return key
-
-    def invalidate(self, cell: tuple | None = None) -> dict[str, int]:
-        """Drop one cell's entry, or every entry when ``cell`` is None.
-
-        Returns ``{"removed": n, "skipped": m}``: ``skipped`` counts
-        entries whose file exists but could not be unlinked (permission
-        denied, directory-turned-file, ...) — those are still live on
-        disk and must not be reported as gone.  A missing single-cell
-        entry counts as neither.  Invalidation is always safe — the next
-        ``Sweep.run`` recomputes and re-fills.
-        """
-        removed = skipped = 0
-        if cell is not None:
-            path = self._object_path(self.key(cell))
-            try:
-                path.unlink()
-                removed += 1
-            except FileNotFoundError:
-                pass
-            except OSError:
-                skipped += 1
-            return {"removed": removed, "skipped": skipped}
-        for path in self._object_files():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                skipped += 1
-        return {"removed": removed, "skipped": skipped}
 
     def gc(self) -> dict[str, int]:
         """Remove entries from other code versions (and unreadable ones).

@@ -1,4 +1,13 @@
-"""The batched access lane: block-granular hit-prefix commits.
+"""The CPU's hit path: the scalar inline hit and the batched lanes.
+
+A node's ``access_inline(addr, is_write, value)`` commits one reference
+that hits — TLB hit, mapped page, cache hit, no event inside the hit
+window — without touching the event queue, and returns ``(result,)``;
+it returns None, having changed nothing, when the ``access`` generator
+must run instead.  The engine window is checked *first*: in lock-step
+phases another node almost always has an event inside the hit window,
+and that rejection must cost a few loads, not a TLB/cache probe that
+``access`` then repeats.
 
 ``AppContext.read_run``/``write_run``/``access_plan`` hand whole runs of
 references to a node's ``run_read_prefix``/``run_plan_prefix``.  Those
@@ -8,15 +17,19 @@ same clock, counters, data image, ``written_blocks`` and history.  They
 return the index of the first element *not* committed; the caller
 services it through the scalar path and retries from there.
 
-Every Tempest backend runs this one lane.  :func:`build_access_lanes`
-binds it to a node once, from the backend's per-element costs:
+Every Tempest backend runs these three callables.
+:func:`build_access_lanes` binds them to a node once, from the backend's
+per-reference costs, so one cost triple decides what a hit costs for a
+single reference and for a run of them:
 
 * ``private_cost`` — a reference to a private page (the bare cache hit);
 * ``shared_read_cost`` / ``shared_write_cost`` — a reference to a shared
   page (Typhoon: the bare hit; Blizzard: poll + inserted check + hit;
   decoupled: inserted check + hit, no poll);
 * ``inbox`` — Blizzard's message inbox: queued messages must be polled
-  between scalar references, so a non-empty inbox refuses the batch.
+  before a reference, so a non-empty inbox refuses the inline hit and
+  the batch.  Backends without one pass ``()``, which costs a truth
+  test.
 
 The lane works per cache block rather than per word.  It probes the
 :class:`~repro.memory.mirror.AccessMirror` page flags only when the page
@@ -36,6 +49,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from repro.memory.address import SHARED_BASE
+from repro.memory.cache import LineState
 from repro.memory.mirror import PAGE_MAPPED, READ_HIT, TLB_PRESENT, WRITE_HIT
 
 #: Stand-in word dict for a block the image has never held: every word
@@ -50,13 +64,16 @@ _NEVER = float("inf")
 _SHARED_NEED = TLB_PRESENT | PAGE_MAPPED
 _PRIVATE_NEED = TLB_PRESENT
 
+_SHARED_LINE = LineState.SHARED
+
 
 def build_access_lanes(node, private_cost, shared_read_cost,
                        shared_write_cost, inbox=()):
-    """Return ``(run_read_prefix, run_plan_prefix)`` bound to ``node``.
+    """Return ``(access_inline, run_read_prefix, run_plan_prefix)`` bound
+    to ``node``.
 
-    ``node`` supplies the engine, machine, mirror, image, counters and
-    layout shifts; every container it hands over is a stable object
+    ``node`` supplies the engine, machine, TLB, page table, cache,
+    mirror, image, counters and layout shifts; every container it hands over is a stable object
     (cleared in place, never reassigned), so binding them once is safe.
     The machine's fault plan, conformance monitor and history are read
     per call, so a mid-run mode change takes effect on the next call.
@@ -75,9 +92,15 @@ def build_access_lanes(node, private_cost, shared_read_cost,
     cycles_key = node._access_cycles_key
     cpu_tlb = node.cpu_tlb
     cache = node.cache
+    cache_lookup = cache.lookup
+    tlb_entries = cpu_tlb._entries
+    pt_entries = node.page_table._entries
+    image_read = node.image.read
+    image_write = node.image.write
     node_id = node.node_id
     layout = node.layout
     page_shift = layout.page_size.bit_length() - 1
+    page_mask = ~(layout.page_size - 1)
     block_shift = layout.block_size.bit_length() - 1
     block_mask = ~(layout.block_size - 1)
     block_low = layout.block_size - 1
@@ -86,6 +109,49 @@ def build_access_lanes(node, private_cost, shared_read_cost,
     # batch costs more in lane setup than the scalar inline commit it
     # replaces (under-claiming is always sound).
     min_room = 2 * private_cost
+
+    def access_inline(addr, is_write, value=None):
+        """Commit one reference that hits, or return None unchanged."""
+        if fifo or inbox:
+            return None
+        shared = addr >= SHARED_BASE
+        if shared:
+            cycles = shared_write_cost if is_write else shared_read_cost
+        else:
+            cycles = private_cost
+        target = engine.now + cycles
+        if queue and queue[0][0] <= target:
+            return None
+        until = engine._until
+        if until is not None and target > until:
+            return None
+        if (addr >> page_shift) not in tlb_entries:
+            return None
+        if shared and (addr & page_mask) not in pt_entries:
+            return None
+        block = addr & block_mask
+        line = cache_lookup(block)
+        if line is None or (is_write and line.state is _SHARED_LINE):
+            return None
+        # Commit.  The probes above cannot schedule events, so the window
+        # check still holds and the clock can move directly.
+        engine.now = target
+        cpu_tlb.hits += 1
+        cache.hits += 1
+        counters[refs_key] += 1
+        if is_write:
+            image_write(addr, value)
+            if shared:
+                written_add(block)
+            result = None
+        else:
+            result = value = image_read(addr)
+        counters[cycles_key] += cycles
+        history = machine.history
+        if history is not None:
+            history.record(node_id, addr, is_write, value,
+                           target - cycles, target)
+        return (result,)
 
     def commit(seq, start, index, now, target, out, plan):
         """Apply the side effects of committing ``seq[start:index]``."""
@@ -268,4 +334,4 @@ def build_access_lanes(node, private_cost, shared_read_cost,
             commit(ops, start, index, now, target, out, True)
         return index
 
-    return run_read_prefix, run_plan_prefix
+    return access_inline, run_read_prefix, run_plan_prefix

@@ -516,14 +516,15 @@ class DirNNBNode:
     def access_inline(self, addr: int, is_write: bool, value: Any = None):
         """Service a full TLB + cache hit without touching the event queue.
 
-        Same contract as ``TyphoonNode.access_inline``: side-effect-free
-        probes, then a one-call commit when the access is a plain
-        hardware hit the engine can advance over inline.  Returns
-        ``(result,)`` on success or None when :meth:`access` must run.
+        Same contract as the Tempest backends' ``access_inline``
+        (:mod:`repro.memory.lane`): side-effect-free probes, then a
+        one-call commit when the access is a plain hardware hit the
+        engine can advance over inline.  Returns ``(result,)`` on
+        success or None when :meth:`access` must run.
 
-        The engine window is checked *first* (see
-        ``TyphoonNode.access_inline``): rejection in lock-step phases must
-        cost attribute reads, not probes the fallback then repeats.
+        The engine window is checked *first*: rejection in lock-step
+        phases must cost attribute reads, not probes the fallback then
+        repeats.
         """
         engine = self.engine
         if engine._fifo:

@@ -54,6 +54,14 @@ class CacheConfig:
                 "cache size must be a multiple of the block size")
         if self.block_size & (self.block_size - 1):
             raise ConfigError("block size must be a power of two")
+        if self.size_bytes < self.associativity * self.block_size:
+            raise ConfigError(
+                f"cache size {self.size_bytes} is smaller than one set "
+                f"({self.associativity} x {self.block_size}-byte blocks)")
+        if self.num_blocks % self.associativity:
+            raise ConfigError(
+                "cache size must be a whole number of sets "
+                f"({self.associativity} x {self.block_size}-byte blocks)")
         if self.num_sets & (self.num_sets - 1):
             raise ConfigError("number of sets must be a power of two")
         if self.replacement not in ("random", "lru", "fifo"):

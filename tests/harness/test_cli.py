@@ -78,37 +78,26 @@ def test_differential_subcommand(capsys):
 
 
 # ----------------------------------------------------------------------
-# The sweep-service CLI: python -m repro sweep ... (docs/sweeps.md)
+# Cached sweeps: python -m repro sweep ... (docs/sweeps.md)
 # ----------------------------------------------------------------------
-def _submit(store, *extra):
-    return ["sweep", "submit", "--systems", "dirnnb",
+def _run(store, *extra):
+    return ["sweep", "run", "--systems", "dirnnb",
             "--workloads", "ocean:small", "--cache-sizes", "1024",
             "--seeds", "1,2", "--nodes", "2", "--store", str(store),
             *extra]
 
 
-def _job_id(output):
-    assert output.startswith("job ")
-    return output.split()[1].rstrip(":")
-
-
-def test_sweep_submit_status_result_roundtrip(tmp_path, capsys):
+def test_sweep_run_prints_table_and_cache_stats(tmp_path, capsys):
     store = tmp_path / "store"
-    assert main(_submit(store)) == 0
-    out = capsys.readouterr().out
-    job = _job_id(out)
-    assert "executed 2 cells, 0 hits" in out
-    assert "state: complete" in out
+    assert main(_run(store)) == 0
+    captured = capsys.readouterr()
+    assert "ocean" in captured.out and "dirnnb" in captured.out
+    # Progress and the cache line go to stderr, the table to stdout.
+    assert "executed" not in captured.out
+    assert captured.err.splitlines() == [
+        "  cell 1/2", "  cell 2/2", "executed 2 cells, 0 hits"]
 
-    assert main(["sweep", "status", job, "--store", str(store)]) == 0
-    assert "complete — 2/2 cells" in capsys.readouterr().out
-
-    assert main(["sweep", "result", job, "--store", str(store)]) == 0
-    out = capsys.readouterr().out
-    assert "ocean" in out and "dirnnb" in out
-
-    assert main(["sweep", "result", job, "--store", str(store),
-                 "--format", "csv"]) == 0
+    assert main(_run(store, "--format", "csv")) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("system,application")
     assert len(lines) == 3
@@ -116,35 +105,18 @@ def test_sweep_submit_status_result_roundtrip(tmp_path, capsys):
 
 def test_sweep_resubmit_is_all_hits(tmp_path, capsys):
     store = tmp_path / "store"
-    assert main(_submit(store)) == 0
+    assert main(_run(store, "--format", "csv")) == 0
+    cold = capsys.readouterr().out
+    assert main(_run(store, "--format", "csv")) == 0
+    captured = capsys.readouterr()
+    assert captured.err.endswith("executed 0 cells, 2 hits\n")
+    assert captured.out == cold
+
+
+def test_sweep_store_maintenance(tmp_path, capsys):
+    store = tmp_path / "store"
+    assert main(_run(store)) == 0
     capsys.readouterr()
-    assert main(_submit(store)) == 0
-    assert "executed 0 cells, 2 hits" in capsys.readouterr().out
-
-
-def test_sweep_no_run_defers_execution(tmp_path, capsys):
-    store = tmp_path / "store"
-    assert main(_submit(store, "--no-run")) == 0
-    out = capsys.readouterr().out
-    job = _job_id(out)
-    assert "state: pending" in out
-
-    assert main(["sweep", "result", job, "--store", str(store)]) == 1
-    assert "not in store" in capsys.readouterr().err
-
-    assert main(["sweep", "run", job, "--store", str(store)]) == 0
-    assert "executed 2 cells" in capsys.readouterr().out
-    assert main(["sweep", "result", job, "--store", str(store)]) == 0
-    assert "ocean" in capsys.readouterr().out
-
-
-def test_sweep_jobs_and_store_maintenance(tmp_path, capsys):
-    store = tmp_path / "store"
-    assert main(_submit(store)) == 0
-    job = _job_id(capsys.readouterr().out)
-
-    assert main(["sweep", "jobs", "--store", str(store)]) == 0
-    assert job in capsys.readouterr().out
 
     assert main(["sweep", "store", "stats", "--store", str(store)]) == 0
     out = capsys.readouterr().out
@@ -154,20 +126,13 @@ def test_sweep_jobs_and_store_maintenance(tmp_path, capsys):
     assert "removed 0 stale entries, kept 2" in capsys.readouterr().out
 
 
-def test_sweep_cache_experiment_runs(capsys):
-    assert main(["sweep-cache", "--nodes", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "cold" in out and "warm" in out
-    assert "rows_identical" in out
-
-
 # ----------------------------------------------------------------------
 # Bad machine sizes end in one usage-error line, not a traceback
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("argv", [
     ["figure4", "--nodes", "0"],
     ["figure3", "--nodes", "-2"],
-    ["sweep", "submit", "--nodes", "0"],
+    ["sweep", "run", "--nodes", "0"],
 ])
 def test_node_count_below_one_rejected_by_parser(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -188,7 +153,7 @@ def test_config_validation_error_is_one_line(monkeypatch, capsys):
 
 
 def test_sweep_config_validation_error_is_one_line(tmp_path, capsys):
-    assert main(["sweep", "submit", "--cache-sizes", "100", "--nodes", "2",
+    assert main(["sweep", "run", "--cache-sizes", "100", "--nodes", "2",
                  "--store", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "repro sweep: error: cache size must be a multiple of the block "
@@ -201,26 +166,25 @@ def test_sweep_config_validation_error_is_one_line(tmp_path, capsys):
     ("--cache-sizes", "abc",
      "--cache-sizes: expected comma-separated integers, got 'abc'"),
     ("--seeds", "x", "--seeds: expected comma-separated integers, got 'x'"),
+    ("--cache-sizes", "0",
+     "cache size 0 is smaller than one set (4 x 32-byte blocks)"),
+    ("--cache-sizes", "2048,64",
+     "cache size 64 is smaller than one set (4 x 32-byte blocks)"),
+    ("--cache-sizes", "160",
+     "cache size must be a whole number of sets (4 x 32-byte blocks)"),
 ])
 def test_sweep_submit_bad_input_is_one_line_and_writes_no_job(
         tmp_path, capsys, flag, value, message):
+    """``sweep run`` checks every axis value before any cell runs, so a
+    bad one writes nothing to the store."""
     store = tmp_path / "store"
-    assert main(["sweep", "submit", flag, value, "--nodes", "2",
+    assert main(["sweep", "run", flag, value, "--nodes", "2",
                  "--store", str(store)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"repro sweep: error: {message}")
-    assert err.count("\n") == 1
-    assert not (store / "jobs").exists() or not list(
-        (store / "jobs").iterdir())
-
-
-@pytest.mark.parametrize("command", ["status", "result", "run"])
-def test_sweep_unknown_job_is_one_line(tmp_path, capsys, command):
-    assert main(["sweep", command, "nosuchjob",
-                 "--store", str(tmp_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("repro sweep: error: no job 'nosuchjob'")
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"repro sweep: error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not store.exists() or not any(store.rglob("*.json"))
 
 
 def test_node_count_zero_from_the_shell_has_no_traceback():

@@ -100,26 +100,6 @@ def test_missing_row_field_is_a_miss(tmp_path):
     assert s.get(CELL) is None
 
 
-def test_invalidate_single_cell(tmp_path):
-    s = store(tmp_path)
-    other = ("dirnnb", "ocean", "small", 1024, 8, 2)
-    s.put(CELL, ROW)
-    s.put(other, dict(ROW, seed=8))
-    assert s.invalidate(CELL) == {"removed": 1, "skipped": 0}
-    assert s.get(CELL) is None
-    assert s.get(other) is not None
-    # Already gone: neither removed nor skipped.
-    assert s.invalidate(CELL) == {"removed": 0, "skipped": 0}
-
-
-def test_invalidate_everything(tmp_path):
-    s = store(tmp_path)
-    s.put(CELL, ROW)
-    s.put(("dirnnb", "ocean", "small", 1024, 8, 2), dict(ROW, seed=8))
-    assert s.invalidate() == {"removed": 2, "skipped": 0}
-    assert s.stats()["entries"] == 0
-
-
 def test_gc_drops_foreign_digests_keeps_current(tmp_path):
     store(tmp_path, digest="old1").put(CELL, ROW)
     store(tmp_path, digest="old2").put(CELL, ROW)
@@ -157,18 +137,6 @@ def test_gc_reports_unremovable_entries_as_skipped(tmp_path, monkeypatch):
     monkeypatch.setattr(type(locked), "unlink", unlink)
     assert s.gc() == {"removed": 0, "kept": 1, "skipped": 1}
     assert locked.exists()
-
-
-def test_invalidate_reports_unremovable_entries_as_skipped(
-        tmp_path, monkeypatch):
-    s = store(tmp_path)
-    key = s.put(CELL, ROW)
-    locked = s._object_path(key)
-    monkeypatch.setattr(
-        type(locked), "unlink",
-        lambda self, *a, **k: (_ for _ in ()).throw(PermissionError(str(self))))
-    assert s.invalidate() == {"removed": 0, "skipped": 1}
-    assert s.invalidate(CELL) == {"removed": 0, "skipped": 1}
 
 
 def test_stats_reports_totals_and_staleness(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.config import (
     FIGURE3_CACHE_SIZES,
     CacheConfig,
+    ConfigError,
     DirNNBCosts,
     MachineConfig,
     ScaleModel,
@@ -83,6 +84,14 @@ class TestCacheConfig:
     def test_rejects_size_not_multiple_of_block(self):
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=4100).validate()
+
+    @pytest.mark.parametrize("size", [0, -64, 64, 160])
+    def test_rejects_sizes_that_are_not_whole_sets(self, size):
+        # 4 ways of 32-byte blocks: a set is 128 bytes, so 0, -64 and 64
+        # hold less than one set and 160 holds five blocks.
+        with pytest.raises(ConfigError):
+            CacheConfig(size_bytes=size, associativity=4,
+                        block_size=32).validate()
 
 
 class TestMachineConfig:
