@@ -127,16 +127,15 @@ def reference(machine, node, addr, is_write, value, path):
 @pytest.mark.parametrize("path", ["inline", "access"])
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestHits:
-    def check(self, backend, path, addr, is_write, value, cost):
+    def check(self, backend, path, shared, is_write, value, cost):
         machine, node, base, _spare = build(backend)
-        addr = base + addr if addr >= 0 else PRIVATE - addr
+        addr = (base if shared else PRIVATE) + 64
         node.image.write(addr, "old")
         before = counters(machine)
         tlb_hits, cache_hits = node.cpu_tlb.hits, node.cache.hits
         result, cycles = reference(machine, node, addr, is_write, value,
                                    path)
-        hit, poll, check_read, check_write = formula(backend, machine)
-        expected = cost(hit, poll, check_read, check_write)
+        expected = cost(*formula(backend, machine))
         assert cycles == expected
         assert moved(before, counters(machine)) == {
             "refs": 1, "access_cycles": expected}
@@ -147,21 +146,20 @@ class TestHits:
             assert node.image.read(addr) == value
         else:
             assert result == "old"
-        return machine, node, addr
+        return node, addr
 
     def test_private_hit(self, backend, path):
-        self.check(backend, path, -64, False, None,
+        self.check(backend, path, False, False, None,
                    lambda hit, poll, cr, cw: hit)
 
     def test_shared_read_hit(self, backend, path):
-        self.check(backend, path, 64, False, None,
+        self.check(backend, path, True, False, None,
                    lambda hit, poll, cr, cw: poll + cr + hit)
 
     def test_shared_write_hit(self, backend, path):
-        _machine, node, addr = self.check(
-            backend, path, 128, True, "new",
-            lambda hit, poll, cr, cw: poll + cw + hit)
-        assert addr & ~63 in node.written_blocks
+        node, addr = self.check(backend, path, True, True, "new",
+                                lambda hit, poll, cr, cw: poll + cw + hit)
+        assert node.layout.block_of(addr) in node.written_blocks
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -183,7 +181,7 @@ class TestMisses:
     def test_local_miss(self, backend, shared):
         machine, node, base, _spare = build(backend)
         addr = base + 64 if shared else PRIVATE + 64
-        node.invalidate_cpu_copy(addr & ~63)
+        node.invalidate_cpu_copy(machine.layout.block_of(addr))
         assert node.access_inline(addr, False) is None
         before = counters(machine)
         _value, cycles = drive(machine, node, addr, False)
