@@ -26,11 +26,11 @@ import sys
 
 from repro.harness import experiments
 from repro.harness.workloads import APP_NAMES
-from repro.sim.config import ConfigError
+from repro.sim.config import MAX_NODES, ConfigError
 
 
 def _node_count(text: str) -> int:
-    """``--nodes`` type: a machine needs at least one node."""
+    """``--nodes`` type: between one and ``MAX_NODES`` nodes."""
     try:
         nodes = int(text)
     except ValueError:
@@ -39,6 +39,9 @@ def _node_count(text: str) -> int:
     if nodes < 1:
         raise argparse.ArgumentTypeError(
             f"need at least one node, got {nodes}")
+    if nodes > MAX_NODES:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_NODES} nodes, got {nodes}")
     return nodes
 
 

@@ -1,19 +1,19 @@
 """Synthesized litmus corpus: serialization, drift checks, and replay.
 
-:mod:`repro.protocols.explore` turns each protocol's declarative
-transition tables into concrete pinned litmus tests; this module is the
+:mod:`repro.protocols.explore` walks each protocol's real handlers and
+pins what it reaches as concrete litmus tests; this module is the
 harness half of that pipeline.  It owns
 
 * the on-disk corpus format (``tests/litmus/*.json``, one file per
   protocol, committed and byte-stable so review sees schedule changes),
 * the drift check CI runs (``python -m repro litmus --check``
-  regenerates from the tables and fails on any difference), and
-* the replayer: build the real machine for any ``backend:protocol``
-  system, pin the synthesized schedule with a
-  :class:`~repro.network.faults.ScriptedFaultPlan`, run the case's
-  access program under the online
-  :class:`~repro.protocols.conformance.ConformanceMonitor`, and check
-  the observed values with
+  regenerates by walking the handlers and fails on any difference), and
+* the replayer: run a case to completion on any ``backend:protocol``
+  system through :func:`~repro.protocols.explore.run_case` (the
+  synthesized schedule pinned by a
+  :class:`~repro.network.faults.ScriptedFaultPlan`, the online
+  :class:`~repro.protocols.conformance.ConformanceMonitor` on) and
+  check the observed values with
   :func:`~repro.protocols.history.check_register_consistency`.
 
 A corpus is *portable by construction*: the schedules name handlers and
@@ -31,13 +31,12 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from repro.backends import compose
-from repro.network.faults import FaultRule, ScriptedFaultPlan
 from repro.protocols.explore import (
     SynthesizedCase,
+    run_case,
     synthesize_corpus,
 )
-from repro.protocols.history import AccessHistory, check_register_consistency
+from repro.protocols.history import check_register_consistency
 from repro.sim.config import MachineConfig
 
 __all__ = [
@@ -134,8 +133,8 @@ def generate_corpus(directory: str | Path = "tests/litmus",
                     write: bool = True) -> dict[str, str]:
     """Synthesize every corpus; returns ``{protocol: rendered json}``.
 
-    Deterministic end to end (the explorer draws no randomness), so two
-    generations from the same tables are byte-identical — the property
+    Deterministic end to end (the walk draws no randomness), so two
+    generations from the same handlers are byte-identical — the property
     the CI drift check leans on.
     """
     rendered: dict[str, str] = {}
@@ -176,7 +175,7 @@ def check_corpus(directory: str | Path = "tests/litmus") -> list[str]:
         if path.read_text() != text:
             problems.append(
                 f"{path}: stale — the committed corpus no longer matches "
-                f"the protocol tables (run `python -m repro litmus`)"
+                f"the protocol handlers (run `python -m repro litmus`)"
             )
     return problems
 
@@ -208,66 +207,27 @@ class LitmusReplay:
         return not self.consistency and not self.violations
 
 
-def _rules(case: SynthesizedCase) -> list[FaultRule]:
-    return [
-        FaultRule(handler=rule["handler"], src=rule["src"], dst=rule["dst"],
-                  occurrence=rule["occurrence"], action=rule["action"],
-                  delay=rule["delay"])
-        for rule in case.schedule
-    ]
-
-
 def replay_case(case: SynthesizedCase, system: str,
                 config: MachineConfig | None = None) -> LitmusReplay:
-    """Run one synthesized case on the real simulator.
+    """Run one synthesized case to completion on the real simulator.
 
-    The machine is built fresh, the home of the litmus region pinned to
-    node 0 (matching the model's convention), conformance monitoring is
-    strict, and the case's schedule is installed as a scripted fault
-    plan.  Block addresses stride by the protocol's coherence grain —
-    cache blocks everywhere except IVY, whose grain is the page.
+    The machine is built and run by
+    :func:`~repro.protocols.explore.run_case`, the function the walk
+    replays its prefixes with: home of the litmus region on node 0,
+    strict conformance monitoring, the schedule as a scripted fault
+    plan.
     """
-    if config is None:
-        config = MachineConfig(nodes=case.nodes, seed=0).with_cache_size(2048)
-    machine, protocol = compose(system, config)
-    stride = (machine.layout.page_size if case.protocol == "ivy"
-              else machine.layout.block_size)
-    region = machine.heap.allocate(case.blocks * stride, home=0,
-                                   label=f"litmus:{case.name}")
-    if protocol is not None:
-        protocol.setup_region(region)
-    machine.history = AccessHistory()
-    monitor = machine.enable_conformance(strict=True)
-    machine.install_fault_plan(ScriptedFaultPlan(_rules(case)))
-
-    def factory(node_id: int):
-        program = case.programs.get(node_id, ())
-
-        def worker():
-            node = machine.nodes[node_id]
-            for index, (op, block, at) in enumerate(program):
-                wait = at - machine.engine.now
-                if wait > 0:
-                    yield wait
-                addr = region.base + block * stride
-                if op == "w":
-                    yield from node.access(addr, True,
-                                           node_id * 100 + index + 1)
-                else:
-                    yield from node.access(addr, False)
-
-        return worker()
-
-    machine.run_workers(factory)
-    transport = getattr(machine, "transport", None)
+    run = run_case(case, system, config)
+    machine = run.machine
+    transport = machine.transport
     return LitmusReplay(
         case=case.name,
         system=system,
         execution_time=machine.execution_time,
-        checks=monitor.checks,
+        checks=run.monitor.checks,
         stats={key: machine.stats.get(key) for key in case.expect_stats},
         consistency=check_register_consistency(machine.history),
-        violations=list(monitor.violations),
+        violations=list(run.monitor.violations),
         in_flight=len(transport.pending) if transport is not None else 0,
     )
 
@@ -281,8 +241,8 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro litmus",
-        description="Synthesize the pinned litmus corpus from the "
-                    "protocol transition tables.",
+        description="Synthesize the pinned litmus corpus by walking "
+                    "the protocol handlers.",
     )
     parser.add_argument("--dir", default="tests/litmus",
                         help="corpus directory (default: tests/litmus)")

@@ -25,6 +25,10 @@ repository grows:
   the home entry (or IVY manager record) named by the message must
   satisfy the protocol's structural invariants (no negative ack counts,
   transient states imply a waiting request, ...).
+* **Edge coverage** — every block access fault and every message
+  delivery is recorded in :attr:`ConformanceMonitor.edges` as a
+  ``(directory state, event, receiver tag)`` triple: the coverage
+  currency of the protocol walk (:mod:`repro.protocols.explore`).
 
 A :class:`FlightRecorder` keeps the last N events per block in a ring
 buffer, so a :class:`~repro.protocols.verify.CoherenceViolation` report
@@ -326,6 +330,13 @@ class ConformanceMonitor:
         # the entry objects keeps id() keys stable.
         self._entries: dict[tuple[int, int], object] = {}
         self._entry_keys: dict[int, tuple[int, int]] = {}
+        self._block_entries: dict[int, object] = {}
+        #: Every ``(directory state, event, receiver tag)`` edge seen:
+        #: the event is ``fault.read``/``fault.write`` or a delivered
+        #: handler; the directory state is the block's home entry (None
+        #: for IVY), the tag the receiver's (its cache-line state on
+        #: DirNNB, None where the block is unmapped or uncached).
+        self.edges: set[tuple] = set()
         # Message causality state, keyed (node, addr).
         self._outstanding: dict[tuple[int, int], int] = {}
         self._expected_acks: dict[tuple[int, int], int] = {}
@@ -395,6 +406,7 @@ class ConformanceMonitor:
             return
         self._entries[(home, block)] = entry
         self._entry_keys[id(entry)] = (home, block)
+        self._block_entries[block] = entry
         entry._observer = self._on_state
 
     # ------------------------------------------------------------------
@@ -433,6 +445,40 @@ class ConformanceMonitor:
             self.machine.engine.now, "fault", fault.node, None,
             fault.kind, fault.block_addr,
         )
+        self.edges.add((
+            self.directory_state(fault.block_addr),
+            "fault.write" if fault.is_write else "fault.read",
+            fault.tag.value,
+        ))
+
+    def home_record(self, block: int):
+        """The home's directory entry (IVY: manager record) for
+        ``block``; None until the protocol materializes it."""
+        if self._ivy_pages is not None:
+            return next((state for (_manager, page), state
+                         in self._ivy_pages.items() if page == block), None)
+        return self._block_entries.get(block)
+
+    def directory_state(self, block: int) -> str | None:
+        """``block``'s home directory state (None for IVY)."""
+        if self.spec.directory_transitions is None:
+            return None
+        entry = self._block_entries.get(block)
+        # Entries materialize on first use, in the HOME state.
+        state = DirectoryState.HOME if entry is None else entry.state
+        return state.value
+
+    def tag_at(self, node_id: int, addr: int) -> str | None:
+        """``node_id``'s access tag for ``addr`` (DirNNB: its cache
+        line state); None when the page is unmapped or the line absent."""
+        node = self.machine.nodes[node_id]
+        tags = getattr(node, "tags", None)
+        if tags is None:
+            line = node.cache.lookup(addr)
+            return None if line is None else line.state.value
+        if not tags.has_page(addr):
+            return None
+        return tags.read_tag(addr).value
 
     def _on_message(self, kind: str, message) -> None:
         addr = message.payload.get("addr")
@@ -443,6 +489,9 @@ class ConformanceMonitor:
         handler = message.handler
         if handler == NACK_HANDLER or addr is None:
             return
+        if kind == "deliver":
+            self.edges.add((self.directory_state(addr), handler,
+                            self.tag_at(message.dst, addr)))
         spec = self.spec
         if kind == "send":
             # A retransmit re-enters send() with the same message id;

@@ -1,96 +1,117 @@
-"""Bounded symbolic exploration of protocol transition relations.
+"""Bounded, stateless exploration of the real protocol handlers.
 
 The conformance layer (:mod:`repro.protocols.conformance`) declares each
 protocol's legal behaviour as data: transition tables plus handler
-vocabularies.  The tests that exercise those tables, however, were
-hand-written — someone had to *think of* the late-grant race before
-``test_late_grant_race_is_poisoned_and_refetched`` could pin it.  This
-module closes that gap: it walks an abstract model of each protocol's
-transition relation over a small bound (2–3 nodes, 1–2 blocks, a couple
-of faulting accesses per node), enumerating every interleaving of
-interface operations and in-flight message deliveries — including the
-overtake/reorder schedules the :class:`~repro.network.faults.FaultPlan`
-vocabulary can express — and emits each frontier as a concrete,
-deterministically *pinned* litmus test (an access program plus a
+vocabularies.  This module walks the protocols themselves — the handler
+code a Tempest machine runs (paper §2–3) — over a small bound (2–3
+nodes, 1–2 blocks, a couple of faulting accesses per node), enumerating
+interleavings of interface operations and in-flight message deliveries,
+including the overtake/reorder schedules the
+:class:`~repro.network.faults.FaultPlan` vocabulary can express.  Each
+explored prefix is emitted as a concrete, deterministically *pinned*
+litmus test (an access program plus a
 :class:`~repro.network.faults.ScriptedFaultPlan` schedule) that
-:mod:`repro.harness.litmus` replays on the real simulator.
+:mod:`repro.harness.litmus` replays on every backend.
+
+The walk is *stateless*: a prefix is a :class:`SynthesizedCase`, and
+every step replays it on a fresh machine (``typhoon:stache``,
+``dirnnb``, ``typhoon:ivy``) up to its last slot.  Protocol messages
+the prefix has not chosen to deliver stay parked in flight.  The walk
+then reads the next choices off the replayed machine:
+
+* issue a node's next faulting access at the next slot;
+* deliver a parked message at the next slot, jumping at most
+  ``max_overtake`` earlier messages on its channel (a ``reorder``);
+* issue a store in the same cycle as a handler that changed a tag on
+  that node — the window in which a store that hits can race the
+  handler's export.
+
+States are deduplicated on a canonical form, minimized over
+permutations of the non-home nodes, of the home directory entries, the
+tags, the parked messages and each node's program position (for a
+pending load, also how many stores had completed when it began: that is
+what the consistency oracle judges its result by).
 
 Three things fall out:
 
-* **Coverage, not sampling.**  Every reachable ``(state, event)`` edge
-  of every explorable :class:`ProtocolSpec` is enumerated; the emitted
-  corpus is a greedy set cover, so replaying it drives the real machine
-  through every edge the model can reach.  The grant-vs-invalidation
-  overtaking family is *derived*, not guessed.
-* **A second implementation to diverge against.**  The models here
-  mirror the handlers line for line; every state mutation the model
-  performs is asserted against the declarative tables
-  (:class:`SpecDivergence` on mismatch), so the spec, the handlers, and
-  the model must all agree before a single test is emitted.
+* **Coverage, not sampling.**  Every ``(directory state, event,
+  receiver tag)`` edge the :class:`ConformanceMonitor
+  <repro.protocols.conformance.ConformanceMonitor>` records within the
+  bound is enumerated; the emitted corpus is a greedy set cover, so
+  replaying it drives the machine through every edge the walk reached.
+  The grant-vs-invalidation overtaking family is *derived*, not guessed.
+* **The specs check the code.**  Every replay runs under the strict
+  monitor, so a handler step outside the declarative tables is a
+  :class:`~repro.protocols.verify.CoherenceViolation`; the
+  register-consistency oracle checks every replayed history.
 * **Determinism.**  Exploration draws no random numbers and reads no
-  clocks; the same spec and bounds produce byte-identical corpora,
+  clocks; the same handlers and bounds produce byte-identical corpora,
   which is what lets ``tests/litmus/`` be committed and CI regenerate
   it, failing on drift.
-
-The models deliberately re-implement the protocol logic instead of
-driving the real classes: the real handlers are welded to the event
-engine (charges, futures, processes), while exploration needs a pure
-state -> state function it can fork thousands of times.  The
-conformance assertions plus the replay of every emitted case on the
-real machines are what keep the twin honest.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
-from repro.memory.tags import Tag
-from repro.protocols.conformance import (
-    DIRNNB_SPEC,
-    IVY_SPEC,
-    STACHE_SPEC,
-    ProtocolSpec,
-)
-from repro.protocols.directory import DirectoryState
+from repro.network.faults import FaultRule, ScriptedFaultPlan
+from repro.protocols.history import AccessHistory, check_register_consistency
+from repro.protocols.verify import CoherenceViolation
+from repro.sim.config import MachineConfig
+from repro.sim.process import Process
 
 __all__ = [
+    "CaseRun",
     "ExploreConfig",
     "ExplorationResult",
-    "SpecDivergence",
     "SynthesizedCase",
-    "explore",
     "explore_protocol",
+    "run_case",
     "synthesize_corpus",
     "EXPLORABLE_PROTOCOLS",
     "SCHEDULE_STRIDE",
 ]
 
-#: Cycles between consecutive pinned delivery slots.  Much larger than
-#: any natural handler/transfer latency in the simulator (an IVY page
-#: transfer is the worst case), so a schedule of slot-delays reproduces
-#: the explored interleaving regardless of backend timing details.
+#: Cycles between consecutive walk steps.  Much larger than any natural
+#: handler/transfer latency in the simulator (an IVY page transfer is
+#: the worst case), so each step settles before the next one starts and
+#: a schedule of slot delays reproduces the walked interleaving on every
+#: backend.
 SCHEDULE_STRIDE = 20_000
 
-#: Message payload keys whose values are node ids (needed when
-#: canonicalizing states under node permutation).
+#: Extra flight time of a protocol message the walk has not delivered
+#: yet: beyond every step of a bounded walk, and short of the scripted
+#: plan's retransmit timeout.
+_PARKED = ScriptedFaultPlan.RETRY_TIMEOUT // 2
+
+#: IVY's litmus page: the page is IVY's coherence grain whatever its
+#: size, and a 4 KB page would make every transfer 64 bulk packets.
+_IVY_PAGE = 256
+
+#: Explorable protocol -> the system whose handlers the walk runs.
+#: ``migratory`` shares the stache conformance tables, and
+#: ``em3d-update`` inherits the plain Stache paths for ordinary shared
+#: data, so the stache corpus serves both as replay input.
+EXPLORABLE_PROTOCOLS = {
+    "stache": "typhoon:stache",
+    "dirnnb": "dirnnb",
+    "ivy": "typhoon:ivy",
+}
+
+#: Message payload keys whose values are node ids (renamed when
+#: canonicalizing under node permutation).
 _NODE_KEYS = frozenset({
     "requester", "sharer", "owner", "member", "home", "manager",
 })
-
-_REQUEST = "request"
-_RESPONSE = "response"
-
-
-class SpecDivergence(Exception):
-    """The abstract model stepped outside the declarative spec.
-
-    Raised during exploration when a modelled handler performs a
-    directory/tag transition absent from the protocol's tables or emits
-    a handler outside its vocabulary — i.e. the spec and the (modelled)
-    implementation disagree.  The message names the offending edge.
-    """
+#: Payload keys left out of the state: data values, and the monotone
+#: sequence counters, which would make every refetch round of the
+#: adversarial livelock (see :attr:`ExploreConfig.max_steps`) a fresh
+#: state.  Whether a grant is still in flight shows in the parked
+#: messages themselves.
+_UNKEYED = frozenset({"data", "words", "version", "fetch_seq", "grant_seq"})
 
 
 @dataclass(frozen=True)
@@ -109,14 +130,14 @@ class ExploreConfig:
     #: lets a 3-node bound stay tractable (any two nodes can still use
     #: their full per-node budget against each other).
     total_ops: int | None = None
-    #: Trace-depth bound.  Necessary, not merely economical: with three
-    #: nodes the explorer discovers a genuine adversarial livelock —
-    #: two remote requesters can poison each other's grants forever
-    #: (each refetch triggers the writeback/invalidation that poisons
-    #: the other's next grant), and the growing fetch sequence numbers
-    #: make every round a fresh state.  Fair delivery terminates the
-    #: real machine; the unfair schedules are unbounded, so exploration
-    #: is depth-bounded like any litmus-scale model check.
+    #: Walk-depth bound.  Necessary, not merely economical: with three
+    #: nodes the walk finds a genuine adversarial livelock — two remote
+    #: requesters can poison each other's grants forever (each refetch
+    #: triggers the writeback/invalidation that poisons the other's
+    #: next grant), and the growing fetch sequence numbers make every
+    #: round a fresh state.  Fair delivery terminates the real machine;
+    #: the unfair schedules are unbounded, so exploration is
+    #: depth-bounded like any litmus-scale model check.
     max_steps: int = 20
 
     def __post_init__(self):
@@ -124,1042 +145,6 @@ class ExploreConfig:
             raise ValueError(f"degenerate bounds {self!r}")
 
 
-# ----------------------------------------------------------------------
-# Path state: one explored prefix (trace + pending messages)
-# ----------------------------------------------------------------------
-@dataclass
-class _Path:
-    """A mutable exploration prefix; forked by deep copy per choice."""
-
-    state: dict
-    trace: list = field(default_factory=list)
-    #: mid -> {handler, src, dst, vnet, payload, send_step, deliver_step}
-    msgs: dict = field(default_factory=dict)
-    next_mid: int = 0
-    counters: dict = field(default_factory=dict)
-    #: Edges taken by the step currently being applied.
-    step_edges: list = field(default_factory=list)
-    #: Nodes unblocked during the current step.
-    step_unblocked: set = field(default_factory=set)
-
-    # -- message plumbing ----------------------------------------------
-    def send(self, handler: str, src: int, dst: int, vnet: str,
-             **payload) -> None:
-        mid = self.next_mid
-        self.next_mid += 1
-        step = len(self.trace)
-        self.msgs[mid] = {
-            "handler": handler, "src": src, "dst": dst, "vnet": vnet,
-            "payload": payload, "send_step": step, "deliver_step": None,
-        }
-        if src == dst:
-            # Local messages never cross the observed interconnect (and
-            # never consult the fault plan): deliver synchronously.
-            self.msgs[mid]["deliver_step"] = step
-            self.state["local"].append(mid)
-        else:
-            self.state["chan"].setdefault((src, dst, vnet), []).append(mid)
-
-    def incr(self, counter: str, amount: int = 1) -> None:
-        self.counters[counter] = self.counters.get(counter, 0) + amount
-
-    def edge(self, state_key, event: str, dst_state) -> None:
-        self.step_edges.append((_value(state_key), event, _value(dst_state)))
-
-    def unblock(self, node: int) -> None:
-        if self.state["blocked"][node]:
-            self.state["blocked"][node] = False
-            self.step_unblocked.add(node)
-
-
-def _value(state) -> str | None:
-    return state.value if hasattr(state, "value") else state
-
-
-def _edge_sort_key(edge):
-    return tuple("" if part is None else str(part) for part in edge)
-
-
-# ----------------------------------------------------------------------
-# Model base: shared send/assert/canonicalize machinery
-# ----------------------------------------------------------------------
-class _Model:
-    """One protocol's pure transition-relation twin."""
-
-    name: str
-    spec: ProtocolSpec
-
-    def __init__(self, config: ExploreConfig):
-        self.config = config
-        self.home = 0
-        handler_sets = (
-            self.spec.request_handlers | self.spec.grant_handlers
-            | self.spec.inval_handlers | self.spec.ack_handlers
-            | self.spec.writeback_request_handlers
-            | self.spec.writeback_reply_handlers | self.spec.update_handlers
-        )
-        self._vocabulary = handler_sets
-
-    # -- spec assertions -----------------------------------------------
-    def assert_dir(self, old: DirectoryState, new: DirectoryState,
-                   block: int) -> None:
-        table = self.spec.directory_transitions
-        if table is not None and (old, new) not in table:
-            raise SpecDivergence(
-                f"{self.name}: model directory transition "
-                f"{old.value} -> {new.value} for block {block} is not in "
-                f"the spec's directory_transitions table"
-            )
-
-    def assert_tag(self, old: Tag, new: Tag, node: int, block: int) -> None:
-        table = self.spec.tag_transitions
-        if table is not None and (old, new) not in table:
-            raise SpecDivergence(
-                f"{self.name}: model tag transition {old.value} -> "
-                f"{new.value} at node {node} block {block} is not in the "
-                f"spec's tag_transitions table"
-            )
-
-    def assert_handler(self, handler: str) -> None:
-        if handler not in self._vocabulary:
-            raise SpecDivergence(
-                f"{self.name}: model sent handler {handler!r}, which is "
-                f"outside the spec's handler vocabulary"
-            )
-
-    # -- state mutation helpers ----------------------------------------
-    def set_dir(self, path: _Path, block: int, new: DirectoryState) -> None:
-        entry = path.state["dir"][block]
-        old = entry["state"]
-        if old is not new:
-            self.assert_dir(old, new, block)
-            entry["state"] = new
-
-    def set_tag(self, path: _Path, node: int, block: int, new: Tag) -> None:
-        tags = path.state["tag"]
-        old = tags[(node, block)]
-        if old is not new:
-            self.assert_tag(old, new, node, block)
-            tags[(node, block)] = new
-
-    # -- interface required from subclasses ----------------------------
-    def initial(self) -> dict:
-        raise NotImplementedError
-
-    def fault_ops(self, state: dict, node: int) -> list:
-        raise NotImplementedError
-
-    def do_op(self, path: _Path, node: int, rw: str, block: int) -> None:
-        raise NotImplementedError
-
-    def deliver(self, path: _Path, mid: int) -> None:
-        raise NotImplementedError
-
-    def freeze(self, state: dict, perm: tuple) -> tuple:
-        raise NotImplementedError
-
-    # -- shared skeleton ------------------------------------------------
-    def base_state(self) -> dict:
-        config = self.config
-        nodes = config.nodes
-        total = config.total_ops
-        if total is None:
-            total = nodes * config.ops_per_node
-        return {
-            "blocked": {n: False for n in range(nodes)},
-            "budget": {n: config.ops_per_node for n in range(nodes)},
-            "total": total,
-            "chan": {},
-            "local": [],
-        }
-
-    def drain_local(self, path: _Path) -> None:
-        """Process synchronously-delivered (src == dst) messages."""
-        while path.state["local"]:
-            mid = path.state["local"].pop(0)
-            self.deliver(path, mid)
-
-    def freeze_channels(self, state: dict, perm: tuple) -> tuple:
-        frozen = []
-        for (src, dst, vnet), fifo in state["chan"].items():
-            if not fifo:
-                continue
-            frozen.append((
-                (perm[src], perm[dst], vnet),
-                tuple(self._frozen_msg_key(mid, perm) for mid in fifo),
-            ))
-        return tuple(sorted(frozen))
-
-    def _frozen_msg_key(self, mid: int, perm: tuple):
-        # The path owns the message table; models stash it per freeze.
-        msg = self._freeze_msgs[mid]
-        payload = tuple(sorted(
-            (key, perm[val] if key in _NODE_KEYS and val is not None
-             else _value(val))
-            for key, val in msg["payload"].items()
-        ))
-        return (msg["handler"], payload)
-
-    def canonical(self, path: _Path) -> tuple:
-        """Minimal frozen form over permutations of non-home nodes."""
-        self._freeze_msgs = path.msgs
-        others = [n for n in range(self.config.nodes) if n != self.home]
-        best = None
-        for perm_others in permutations(others):
-            perm = list(range(self.config.nodes))
-            for original, renamed in zip(others, perm_others):
-                perm[original] = renamed
-            frozen = self.freeze(path.state, tuple(perm))
-            if best is None or frozen < best:
-                best = frozen
-        del self._freeze_msgs
-        return best
-
-    def freeze_base(self, state: dict, perm: tuple) -> tuple:
-        return (
-            tuple(sorted((perm[n], bool(blocked))
-                         for n, blocked in state["blocked"].items())),
-            tuple(sorted((perm[n], budget)
-                         for n, budget in state["budget"].items())),
-            state["total"],
-            self.freeze_channels(state, perm),
-        )
-
-
-# ----------------------------------------------------------------------
-# Stache (and, by table identity, stache-migratory conformance)
-# ----------------------------------------------------------------------
-class _StacheModel(_Model):
-    """Twin of :class:`repro.protocols.stache.StacheProtocol`'s handler
-    set over pre-faulted pages (no page faults, migrations, or
-    replacements inside the bound)."""
-
-    name = "stache"
-    spec = STACHE_SPEC
-
-    def initial(self) -> dict:
-        state = self.base_state()
-        nodes, blocks = self.config.nodes, self.config.blocks
-        state["tag"] = {
-            (n, b): Tag.READ_WRITE if n == self.home else Tag.INVALID
-            for n in range(nodes) for b in range(blocks)
-        }
-        state["dir"] = {
-            b: {"state": DirectoryState.HOME, "owner": None,
-                "sharers": set(), "acks": 0, "pending": []}
-            for b in range(blocks)
-        }
-        state["fetch"] = {}     # (node, block) -> seq
-        state["req_seq"] = {}   # (block, requester) -> seq
-        state["poison"] = {}    # (node, block) -> seq
-        state["pending_fault"] = {}
-        return state
-
-    def freeze(self, state: dict, perm: tuple) -> tuple:
-        dirs = tuple(
-            (b, entry["state"].value,
-             None if entry["owner"] is None else perm[entry["owner"]],
-             tuple(sorted(perm[s] for s in entry["sharers"])),
-             entry["acks"],
-             tuple((perm[r], w) for r, w in entry["pending"]))
-            for b, entry in sorted(state["dir"].items())
-        )
-        return self.freeze_base(state, perm) + (
-            tuple(sorted(((perm[n], b), tag.value)
-                         for (n, b), tag in state["tag"].items())),
-            dirs,
-            tuple(sorted(((perm[n], b), seq)
-                         for (n, b), seq in state["fetch"].items())),
-            tuple(sorted(((b, perm[r]), seq)
-                         for (b, r), seq in state["req_seq"].items())),
-            tuple(sorted(((perm[n], b), seq)
-                         for (n, b), seq in state["poison"].items())),
-            tuple(sorted((perm[n], b)
-                         for n, b in state["pending_fault"].items()
-                         if b is not None)),
-        )
-
-    # -- interface operations ------------------------------------------
-    def fault_ops(self, state: dict, node: int) -> list:
-        ops = []
-        for b in range(self.config.blocks):
-            tag = state["tag"][(node, b)]
-            if tag is Tag.INVALID:
-                ops.append(("r", b))
-            if tag in (Tag.INVALID, Tag.READ_ONLY):
-                ops.append(("w", b))
-        return ops
-
-    def do_op(self, path: _Path, node: int, rw: str, block: int) -> None:
-        state = path.state
-        want_write = rw == "w"
-        dir_state = state["dir"][block]["state"]
-        tag = state["tag"][(node, block)]
-        path.edge(dir_state, f"fault.{'write' if want_write else 'read'}",
-                  tag)
-        state["blocked"][node] = True
-        if node == self.home:
-            # Home faults bypass the interconnect and run the directory
-            # state machine synchronously.
-            self._handle_request(path, block, node, want_write, None)
-        else:
-            self.set_tag(path, node, block, Tag.BUSY)
-            state["pending_fault"][node] = block
-            seq = state["fetch"].get((node, block), 0) + 1
-            state["fetch"][(node, block)] = seq
-            handler = "stache.get_rw" if want_write else "stache.get_ro"
-            self.assert_handler(handler)
-            path.send(handler, node, self.home, _REQUEST,
-                      addr=block, requester=node, fetch_seq=seq)
-        self.drain_local(path)
-
-    # -- home-side directory machine -----------------------------------
-    def _handle_request(self, path: _Path, block: int, requester: int,
-                        want_write: bool, fetch_seq) -> None:
-        state = path.state
-        if requester != self.home and fetch_seq is not None:
-            state["req_seq"][(block, requester)] = fetch_seq
-        entry = state["dir"][block]
-        if entry["state"].is_transient:
-            entry["pending"].append((requester, want_write))
-            return
-        self._start_request(path, block, requester, want_write)
-
-    def _start_request(self, path: _Path, block: int, requester: int,
-                       want_write: bool) -> None:
-        state = path.state
-        entry = state["dir"][block]
-        home = self.home
-        if not want_write:
-            if entry["state"] is DirectoryState.EXCLUSIVE:
-                entry["pending"].insert(0, (requester, want_write))
-                self.set_dir(path, block, DirectoryState.PENDING_WRITEBACK)
-                self._send_writeback(path, block, entry["owner"], "ro")
-                return
-            if entry["state"] is DirectoryState.HOME and requester != home:
-                self.set_tag(path, home, block, Tag.READ_ONLY)
-            if requester != home:
-                entry["sharers"].add(requester)
-                self.set_dir(path, block, DirectoryState.SHARED)
-            self._grant(path, block, requester, rw=False)
-            return
-        if entry["state"] is DirectoryState.EXCLUSIVE:
-            if entry["owner"] == requester:
-                self._grant(path, block, requester, rw=True)
-                return
-            entry["pending"].insert(0, (requester, want_write))
-            self.set_dir(path, block, DirectoryState.PENDING_WRITEBACK)
-            self._send_writeback(path, block, entry["owner"], "inv")
-            return
-        targets = entry["sharers"] - {requester}
-        if entry["state"] is DirectoryState.SHARED and targets:
-            entry["pending"].insert(0, (requester, want_write))
-            self.set_dir(path, block, DirectoryState.PENDING_INVALIDATE)
-            entry["acks"] = len(targets)
-            if requester != home:
-                self.set_tag(path, home, block, Tag.INVALID)
-            for sharer in sorted(targets):
-                path.incr("stache.invalidations_sent")
-                self.assert_handler("stache.inval")
-                path.send("stache.inval", home, sharer, _REQUEST,
-                          addr=block, home=home,
-                          grant_seq=state["req_seq"].get((block, sharer)))
-            return
-        self._finish_write_grant(path, block, requester)
-
-    def _send_writeback(self, path: _Path, block: int, owner: int,
-                        demote: str) -> None:
-        self.assert_handler("stache.writeback")
-        path.send("stache.writeback", self.home, owner, _REQUEST,
-                  addr=block, home=self.home, demote=demote,
-                  grant_seq=path.state["req_seq"].get((block, owner)))
-
-    def _finish_write_grant(self, path: _Path, block: int,
-                            requester: int) -> None:
-        state = path.state
-        entry = state["dir"][block]
-        entry["sharers"].clear()
-        entry["acks"] = 0
-        if requester == self.home:
-            self.set_dir(path, block, DirectoryState.HOME)
-            entry["owner"] = None
-        else:
-            self.set_dir(path, block, DirectoryState.EXCLUSIVE)
-            entry["owner"] = requester
-            if state["tag"][(self.home, block)] is not Tag.INVALID:
-                self.set_tag(path, self.home, block, Tag.INVALID)
-        self._grant(path, block, requester, rw=True)
-
-    def _grant(self, path: _Path, block: int, requester: int,
-               rw: bool) -> None:
-        state = path.state
-        if requester == self.home:
-            if rw:
-                self.set_tag(path, self.home, block, Tag.READ_WRITE)
-            elif state["tag"][(self.home, block)] is not Tag.READ_WRITE:
-                self.set_tag(path, self.home, block, Tag.READ_ONLY)
-            path.unblock(self.home)
-        else:
-            path.incr("stache.data_replies")
-            self.assert_handler("stache.data")
-            path.send("stache.data", self.home, requester, _RESPONSE,
-                      addr=block, rw=rw, home=self.home,
-                      fetch_seq=state["req_seq"].get((block, requester)))
-        self._dispatch_pending(path, block)
-
-    def _dispatch_pending(self, path: _Path, block: int) -> None:
-        entry = path.state["dir"][block]
-        if entry["state"].is_transient or not entry["pending"]:
-            return
-        requester, want_write = entry["pending"].pop(0)
-        self._start_request(path, block, requester, want_write)
-
-    # -- deliveries ----------------------------------------------------
-    def deliver(self, path: _Path, mid: int) -> None:
-        msg = path.msgs[mid]
-        handler, payload = msg["handler"], msg["payload"]
-        block, dst = payload["addr"], msg["dst"]
-        path.edge(path.state["dir"][block]["state"], handler,
-                  path.state["tag"][(dst, block)])
-        if handler in ("stache.get_ro", "stache.get_rw"):
-            self._handle_request(path, block, payload["requester"],
-                                 handler == "stache.get_rw",
-                                 payload["fetch_seq"])
-        elif handler == "stache.inval":
-            self._h_inval(path, msg)
-        elif handler == "stache.writeback":
-            self._h_writeback(path, msg)
-        elif handler == "stache.ack":
-            self._h_ack(path, msg)
-        elif handler == "stache.wb_data":
-            self._h_wb_data(path, msg)
-        elif handler == "stache.data":
-            self._h_data(path, msg)
-        else:  # pragma: no cover - vocabulary enforced at send
-            raise SpecDivergence(f"unmodelled handler {handler!r}")
-
-    def _h_inval(self, path: _Path, msg: dict) -> None:
-        state = path.state
-        block, node = msg["payload"]["addr"], msg["dst"]
-        tag = state["tag"][(node, block)]
-        if tag in (Tag.READ_ONLY, Tag.READ_WRITE):
-            self.set_tag(path, node, block, Tag.INVALID)
-            path.incr("stache.blocks_invalidated")
-        elif tag is Tag.BUSY:
-            grant_seq = msg["payload"].get("grant_seq")
-            if (grant_seq is not None
-                    and grant_seq == state["fetch"].get((node, block))):
-                state["poison"][(node, block)] = grant_seq
-                path.incr("stache.grants_poisoned")
-        self.assert_handler("stache.ack")
-        path.send("stache.ack", node, msg["payload"]["home"], _RESPONSE,
-                  addr=block, sharer=node)
-
-    def _h_writeback(self, path: _Path, msg: dict) -> None:
-        state = path.state
-        block, node = msg["payload"]["addr"], msg["dst"]
-        tag = state["tag"][(node, block)]
-        holds = tag is Tag.READ_WRITE
-        if holds:
-            if msg["payload"]["demote"] == "ro":
-                self.set_tag(path, node, block, Tag.READ_ONLY)
-            else:
-                self.set_tag(path, node, block, Tag.INVALID)
-        elif tag is Tag.BUSY:
-            grant_seq = msg["payload"].get("grant_seq")
-            if (grant_seq is not None
-                    and grant_seq == state["fetch"].get((node, block))):
-                state["poison"][(node, block)] = grant_seq
-                path.incr("stache.grants_poisoned")
-        self.assert_handler("stache.wb_data")
-        path.send("stache.wb_data", node, msg["payload"]["home"], _RESPONSE,
-                  addr=block, owner=node, held=holds)
-
-    def _h_ack(self, path: _Path, msg: dict) -> None:
-        state = path.state
-        block = msg["payload"]["addr"]
-        entry = state["dir"][block]
-        entry["sharers"].discard(msg["payload"]["sharer"])
-        entry["acks"] -= 1
-        if entry["acks"] < 0:
-            raise SpecDivergence(f"surplus invalidation ack for {block}")
-        if entry["acks"] > 0:
-            return
-        requester, want_write = entry["pending"].pop(0)
-        if not want_write:
-            raise SpecDivergence("invalidations pending for a read")
-        self.set_dir(path, block, DirectoryState.HOME)
-        self._finish_write_grant(path, block, requester)
-
-    def _h_wb_data(self, path: _Path, msg: dict) -> None:
-        state = path.state
-        block = msg["payload"]["addr"]
-        entry = state["dir"][block]
-        if entry["state"] is not DirectoryState.PENDING_WRITEBACK:
-            raise SpecDivergence(
-                f"writeback data for block {block} in {entry['state']}"
-            )
-        requester, want_write = entry["pending"].pop(0)
-        old_owner = msg["payload"]["owner"]
-        entry["owner"] = None
-        if want_write:
-            self.set_dir(path, block, DirectoryState.HOME)
-            entry["sharers"].clear()
-            self._finish_write_grant(path, block, requester)
-            return
-        entry["sharers"].clear()
-        if msg["payload"]["held"]:
-            entry["sharers"].add(old_owner)
-        if requester != self.home:
-            entry["sharers"].add(requester)
-            self.set_dir(path, block, DirectoryState.SHARED)
-            self.set_tag(path, self.home, block, Tag.READ_ONLY)
-        else:
-            self.set_dir(path, block,
-                         DirectoryState.SHARED if entry["sharers"]
-                         else DirectoryState.HOME)
-            self.set_tag(path, self.home, block,
-                         Tag.READ_ONLY if entry["sharers"]
-                         else Tag.READ_WRITE)
-        self._grant(path, block, requester, rw=False)
-
-    def _h_data(self, path: _Path, msg: dict) -> None:
-        state = path.state
-        block, node = msg["payload"]["addr"], msg["dst"]
-        key = (node, block)
-        seq = msg["payload"]["fetch_seq"]
-        if seq != state["fetch"].get(key):
-            path.incr("stache.stale_grants_dropped")
-            return
-        if state["poison"].get(key) == seq:
-            del state["poison"][key]
-            path.incr("stache.poisoned_grants_refetched")
-            new_seq = state["fetch"][key] + 1
-            state["fetch"][key] = new_seq
-            handler = ("stache.get_rw" if msg["payload"]["rw"]
-                       else "stache.get_ro")
-            self.assert_handler(handler)
-            path.send(handler, node, msg["payload"]["home"], _REQUEST,
-                      addr=block, requester=node, fetch_seq=new_seq)
-            return
-        self.set_tag(path, node, block,
-                     Tag.READ_WRITE if msg["payload"]["rw"]
-                     else Tag.READ_ONLY)
-        path.incr("stache.blocks_fetched")
-        if state["pending_fault"].get(node) == block:
-            state["pending_fault"][node] = None
-            path.unblock(node)
-
-
-# ----------------------------------------------------------------------
-# DirNNB (all-hardware DASH-style directory)
-# ----------------------------------------------------------------------
-class _DirnnbModel(_Model):
-    """Twin of :class:`repro.protocols.dirnnb.DirectoryController` plus
-    the node-side cache handlers (capacity assumed ample: no victims)."""
-
-    name = "dirnnb"
-    spec = DIRNNB_SPEC
-
-    def initial(self) -> dict:
-        state = self.base_state()
-        state["line"] = {
-            (n, b): ("E" if n == self.home else None)
-            for n in range(self.config.nodes)
-            for b in range(self.config.blocks)
-        }
-        # The home's warm line mirrors litmus replay setup (the region
-        # is initialized by the home before workers start).
-        state["dir"] = {
-            b: {"state": DirectoryState.EXCLUSIVE, "owner": self.home,
-                "sharers": set(), "acks": 0, "pending": []}
-            for b in range(self.config.blocks)
-        }
-        return state
-
-    def freeze(self, state: dict, perm: tuple) -> tuple:
-        dirs = tuple(
-            (b, entry["state"].value,
-             None if entry["owner"] is None else perm[entry["owner"]],
-             tuple(sorted(perm[s] for s in entry["sharers"])),
-             entry["acks"],
-             tuple((perm[r], w) for r, w in entry["pending"]))
-            for b, entry in sorted(state["dir"].items())
-        )
-        return self.freeze_base(state, perm) + (
-            tuple(sorted(((perm[n], b), line)
-                         for (n, b), line in state["line"].items()
-                         if line is not None)),
-            dirs,
-        )
-
-    def fault_ops(self, state: dict, node: int) -> list:
-        ops = []
-        for b in range(self.config.blocks):
-            line = state["line"][(node, b)]
-            if line is None:
-                ops.append(("r", b))
-            if line != "E":
-                ops.append(("w", b))
-        return ops
-
-    def do_op(self, path: _Path, node: int, rw: str, block: int) -> None:
-        state = path.state
-        want_write = rw == "w"
-        path.edge(state["dir"][block]["state"],
-                  f"fault.{'write' if want_write else 'read'}",
-                  state["line"][(node, block)])
-        state["blocked"][node] = True
-        self.assert_handler("dir.get")
-        path.send("dir.get", node, self.home, _REQUEST,
-                  addr=block, requester=node, want_write=want_write)
-        self.drain_local(path)
-
-    # -- controller ----------------------------------------------------
-    def _handle_request(self, path: _Path, block: int, requester: int,
-                        want_write: bool) -> None:
-        entry = path.state["dir"][block]
-        if entry["state"].is_transient:
-            entry["pending"].append((requester, want_write))
-            return
-        self._start_request(path, block, requester, want_write)
-
-    def _start_request(self, path: _Path, block: int, requester: int,
-                       want_write: bool) -> None:
-        entry = path.state["dir"][block]
-        if not want_write:
-            if entry["state"] is DirectoryState.EXCLUSIVE:
-                if entry["owner"] == requester:
-                    # Re-request by the owner (cannot happen within the
-                    # bound: the owner's line is E, so no read faults).
-                    self._grant(path, block, requester, rw=True)
-                    return
-                entry["pending"].insert(0, (requester, want_write))
-                self.set_dir(path, block, DirectoryState.PENDING_WRITEBACK)
-                self.assert_handler("dir.wb")
-                path.send("dir.wb", self.home, entry["owner"], _REQUEST,
-                          addr=block, home=self.home, demote="ro")
-                return
-            if entry["state"] is DirectoryState.HOME:
-                # Exclusive-clean grant (MESI E, as in DASH).
-                self.set_dir(path, block, DirectoryState.EXCLUSIVE)
-                entry["owner"] = requester
-                self._grant(path, block, requester, rw=True)
-                return
-            entry["sharers"].add(requester)
-            self.set_dir(path, block, DirectoryState.SHARED)
-            self._grant(path, block, requester, rw=False)
-            return
-        if entry["state"] is DirectoryState.EXCLUSIVE:
-            if entry["owner"] == requester:
-                self._grant(path, block, requester, rw=True)
-                return
-            entry["pending"].insert(0, (requester, want_write))
-            self.set_dir(path, block, DirectoryState.PENDING_WRITEBACK)
-            self.assert_handler("dir.wb")
-            path.send("dir.wb", self.home, entry["owner"], _REQUEST,
-                      addr=block, home=self.home, demote="inv")
-            return
-        targets = entry["sharers"] - {requester}
-        if targets:
-            entry["pending"].insert(0, (requester, want_write))
-            self.set_dir(path, block, DirectoryState.PENDING_INVALIDATE)
-            entry["acks"] = len(targets)
-            for sharer in sorted(targets):
-                self.assert_handler("dir.inval")
-                path.send("dir.inval", self.home, sharer, _REQUEST,
-                          addr=block, home=self.home)
-            return
-        self._finish_write(path, block, requester)
-
-    def _finish_write(self, path: _Path, block: int, requester: int) -> None:
-        entry = path.state["dir"][block]
-        entry["sharers"].clear()
-        entry["acks"] = 0
-        self.set_dir(path, block, DirectoryState.EXCLUSIVE)
-        entry["owner"] = requester
-        self._grant(path, block, requester, rw=True)
-
-    def _grant(self, path: _Path, block: int, requester: int,
-               rw: bool) -> None:
-        if requester == self.home:
-            self._fill(path, requester, block, rw)
-        else:
-            self.assert_handler("dir.data")
-            path.send("dir.data", self.home, requester, _RESPONSE,
-                      addr=block, rw=rw)
-        entry = path.state["dir"][block]
-        if not entry["state"].is_transient and entry["pending"]:
-            requester, want_write = entry["pending"].pop(0)
-            self._start_request(path, block, requester, want_write)
-
-    def _fill(self, path: _Path, node: int, block: int, rw: bool) -> None:
-        path.state["line"][(node, block)] = "E" if rw else "S"
-        path.unblock(node)
-
-    # -- deliveries ----------------------------------------------------
-    def deliver(self, path: _Path, mid: int) -> None:
-        msg = path.msgs[mid]
-        handler, payload = msg["handler"], msg["payload"]
-        block, node = payload["addr"], msg["dst"]
-        path.edge(path.state["dir"][block]["state"], handler,
-                  path.state["line"][(node, block)])
-        if handler == "dir.get":
-            self._handle_request(path, block, payload["requester"],
-                                 payload["want_write"])
-        elif handler == "dir.data":
-            self._fill(path, node, block, payload["rw"])
-        elif handler == "dir.inval":
-            path.state["line"][(node, block)] = None
-            self.assert_handler("dir.ack")
-            path.send("dir.ack", node, payload["home"], _RESPONSE,
-                      addr=block, sharer=node)
-        elif handler == "dir.wb":
-            line = path.state["line"][(node, block)]
-            held = line == "E"
-            if held:
-                path.state["line"][(node, block)] = (
-                    "S" if payload["demote"] == "ro" else None
-                )
-            self.assert_handler("dir.wb_data")
-            path.send("dir.wb_data", node, payload["home"], _RESPONSE,
-                      addr=block, owner=node, held=held)
-        elif handler == "dir.ack":
-            self._h_ack(path, block, payload["sharer"])
-        elif handler == "dir.wb_data":
-            self._h_wb_data(path, block, payload["owner"], payload["held"])
-        else:  # pragma: no cover
-            raise SpecDivergence(f"unmodelled handler {handler!r}")
-
-    def _h_ack(self, path: _Path, block: int, sharer: int) -> None:
-        entry = path.state["dir"][block]
-        entry["sharers"].discard(sharer)
-        entry["acks"] -= 1
-        if entry["acks"] < 0:
-            raise SpecDivergence(f"surplus ack for block {block}")
-        if entry["acks"]:
-            return
-        requester, want_write = entry["pending"].pop(0)
-        if not want_write:
-            raise SpecDivergence("invalidations pending for a read")
-        self.set_dir(path, block, DirectoryState.HOME)
-        self._finish_write(path, block, requester)
-
-    def _h_wb_data(self, path: _Path, block: int, owner: int,
-                   held: bool) -> None:
-        entry = path.state["dir"][block]
-        if entry["state"] is not DirectoryState.PENDING_WRITEBACK:
-            raise SpecDivergence(
-                f"writeback data for block {block} in {entry['state']}"
-            )
-        requester, want_write = entry["pending"].pop(0)
-        entry["owner"] = None
-        if want_write:
-            self.set_dir(path, block, DirectoryState.HOME)
-            entry["sharers"].clear()
-            self._finish_write(path, block, requester)
-            return
-        entry["sharers"].clear()
-        if held:
-            entry["sharers"].add(owner)
-        entry["sharers"].add(requester)
-        self.set_dir(path, block, DirectoryState.SHARED)
-        self._grant(path, block, requester, rw=False)
-
-
-# ----------------------------------------------------------------------
-# IVY (page-grain DSM, fixed distributed manager at the home)
-# ----------------------------------------------------------------------
-class _IvyModel(_Model):
-    """Twin of :class:`repro.protocols.ivy.IvyProtocol`.  "Blocks" are
-    whole pages here (page-uniform tags); the bulk page transfer is
-    collapsed into the ``ivy.page_sent`` completion message."""
-
-    name = "ivy"
-    spec = IVY_SPEC
-
-    def initial(self) -> dict:
-        state = self.base_state()
-        state["tag"] = {
-            (n, p): Tag.READ_WRITE if n == self.home else Tag.INVALID
-            for n in range(self.config.nodes)
-            for p in range(self.config.blocks)
-        }
-        state["page"] = {
-            p: {"owner": self.home, "copyset": set(), "busy": False,
-                "queue": [], "acks": 0, "active": None}
-            for p in range(self.config.blocks)
-        }
-        return state
-
-    def freeze(self, state: dict, perm: tuple) -> tuple:
-        pages = tuple(
-            (p, perm[page["owner"]],
-             tuple(sorted(perm[m] for m in page["copyset"])),
-             page["busy"], page["acks"],
-             None if page["active"] is None
-             else (perm[page["active"][0]], page["active"][1]),
-             tuple((perm[r], w) for r, w in page["queue"]))
-            for p, page in sorted(state["page"].items())
-        )
-        return self.freeze_base(state, perm) + (
-            tuple(sorted(((perm[n], p), tag.value)
-                         for (n, p), tag in state["tag"].items())),
-            pages,
-        )
-
-    def fault_ops(self, state: dict, node: int) -> list:
-        ops = []
-        for p in range(self.config.blocks):
-            tag = state["tag"][(node, p)]
-            if tag is Tag.INVALID:
-                ops.append(("r", p))
-            if tag in (Tag.INVALID, Tag.READ_ONLY):
-                ops.append(("w", p))
-        return ops
-
-    def do_op(self, path: _Path, node: int, rw: str, page: int) -> None:
-        state = path.state
-        want_write = rw == "w"
-        path.edge(None, f"fault.{'write' if want_write else 'read'}",
-                  state["tag"][(node, page)])
-        state["blocked"][node] = True
-        self.assert_handler("ivy.get")
-        path.send("ivy.get", node, self.home, _REQUEST,
-                  addr=page, requester=node, want_write=want_write)
-        self.drain_local(path)
-
-    # -- manager -------------------------------------------------------
-    def _start(self, path: _Path, page: int, request: tuple) -> None:
-        state = path.state["page"][page]
-        requester, want_write = request
-        state["busy"] = True
-        state["active"] = request
-        if want_write:
-            targets = state["copyset"] - {requester}
-            state["acks"] = len(targets)
-            for member in sorted(targets):
-                path.incr("ivy.page_invalidations")
-                self.assert_handler("ivy.inval")
-                path.send("ivy.inval", self.home, member, _REQUEST,
-                          addr=page, manager=self.home)
-            if state["acks"] == 0:
-                self._recall_or_grant(path, page)
-            return
-        self._recall_or_grant(path, page)
-
-    def _recall_or_grant(self, path: _Path, page: int) -> None:
-        state = path.state["page"][page]
-        requester, want_write = state["active"]
-        if state["owner"] == requester:
-            self._finish(path, page)
-            return
-        self.assert_handler("ivy.recall")
-        path.send("ivy.recall", self.home, state["owner"], _REQUEST,
-                  addr=page, requester=requester, want_write=want_write,
-                  manager=self.home)
-
-    def _finish(self, path: _Path, page: int) -> None:
-        state = path.state["page"][page]
-        requester, want_write = state["active"]
-        if want_write:
-            state["copyset"].discard(requester)
-            old_owner = state["owner"]
-            state["owner"] = requester
-            if old_owner != requester:
-                state["copyset"].discard(old_owner)
-        else:
-            if requester != state["owner"]:
-                state["copyset"].add(requester)
-        self.assert_handler("ivy.grant")
-        path.send("ivy.grant", self.home, requester, _RESPONSE,
-                  addr=page, want_write=want_write)
-        state["busy"] = False
-        state["active"] = None
-        if state["queue"]:
-            self._start(path, page, state["queue"].pop(0))
-
-    # -- deliveries ----------------------------------------------------
-    def deliver(self, path: _Path, mid: int) -> None:
-        msg = path.msgs[mid]
-        handler, payload = msg["handler"], msg["payload"]
-        page, node = payload["addr"], msg["dst"]
-        path.edge(None, handler, path.state["tag"][(node, page)])
-        state = path.state["page"][page]
-        if handler == "ivy.get":
-            request = (payload["requester"], payload["want_write"])
-            if state["busy"]:
-                state["queue"].append(request)
-            else:
-                self._start(path, page, request)
-        elif handler == "ivy.ack":
-            state["copyset"].discard(payload["member"])
-            state["acks"] -= 1
-            if state["acks"] < 0:
-                raise SpecDivergence(f"surplus ack for page {page}")
-            if state["acks"] == 0:
-                self._recall_or_grant(path, page)
-        elif handler == "ivy.page_sent":
-            self._finish(path, page)
-        elif handler == "ivy.recall":
-            self.set_tag(path, node, page,
-                         Tag.INVALID if payload["want_write"]
-                         else Tag.READ_ONLY)
-            path.incr("ivy.page_transfers")
-            self.assert_handler("ivy.page_sent")
-            path.send("ivy.page_sent", node, payload["manager"], _RESPONSE,
-                      addr=page)
-        elif handler == "ivy.inval":
-            self.set_tag(path, node, page, Tag.INVALID)
-            path.incr("ivy.pages_invalidated")
-            self.assert_handler("ivy.ack")
-            path.send("ivy.ack", node, payload["manager"], _RESPONSE,
-                      addr=page, member=node)
-        elif handler == "ivy.grant":
-            self.set_tag(path, node, page,
-                         Tag.READ_WRITE if payload["want_write"]
-                         else Tag.READ_ONLY)
-            path.unblock(node)
-        else:  # pragma: no cover
-            raise SpecDivergence(f"unmodelled handler {handler!r}")
-
-
-#: Explorable protocol name -> model class.  ``migratory`` shares the
-#: stache conformance tables, and ``em3d-update`` inherits the plain
-#: Stache paths for ordinary shared data, so the stache corpus serves
-#: both as replay input; neither needs a model of its own.
-EXPLORABLE_PROTOCOLS = {
-    "stache": _StacheModel,
-    "dirnnb": _DirnnbModel,
-    "ivy": _IvyModel,
-}
-
-
-# ----------------------------------------------------------------------
-# The explorer
-# ----------------------------------------------------------------------
-@dataclass
-class ExplorationResult:
-    """Everything one bounded exploration learned."""
-
-    protocol: str
-    config: ExploreConfig
-    #: Every reachable (state, event, dst_state) edge.
-    edges: set
-    #: edge -> the shortest path (a finished _Path) that first took it.
-    edge_paths: dict
-    states: int
-    transitions: int
-
-
-def explore(model: _Model, config: ExploreConfig) -> ExplorationResult:
-    """Breadth-first walk of the bounded transition relation."""
-    root = _Path(state=model.initial())
-    seen = {model.canonical(root)}
-    edge_paths: dict = {}
-    queue = deque([root])
-    transitions = 0
-    while queue:
-        path = queue.popleft()
-        for choice in _choices(model, path, config):
-            forked = _apply(model, path, choice)
-            transitions += 1
-            for edge in forked.trace[-1][-1]:
-                if edge not in edge_paths:
-                    edge_paths[edge] = forked
-            if len(forked.trace) >= config.max_steps:
-                continue
-            key = model.canonical(forked)
-            if key not in seen:
-                seen.add(key)
-                queue.append(forked)
-    return ExplorationResult(
-        protocol=model.name, config=config, edges=set(edge_paths),
-        edge_paths=edge_paths, states=len(seen), transitions=transitions,
-    )
-
-
-def _choices(model: _Model, path: _Path, config: ExploreConfig) -> list:
-    state = path.state
-    out = []
-    if state["total"] > 0:
-        for node in sorted(state["blocked"]):
-            if state["blocked"][node] or state["budget"][node] <= 0:
-                continue
-            for rw, block in model.fault_ops(state, node):
-                out.append(("op", node, rw, block))
-    for channel in sorted(state["chan"]):
-        fifo = state["chan"][channel]
-        for position in range(min(len(fifo), config.max_overtake + 1)):
-            out.append(("deliver", channel, position))
-    return out
-
-
-def _clone_state(value):
-    """Fast structural clone: our model states are nests of dicts,
-    lists, and sets whose leaves are immutable (ints, enums, tuples of
-    scalars).  ~10x cheaper than :func:`copy.deepcopy` in the BFS hot
-    loop."""
-    if isinstance(value, dict):
-        return {key: _clone_state(val) for key, val in value.items()}
-    if isinstance(value, list):
-        return [_clone_state(val) for val in value]
-    if isinstance(value, set):
-        return set(value)
-    return value
-
-
-def _fork(path: _Path) -> _Path:
-    # msgs is copy-on-write: entries are replaced wholesale at delivery,
-    # never mutated in place, so a shallow dict copy shares safely.
-    return _Path(
-        state=_clone_state(path.state),
-        trace=list(path.trace),
-        msgs=dict(path.msgs),
-        next_mid=path.next_mid,
-        counters=dict(path.counters),
-    )
-
-
-def _apply(model: _Model, path: _Path, choice) -> _Path:
-    forked = _fork(path)
-    if choice[0] == "op":
-        _, node, rw, block = choice
-        forked.state["budget"][node] -= 1
-        forked.state["total"] -= 1
-        step = ("op", node, rw, block)
-        model.do_op(forked, node, rw, block)
-    else:
-        _, channel, position = choice
-        mid = forked.state["chan"][channel].pop(position)
-        if not forked.state["chan"][channel]:
-            del forked.state["chan"][channel]
-        forked.msgs[mid] = {**forked.msgs[mid],
-                            "deliver_step": len(forked.trace)}
-        step = ("deliver", mid)
-        model.deliver(forked, mid)
-        model.drain_local(forked)
-    forked.trace.append(
-        step + (frozenset(forked.step_unblocked), tuple(forked.step_edges))
-    )
-    return forked
-
-
-def explore_protocol(name: str,
-                     config: ExploreConfig | None = None) -> ExplorationResult:
-    """Explore one protocol by registry name."""
-    if name not in EXPLORABLE_PROTOCOLS:
-        raise ValueError(
-            f"no exploration model for {name!r} "
-            f"(have {sorted(EXPLORABLE_PROTOCOLS)})"
-        )
-    model = EXPLORABLE_PROTOCOLS[name](config or ExploreConfig())
-    return explore(model, model.config)
-
-
-# ----------------------------------------------------------------------
-# Trace -> pinned litmus case
-# ----------------------------------------------------------------------
 @dataclass
 class SynthesizedCase:
     """One concrete litmus test: program + deterministic schedule."""
@@ -1170,113 +155,461 @@ class SynthesizedCase:
     blocks: int
     #: node -> ordered [(op, block_index, at_cycle)] with op in
     #: {"r", "w"}; the worker idles until ``at_cycle`` before issuing,
-    #: which pins each access *between* the delivery slots surrounding
-    #: it in the explored trace (this is what sequences home-node
-    #: operations, whose effects are local and instantaneous).
+    #: which pins each access to its step of the walked interleaving.
     programs: dict
     #: ScriptedFaultPlan rules as plain dicts (handler/src/dst/
     #: occurrence/action/delay).
     schedule: list
     #: Edges this case covers, as [[state, event, dst_state], ...].
     edges: list
-    #: Model counters along the trace (e.g. stache.grants_poisoned);
-    #: family-specific replay tests assert the interesting ones.
+    #: Protocol counters the walk saw along the case (e.g.
+    #: stache.grants_poisoned); family-specific replay tests assert the
+    #: interesting ones.
     expect_stats: dict
     #: Human-readable trace, one line per step (documentation only).
     trace: list
 
 
-def _emit_case(protocol: str, path: _Path, index: int,
-               config: ExploreConfig) -> SynthesizedCase:
-    """Pin one explored path as a concrete schedule.
+# ----------------------------------------------------------------------
+# Building and running one case (shared with repro.harness.litmus)
+# ----------------------------------------------------------------------
+class _ParkingPlan(ScriptedFaultPlan):
+    """A scripted plan that parks every protocol message no rule fires
+    on.  Walk rules always carry a positive delay, so "no action, no
+    delay" means no rule fired."""
 
-    Every delivery step is assigned a target slot ``SCHEDULE_STRIDE``
-    cycles after the previous one; each remote message gets a delay rule
-    stretching its flight to its slot, plus a ``reorder`` action when it
-    must overtake an earlier send on its own FIFO channel.  Messages the
-    path left in flight are parked after the last slot (in send order),
-    so the pinned prefix replays before the tail drains.
+    __slots__ = ("parkable",)
+
+    def __init__(self, rules, parkable: frozenset):
+        super().__init__(rules)
+        self.parkable = parkable
+
+    @property
+    def is_null(self) -> bool:
+        return False
+
+    def link_verdict(self, message):
+        action, extra = super().link_verdict(message)
+        if (action is None and not extra and message.attempt == 1
+                and message.handler in self.parkable):
+            extra = _PARKED
+        return action, extra
+
+
+@dataclass
+class CaseRun:
+    """A machine built for one case, after :func:`run_case` ran it."""
+
+    machine: object
+    monitor: object
+    #: Address of block 0 and the distance between blocks (the
+    #: protocol's coherence grain).
+    base: int
+    stride: int
+    #: Remote first-attempt packets in send order (walk runs only).
+    sends: list = field(default_factory=list)
+    delivered: set = field(default_factory=set)
+
+    def blocks(self, config: "ExploreConfig") -> list:
+        """The address of every litmus block."""
+        return [self.base + b * self.stride for b in range(config.blocks)]
+
+    def _observe(self, kind: str, message) -> None:
+        if message.src == message.dst:
+            return
+        if kind == "send" and message.attempt == 1:
+            self.sends.append(message)
+        elif kind == "deliver":
+            self.delivered.add(message.msg_id)
+
+
+def _vocabulary(spec) -> frozenset:
+    return (spec.request_handlers | spec.grant_handlers
+            | spec.inval_handlers | spec.ack_handlers
+            | spec.writeback_request_handlers
+            | spec.writeback_reply_handlers)
+
+
+def run_case(case: SynthesizedCase, system: str,
+             config: MachineConfig | None = None,
+             until: int | None = None) -> CaseRun:
+    """Build ``system`` fresh and run ``case`` on it.
+
+    The home of the litmus region is node 0, conformance monitoring is
+    strict, accesses are recorded for the consistency oracle, and the
+    case's schedule is installed as a scripted fault plan.  Block
+    addresses stride by the protocol's coherence grain — cache blocks
+    everywhere except IVY, whose grain is the (small) page.  With ``until``
+    None the run drains; with a cycle, every protocol message no rule
+    schedules stays parked in flight and the engine stops at ``until``
+    (a walk prefix replayed to its last slot).
     """
-    step_time: dict[int, int] = {}
-    deliveries = 0
-    programs: dict[int, list] = {n: [] for n in range(config.nodes)}
-    lines = []
-    for index_step, step in enumerate(path.trace):
-        if step[0] == "op":
-            _, node, rw, block, _unblocked, _edges = step
-            # Issue halfway between the surrounding delivery slots, so
-            # the access lands exactly where the trace interleaved it.
-            at = deliveries * SCHEDULE_STRIDE + SCHEDULE_STRIDE // 2
-            step_time[index_step] = at
-            programs[node].append((rw, block, at))
-            lines.append(f"node{node}: {'write' if rw == 'w' else 'read'} "
-                         f"block {block} at {at}")
-        else:
-            _, mid, _unblocked, _edges = step
-            deliveries += 1
-            step_time[index_step] = deliveries * SCHEDULE_STRIDE
-            msg = path.msgs[mid]
-            lines.append(f"deliver {msg['handler']} "
-                         f"node{msg['src']} -> node{msg['dst']}")
+    from repro.backends import compose
 
-    # Target arrival per remote message (trace order, then parked tail).
-    targets: dict[int, int] = {}
-    tail = deliveries
-    for mid in sorted(path.msgs):
-        msg = path.msgs[mid]
-        if msg["src"] == msg["dst"]:
+    if config is None:
+        config = MachineConfig(nodes=case.nodes, seed=0).with_cache_size(2048)
+        if case.protocol == "ivy":
+            config = replace(config, page_size=_IVY_PAGE)
+    machine, protocol = compose(system, config)
+    stride = (machine.layout.page_size if case.protocol == "ivy"
+              else machine.layout.block_size)
+    region = machine.heap.allocate(case.blocks * stride, home=0,
+                                   label=f"litmus:{case.name}")
+    if protocol is not None:
+        protocol.setup_region(region)
+    machine.history = AccessHistory()
+    monitor = machine.enable_conformance(strict=True)
+    run = CaseRun(machine, monitor, region.base, stride)
+    rules = [FaultRule(**rule) for rule in case.schedule]
+    if until is None:
+        machine.install_fault_plan(ScriptedFaultPlan(rules))
+    else:
+        machine.install_fault_plan(
+            _ParkingPlan(rules, _vocabulary(monitor.spec)))
+        machine.interconnect.observers.append(run._observe)
+
+    def worker(node_id: int):
+        node = machine.nodes[node_id]
+        for index, (op, block, at) in enumerate(
+                case.programs.get(node_id, ())):
+            wait = at - machine.engine.now
+            if wait > 0:
+                yield wait
+            addr = region.base + block * stride
+            if op == "w":
+                yield from node.access(addr, True, node_id * 100 + index + 1)
+            else:
+                yield from node.access(addr, False)
+
+    if until is None:
+        machine.run_workers(worker)
+    else:
+        for node_id in range(case.nodes):
+            Process(machine.engine, worker(node_id), name=f"cpu{node_id}")
+        machine.engine.run(until=until)
+    return run
+
+
+# ----------------------------------------------------------------------
+# The walk
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Prefix:
+    """One walked prefix: the case so far, with its step cycles."""
+
+    programs: tuple     # per node: ((op, block, at), ...)
+    rules: tuple        # schedule rule dicts, in the order chosen
+    times: tuple        # cycle of each step
+    trace: tuple
+
+    def case(self, protocol: str, config: ExploreConfig) -> SynthesizedCase:
+        return SynthesizedCase(
+            protocol=protocol, name="walk", nodes=config.nodes,
+            blocks=config.blocks,
+            programs={n: list(ops) for n, ops in enumerate(self.programs)
+                      if ops},
+            schedule=list(self.rules), edges=[], expect_stats={},
+            trace=list(self.trace),
+        )
+
+
+@dataclass
+class _Visit:
+    """What one replay of a prefix showed."""
+
+    prefix: _Prefix
+    key: str
+    edges: frozenset
+    stats: dict
+    #: Parked protocol messages in send order:
+    #: (handler, src, dst, vnet, occurrence, send-step cycle, payload).
+    parked: list
+    choices: list
+
+
+@dataclass
+class ExplorationResult:
+    """Everything one bounded exploration learned."""
+
+    protocol: str
+    config: ExploreConfig
+    #: Every reachable (state, event, dst_state) edge.
+    edges: set
+    #: edge -> the shortest walked visit that first took it.
+    edge_visits: dict
+    states: int
+    transitions: int
+
+
+def _slot(step: int) -> int:
+    return step * SCHEDULE_STRIDE
+
+
+def _frozen_payload(payload: dict, perm: tuple, base: int,
+                    stride: int) -> tuple:
+    items = []
+    for key, value in sorted(payload.items()):
+        if key in _UNKEYED:
             continue
-        if msg["deliver_step"] is not None:
-            targets[mid] = step_time[msg["deliver_step"]]
-        else:
-            tail += 1
-            targets[mid] = tail * SCHEDULE_STRIDE
+        if key == "addr":
+            value = (value - base) // stride
+        elif key in _NODE_KEYS and value is not None:
+            value = perm[value]
+        items.append((key, getattr(value, "value", value)))
+    return tuple(items)
 
-    # A message overtakes when an earlier send on its channel arrives
-    # later: it must bypass the channel's FIFO floor ("reorder").
-    overtakes = set()
-    by_channel: dict[tuple, list] = {}
-    for mid in sorted(targets):
-        msg = path.msgs[mid]
-        by_channel.setdefault(
-            (msg["src"], msg["dst"], msg["vnet"]), []
-        ).append(mid)
-    for mids in by_channel.values():
-        for i, mid in enumerate(mids):
-            if any(targets[earlier] > targets[mid] for earlier in mids[:i]):
-                overtakes.add(mid)
 
-    occurrence: dict[tuple, int] = {}
-    schedule = []
-    for mid in sorted(targets):
-        msg = path.msgs[mid]
-        key = (msg["handler"], msg["src"], msg["dst"])
+def _frozen_record(record, perm: tuple) -> tuple:
+    """A home directory entry or IVY manager record, node-renamed."""
+    if record is None:
+        return ()
+    if hasattr(record, "copyset"):
+        requests = ([record.active] if record.active else []) + list(
+            record.queue)
+        return (perm[record.owner],
+                tuple(sorted(perm[n] for n in record.copyset)),
+                record.busy, record.acks_outstanding,
+                tuple((perm[r], w) for r, w in requests))
+    sharers = record.sharers
+    if callable(sharers):
+        sharers = sharers()
+    return (record.state.value,
+            -1 if record.owner is None else perm[record.owner],
+            tuple(sorted(perm[n] for n in sharers)),
+            record.acks_outstanding,
+            tuple((perm[r], w) for r, w in record.pending))
+
+
+def _canonical(run: CaseRun, prefix: _Prefix, config: ExploreConfig,
+               parked: list, blocked: list, records: list) -> str:
+    """The state's minimal form over renamings of the non-home nodes."""
+    monitor = run.monitor
+    blocks = run.blocks(config)
+    homes = [monitor.home_record(addr) for addr in blocks]
+    tags = [[monitor.tag_at(n, addr) for addr in blocks]
+            for n in range(config.nodes)]
+    # A pending load's start matters to the consistency oracle: it may
+    # return any store that had not been overwritten when it began.
+    positions = []
+    for n, program in enumerate(prefix.programs):
+        epoch = None
+        if blocked[n] and program[-1][0] == "r":
+            _op, block, at = program[-1]
+            epoch = sum(1 for record in records
+                        if record.is_write and record.end < at
+                        and record.addr == blocks[block])
+        positions.append((len(program), epoch))
+    best = None
+    for others in permutations(range(1, config.nodes)):
+        perm = (0,) + others
+        inverse = sorted(range(config.nodes), key=perm.__getitem__)
+        channels: dict = {}
+        for handler, src, dst, vnet, _occ, _at, payload in parked:
+            channels.setdefault((perm[src], perm[dst], int(vnet)), []).append(
+                (handler, _frozen_payload(payload, perm, run.base,
+                                          run.stride)))
+        frozen = repr((
+            tuple(_frozen_record(home, perm) for home in homes),
+            tuple(tuple(tags[n]) for n in inverse),
+            tuple(positions[n] for n in inverse),
+            tuple(sorted((channel, tuple(msgs))
+                         for channel, msgs in channels.items())),
+        ))
+        if best is None or frozen < best:
+            best = frozen
+    return best
+
+
+def _faults(run: CaseRun, node_id: int, addr: int, op: str) -> bool:
+    """Would this access leave the node (a tag fault or, on DirNNB, a
+    cache miss)?  Hits and local fills change no protocol state."""
+    node = run.machine.nodes[node_id]
+    is_write = op == "w"
+    tags = getattr(node, "tags", None)
+    if tags is None:
+        line = node.cache.lookup(addr)
+        return line is None or (is_write and line.state.value == "shared")
+    return not tags.has_page(addr) or tags.check(addr, is_write) is not None
+
+
+def _parked(run: CaseRun, prefix: _Prefix) -> list:
+    """The protocol messages still in flight, in send order."""
+    vocabulary = _vocabulary(run.monitor.spec)
+    occurrence: dict = {}
+    parked = []
+    for message in run.sends:
+        key = (message.handler, message.src, message.dst)
         occurrence[key] = occurrence.get(key, 0) + 1
-        delay = targets[mid] - step_time[msg["send_step"]]
-        if delay <= 0 and mid not in overtakes:
+        if (message.msg_id in run.delivered
+                or message.handler not in vocabulary):
             continue
-        schedule.append({
-            "handler": msg["handler"],
-            "src": msg["src"],
-            "dst": msg["dst"],
-            "occurrence": occurrence[key],
-            "action": "reorder" if mid in overtakes else None,
-            "delay": max(delay, 0),
-        })
+        sent_at = prefix.times[bisect_right(prefix.times,
+                                            message.send_time) - 1]
+        parked.append((message.handler, message.src, message.dst,
+                       message.vnet, occurrence[key], sent_at,
+                       message.payload))
+    return parked
 
-    edges = sorted({edge for step in path.trace for edge in step[-1]},
-                   key=_edge_sort_key)
-    return SynthesizedCase(
-        protocol=protocol,
-        name=f"{protocol}-{index:03d}",
-        nodes=config.nodes,
-        blocks=config.blocks,
-        programs={n: ops for n, ops in programs.items() if ops},
-        schedule=schedule,
-        edges=[list(edge) for edge in edges],
-        expect_stats=dict(sorted(path.counters.items())),
-        trace=lines,
+
+def _choices(run: CaseRun, prefix: _Prefix, config: ExploreConfig,
+             parked: list, blocked: list, records: list) -> list:
+    next_slot = _slot(len(prefix.times) + 1)
+    issued = [len(ops) for ops in prefix.programs]
+    total = config.total_ops
+    if total is None:
+        total = config.nodes * config.ops_per_node
+    choices = []
+    if sum(issued) < total:
+        last = prefix.times[-1] if prefix.times else 0
+        idle_since = {record.node: record.end for record in records}
+        for n in range(config.nodes):
+            if blocked[n] or issued[n] >= config.ops_per_node:
+                continue
+            for block, addr in enumerate(run.blocks(config)):
+                for op in ("r", "w"):
+                    if _faults(run, n, addr, op):
+                        choices.append(("op", n, op, block, next_slot))
+                # The same-cycle window: a handler on this node changed
+                # the block's tag during the last step, with the node
+                # idle.
+                for at in sorted({
+                    event.time for event in run.monitor.recorder.events(addr)
+                    if event.kind == "tag" and event.node == n
+                    and event.block == addr and event.time > last
+                    and event.time > idle_since.get(n, -1)
+                }):
+                    choices.append(("op", n, "w", block, int(at)))
+    channels: dict = {}
+    for message in parked:
+        channels.setdefault(message[1:4], []).append(message)
+    for channel in sorted(channels, key=lambda c: (c[0], c[1], int(c[2]))):
+        fifo = channels[channel]
+        for position in range(min(len(fifo), config.max_overtake + 1)):
+            choices.append(("deliver", fifo[position], position, next_slot))
+    return choices
+
+
+def _visit(protocol: str, prefix: _Prefix,
+           config: ExploreConfig) -> _Visit:
+    """Replay ``prefix`` to its last slot and read off its choices."""
+    try:
+        run = run_case(prefix.case(protocol, config),
+                       EXPLORABLE_PROTOCOLS[protocol],
+                       until=_slot(len(prefix.times) + 1) - 1)
+    except CoherenceViolation as exc:
+        raise CoherenceViolation(
+            f"{exc}\nwalk prefix:\n  " + "\n  ".join(prefix.trace)
+        ) from exc
+    machine = run.machine
+    inconsistent = check_register_consistency(machine.history)
+    if inconsistent:
+        raise CoherenceViolation(
+            f"{protocol} walk: {inconsistent[0]}\nwalk prefix:\n  "
+            + "\n  ".join(prefix.trace)
+        )
+    records = machine.history.records
+    finished = [0] * config.nodes
+    for record in records:
+        finished[record.node] += 1
+    blocked = [len(ops) > done
+               for ops, done in zip(prefix.programs, finished)]
+    parked = _parked(run, prefix)
+    return _Visit(
+        prefix=prefix,
+        key=_canonical(run, prefix, config, parked, blocked, records),
+        edges=frozenset(run.monitor.edges),
+        stats={key: int(value) for key, value in sorted(machine.stats)
+               if key.startswith(f"{protocol}.") and value},
+        parked=parked,
+        choices=_choices(run, prefix, config, parked, blocked, records),
     )
+
+
+def _extend(prefix: _Prefix, choice: tuple) -> _Prefix:
+    if choice[0] == "op":
+        _, node, op, block, at = choice
+        programs = list(prefix.programs)
+        programs[node] = programs[node] + ((op, block, at),)
+        return replace(
+            prefix, programs=tuple(programs), times=prefix.times + (at,),
+            trace=prefix.trace + (
+                f"node{node}: {'write' if op == 'w' else 'read'} "
+                f"block {block} at {at}",),
+        )
+    _, (handler, src, dst, _vnet, occurrence, sent_at, _payload), \
+        position, at = choice
+    rule = {"handler": handler, "src": src, "dst": dst,
+            "occurrence": occurrence,
+            "action": "reorder" if position else None,
+            "delay": at - sent_at}
+    overtaking = " (overtaking)" if position else ""
+    return replace(
+        prefix, rules=prefix.rules + (rule,), times=prefix.times + (at,),
+        trace=prefix.trace + (
+            f"deliver {handler} node{src} -> node{dst}{overtaking}",),
+    )
+
+
+def explore_protocol(name: str,
+                     config: ExploreConfig | None = None) -> ExplorationResult:
+    """Breadth-first walk of ``name``'s handlers under ``config``."""
+    if name not in EXPLORABLE_PROTOCOLS:
+        raise ValueError(
+            f"no exploration system for {name!r} "
+            f"(have {sorted(EXPLORABLE_PROTOCOLS)})"
+        )
+    config = config or ExploreConfig()
+    root = _visit(name, _Prefix(programs=((),) * config.nodes, rules=(),
+                                times=(), trace=()), config)
+    seen = {root.key}
+    edge_visits = {edge: root for edge in root.edges}
+    queue = deque([root])
+    transitions = 0
+    while queue:
+        visit = queue.popleft()
+        for choice in visit.choices:
+            child = _visit(name, _extend(visit.prefix, choice), config)
+            transitions += 1
+            for edge in child.edges:
+                edge_visits.setdefault(edge, child)
+            if len(child.prefix.times) >= config.max_steps:
+                continue
+            if child.key not in seen:
+                seen.add(child.key)
+                queue.append(child)
+    return ExplorationResult(
+        protocol=name, config=config, edges=set(edge_visits),
+        edge_visits=edge_visits, states=len(seen), transitions=transitions,
+    )
+
+
+# ----------------------------------------------------------------------
+# Walk -> pinned litmus corpus
+# ----------------------------------------------------------------------
+def _edge_sort_key(edge):
+    return tuple("" if part is None else str(part) for part in edge)
+
+
+def _emit_case(protocol: str, visit: _Visit, index: int,
+               config: ExploreConfig) -> SynthesizedCase:
+    """The walked prefix, plus a tail that releases whatever it left
+    parked one slot apart in send order, so the pinned prefix replays
+    before the tail drains."""
+    prefix = visit.prefix
+    case = prefix.case(protocol, config)
+    after = len(prefix.times)
+    for offset, (handler, src, dst, _vnet, occurrence, sent_at,
+                 _payload) in enumerate(visit.parked, start=1):
+        case.schedule.append({
+            "handler": handler, "src": src, "dst": dst,
+            "occurrence": occurrence, "action": None,
+            "delay": _slot(after + offset) - sent_at,
+        })
+    case.name = f"{protocol}-{index:03d}"
+    case.edges = [list(edge)
+                  for edge in sorted(visit.edges, key=_edge_sort_key)]
+    case.expect_stats = dict(visit.stats)
+    return case
 
 
 def synthesize_corpus(name: str,
@@ -1289,43 +622,38 @@ def synthesize_corpus(name: str,
 
     Returns the chosen cases plus the (merged-bounds) exploration result
     whose edge set is the coverage obligation.  Greedy set cover over
-    shortest-first candidate traces keeps the corpus small while the
+    shortest-first witness prefixes keeps the corpus small while the
     union of case edges equals every reachable edge — the property
-    ``tests/litmus/test_corpus.py`` asserts.
+    ``tests/protocols/test_explore.py`` asserts.
     """
-    merged_edges: dict = {}
+    merged: dict = {}
     results = []
     for config in configs:
         result = explore_protocol(name, config)
         results.append(result)
-        for edge, path in result.edge_paths.items():
-            known = merged_edges.get(edge)
-            if known is None or len(path.trace) < len(known[0].trace):
-                merged_edges[edge] = (path, config)
-    # Candidate cases: the distinct shortest paths, each scored by the
-    # full edge set its trace exercises (not just the edges it is the
-    # canonical shortest witness for).
-    candidates: dict[int, tuple] = {}
-    for path, config in merged_edges.values():
-        if id(path) not in candidates:
-            trace_edges = {e for step in path.trace for e in step[-1]}
-            candidates[id(path)] = (path, config, trace_edges)
-    uncovered = set(merged_edges)
+        for edge, visit in result.edge_visits.items():
+            known = merged.get(edge)
+            if known is None or (len(visit.prefix.times)
+                                 < len(known[0].prefix.times)):
+                merged[edge] = (visit, config)
+    candidates = {id(visit): (visit, config)
+                  for visit, config in merged.values()}
+    uncovered = set(merged)
     chosen = []
     pool = list(candidates.values())
     while uncovered:
-        pool.sort(key=lambda entry: (-len(entry[2] & uncovered),
-                                     len(entry[0].trace)))
-        path, config, edges = pool.pop(0)
-        if not edges & uncovered:  # pragma: no cover - cover progresses
-            raise RuntimeError("set cover stalled")
-        uncovered -= edges
-        chosen.append((path, config))
+        pool.sort(key=lambda entry: (-len(entry[0].edges & uncovered),
+                                     len(entry[0].prefix.times)))
+        visit, config = pool.pop(0)
+        uncovered -= visit.edges
+        chosen.append((visit, config))
     cases = [
-        _emit_case(name, path, index, config)
-        for index, (path, config) in enumerate(chosen)
+        _emit_case(name, visit, index, config)
+        for index, (visit, config) in enumerate(chosen)
     ]
     primary = results[0]
-    primary.edges = set(merged_edges)
-    primary.edge_paths = {e: p for e, (p, _c) in merged_edges.items()}
+    primary.edges = set(merged)
+    primary.edge_visits = {edge: visit for edge, (visit, _c) in merged.items()}
+    primary.states = sum(result.states for result in results)
+    primary.transitions = sum(result.transitions for result in results)
     return cases, primary

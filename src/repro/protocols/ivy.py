@@ -28,6 +28,13 @@ Protocol sketch (per page, manager = the page's home node):
 * a write fault invalidates the copyset, recalls the page from the owner,
   and transfers ownership.
 
+Grants travel the response network and recalls/invalidations the
+request network, so a recall or invalidation can overtake the grant
+that created the copy it chases.  Each grant therefore carries a
+per-page version, recalls and invalidations carry the version of the
+grant that made their target owner or member, and a node that has not
+installed that version yet defers the message until its grant arrives.
+
 Every handler is ordinary user-level Tempest code, so the Stache-vs-IVY
 bench (`benchmarks/test_granularity.py`) compares two *policies* on
 identical mechanisms — precisely the experiment the interface exists to
@@ -70,6 +77,10 @@ class _PageState:
     acks_outstanding: int = 0
     #: The in-service request: (requester, want_write).
     active: tuple[int, bool] | None = None
+    #: Grants issued so far, and node -> the version of the grant that
+    #: made it owner or copyset member.
+    version: int = 0
+    granted: dict[int, int] = field(default_factory=dict)
 
 
 class IvyProtocol:
@@ -88,6 +99,10 @@ class IvyProtocol:
         self.machine: TempestPort | None = None
         # (manager node, page addr) -> _PageState
         self._pages: dict[tuple[int, int], _PageState] = {}
+        # Requester side: (node, page addr) -> latest grant version
+        # installed, and the recalls/invalidations that overtook it.
+        self._installed: dict[tuple[int, int], int] = {}
+        self._deferred: dict[tuple[int, int], list[Message]] = {}
 
     # ------------------------------------------------------------------
     def install(self, machine: TempestPort) -> None:
@@ -215,7 +230,8 @@ class IvyProtocol:
                 tempest.send(member, self.INVAL,
                              vnet=VirtualNetwork.REQUEST,
                              size_words=REQUEST_WORDS,
-                             addr=page_addr, manager=tempest.node_id)
+                             addr=page_addr, manager=tempest.node_id,
+                             version=state.granted.get(member, 0))
             if state.acks_outstanding == 0:
                 self._recall_or_grant(tempest, page_addr, state)
             return
@@ -233,6 +249,7 @@ class IvyProtocol:
             vnet=VirtualNetwork.REQUEST, size_words=REQUEST_WORDS,
             addr=page_addr, requester=requester,
             want_write=want_write, manager=tempest.node_id,
+            version=state.granted.get(state.owner, 0),
         )
 
     def _h_ack(self, tempest: Tempest, message: Message) -> None:
@@ -261,10 +278,12 @@ class IvyProtocol:
         else:
             if requester != state.owner:
                 state.copyset.add(requester)
+        state.version += 1
+        state.granted[requester] = state.version
         tempest.send(
             requester, self.GRANT,
             vnet=VirtualNetwork.RESPONSE, size_words=REQUEST_WORDS,
-            addr=page_addr, want_write=want_write,
+            addr=page_addr, want_write=want_write, version=state.version,
         )
         state.busy = False
         state.active = None
@@ -274,8 +293,19 @@ class IvyProtocol:
     # ------------------------------------------------------------------
     # Owner and copyset sides
     # ------------------------------------------------------------------
+    def _overtook_grant(self, tempest: Tempest, message: Message) -> bool:
+        """Defer ``message`` if it chases a grant not yet installed."""
+        key = (tempest.node_id, message.payload["addr"])
+        if message.payload["version"] <= self._installed.get(key, 0):
+            return False
+        self._deferred.setdefault(key, []).append(message)
+        tempest.stats.incr("ivy.overtaken_grants")
+        return True
+
     def _h_recall(self, tempest: Tempest, message: Message) -> None:
         """Ship the whole page to the requester, then tell the manager."""
+        if self._overtook_grant(tempest, message):
+            return
         page_addr = message.payload["addr"]
         requester = message.payload["requester"]
         want_write = message.payload["want_write"]
@@ -298,6 +328,8 @@ class IvyProtocol:
         transfer.add_callback(notify)
 
     def _h_inval(self, tempest: Tempest, message: Message) -> None:
+        if self._overtook_grant(tempest, message):
+            return
         page_addr = message.payload["addr"]
         if tempest.page_entry(page_addr) is not None:
             self._set_page_tag(tempest, page_addr, Tag.INVALID)
@@ -319,3 +351,10 @@ class IvyProtocol:
         )
         tempest.stats.incr("ivy.pages_granted")
         tempest.resume()
+        key = (tempest.node_id, page_addr)
+        self._installed[key] = message.payload["version"]
+        for deferred in self._deferred.pop(key, ()):
+            if deferred.handler == self.RECALL:
+                self._h_recall(tempest, deferred)
+            else:
+                self._h_inval(tempest, deferred)

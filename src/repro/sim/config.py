@@ -27,6 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 
+#: Largest machine the simulator builds.  Far above any experiment (64
+#: nodes at most), and low enough that a mistyped count fails at once
+#: instead of allocating a million nodes.
+MAX_NODES = 1024
+
+
 class ConfigError(ValueError):
     """A configuration that describes no buildable machine."""
 
@@ -355,6 +361,9 @@ class MachineConfig:
         self.cache.validate()
         if self.nodes < 1:
             raise ConfigError("need at least one node")
+        if self.nodes > MAX_NODES:
+            raise ConfigError(
+                f"at most {MAX_NODES} nodes, got {self.nodes}")
         if self.page_size % self.block_size:
             raise ConfigError(
                 "page size must be a multiple of the block size")

@@ -191,6 +191,10 @@ class TempestNode:
                 if check:
                     yield check
             if self.cache.access(block, is_write):
+                # MBus order: the access is performed when the cache
+                # grants it, so a store that hits before a handler's
+                # downgrade in the same cycle is in the exported data.
+                value = self._perform(addr, is_write, value)
                 yield self._hit_cycles
                 return self._complete(addr, is_write, value, start)
             # Miss: a bus transaction, checked against the block's tag
@@ -219,6 +223,7 @@ class TempestNode:
             # Victim writeback to local DRAM costs 0 (perfect write buffer,
             # Table 2); the image already holds every store, so no data
             # movement is needed either.
+            value = self._perform(addr, is_write, value)
             return self._complete(addr, is_write, value, start)
 
     def _handle_block_fault(self, fault: AccessFault) -> Generator:
@@ -233,21 +238,24 @@ class TempestNode:
         self.np.enqueue_fault(fault)
         yield suspension
 
-    def _complete(self, addr: int, is_write: bool, value: Any,
-                  start: float) -> Any:
+    def _perform(self, addr: int, is_write: bool, value: Any) -> Any:
+        """Store to or load from the memory image; returns the value."""
         if is_write:
             self._image_write(addr, value)
             if addr >= SHARED_BASE:
                 self.written_blocks.add(addr & self._block_mask)
-            result = None
-        else:
-            result = value = self._image_read(addr)
+            return value
+        return self._image_read(addr)
+
+    def _complete(self, addr: int, is_write: bool, value: Any,
+                  start: float) -> Any:
+        """Account a performed access over ``[start, now]``."""
         self._counters[self._access_cycles_key] += self.engine.now - start
         if self.machine.history is not None:
             self.machine.history.record(
                 self.node_id, addr, is_write, value, start, self.engine.now
             )
-        return result
+        return None if is_write else value
 
     def _handle_page_fault(self, addr: int, is_write: bool) -> Generator:
         self.stats.incr(f"{self._prefix}.cpu.page_faults")

@@ -3,13 +3,14 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.harness import experiments
-from repro.sim.config import MachineConfig
+from repro.sim.config import MAX_NODES, MachineConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -140,6 +141,20 @@ def test_node_count_below_one_rejected_by_parser(argv, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "error: argument --nodes: need at least one node" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["breakdown", "--nodes", "1000000"],
+    ["sweep", "run", "--nodes", str(MAX_NODES + 1)],
+])
+def test_node_count_above_max_rejected_by_parser(argv, capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --nodes: at most {MAX_NODES} nodes" in err
 
 
 def test_config_validation_error_is_one_line(monkeypatch, capsys):

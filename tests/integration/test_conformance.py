@@ -231,6 +231,34 @@ def test_monitor_is_cycle_and_stats_passive():
     assert stats_on == stats_off
 
 
+def test_monitor_records_coverage_edges_only_when_on(monkeypatch):
+    """Coverage edges are a monitor product: with the monitor on, every
+    fault and delivery lands in ``monitor.edges``; with it off nothing
+    is attached that could collect them."""
+    monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
+
+    def run(monitored):
+        machine, _protocol, region = make_stache_machine(nodes=2, seed=1)
+        monitor = machine.enable_conformance() if monitored else None
+        run_script(machine, {1: [("w", region.base, 7)],
+                             0: [("c", 500), ("r", region.base)]})
+        return machine, monitor
+
+    machine, monitor = run(True)
+    assert {
+        ("home", "fault.write", "Invalid"),           # node 1 misses
+        ("home", "stache.get_rw", "ReadWrite"),       # home grants
+        ("exclusive", "stache.data", "Busy"),         # data lands
+        ("exclusive", "fault.read", "Invalid"),       # home reads back
+        ("pending-writeback", "stache.writeback", "ReadWrite"),
+    } <= monitor.edges
+    machine, _ = run(False)
+    assert machine.conformance is None
+    assert machine.interconnect.observers == []
+    assert machine.fault_observers == []
+    assert all(node.tags.observer is None for node in machine.nodes)
+
+
 def test_enable_conformance_is_idempotent_and_needs_a_spec():
     from repro.sim.config import MachineConfig
     from repro.sim.engine import SimulationError

@@ -211,7 +211,10 @@ class _WarmFirstPage(Application):
             yield from ctx.read(base + offset)
 
 
-def test_run_straddling_page_boundary_splits():
+def test_run_straddling_page_boundary_splits(monkeypatch):
+    # Counts lane commits: the lanes deopt under the conformance
+    # monitor, so the ambient REPRO_CONFORMANCE switch is pinned off.
+    monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
     machine = TyphoonMachine(MachineConfig(nodes=1, seed=3))
     protocol = StacheProtocol()
     machine.install_protocol(protocol)

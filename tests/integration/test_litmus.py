@@ -1,8 +1,8 @@
 """The synthesized litmus corpus, replayed on the real machines.
 
-The explorer's traces are only as good as their replays: every
-committed case runs on every ``backend:protocol`` system its corpus
-maps to, with strict conformance
+The walk pins what it reached on one system per protocol; the replays
+carry it to the rest: every committed case runs on every
+``backend:protocol`` system its corpus maps to, with strict conformance
 monitoring and register-consistency checking.  The late-grant
 overtaking family — the race the FaultPlan vocabulary exists to pin —
 is additionally asserted *by its counters*: the pinned schedule must
@@ -29,8 +29,8 @@ CORPUS_DIR = pathlib.Path(__file__).parents[1] / "litmus"
 # ----------------------------------------------------------------------
 # Corpus hygiene
 # ----------------------------------------------------------------------
-def test_committed_corpus_is_not_stale():
-    """Byte-for-byte regeneration: a protocol-table change that alters
+def test_committed_corpus_is_not_stale(walked):
+    """Byte-for-byte regeneration: a handler or table change that alters
     the reachable edges or schedules must be accompanied by a corpus
     regeneration (``python -m repro litmus``)."""
     assert check_corpus(CORPUS_DIR) == []
@@ -44,14 +44,14 @@ def test_replay_systems_cover_the_full_matrix():
     assert set(REPLAY_SYSTEMS) == set(CORPUS_PROTOCOLS)
 
 
-def test_cli_litmus_check_passes_on_the_committed_corpus(capsys):
+def test_cli_litmus_check_passes_on_the_committed_corpus(walked, capsys):
     from repro.cli import main
 
     assert main(["litmus", "--check", "--dir", str(CORPUS_DIR)]) == 0
     assert "up to date" in capsys.readouterr().out
 
 
-def test_cli_litmus_check_reports_drift(tmp_path, capsys):
+def test_cli_litmus_check_reports_drift(walked, tmp_path, capsys):
     from repro.cli import main
 
     assert main(["litmus", "--dir", str(tmp_path)]) == 0
@@ -96,7 +96,7 @@ def test_corpus_replays_clean(protocol, system):
 def test_late_grant_overtaking_family_replays_deterministically(system):
     """A *synthesized* case (not a hand-written one) drives the real
     machine through grant poisoning and the poisoned-grant refetch on
-    both Tempest backends: the invalidation, pinned to an earlier slot
+    every Tempest backend: the invalidation, pinned to an earlier slot
     than the delayed data reply, arrives while the requester's tag is
     still Busy."""
     cases = load_corpus(CORPUS_DIR, "stache")
@@ -117,9 +117,9 @@ def test_late_grant_overtaking_family_replays_deterministically(system):
 
 def test_model_counters_match_the_real_machine_on_stache():
     """Stronger than green: for every stache case, the counters the
-    abstract model predicted along its trace are *lower bounds* the
-    real replay meets — the model and the machine agree on what the
-    schedule makes happen, not just that nothing breaks."""
+    walk saw along its prefix are *lower bounds* the full replay meets
+    — draining the parked tail adds work, it never undoes what the
+    pinned prefix made happen."""
     for case in load_corpus(CORPUS_DIR, "stache"):
         replay = replay_case(case, "typhoon:stache")
         for counter, expected in case.expect_stats.items():

@@ -21,6 +21,15 @@ PRIVATE = 0x4000
 SYSTEMS = ["typhoon:stache", "blizzard:stache", "decoupled:stache"]
 
 
+@pytest.fixture(autouse=True)
+def _monitor_off(monkeypatch):
+    """These tests count lane commits, and the lanes deopt by design
+    while the conformance monitor watches, so the ambient
+    ``REPRO_CONFORMANCE`` switch is pinned off (tests that want the
+    monitor enable it explicitly)."""
+    monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
+
+
 def warmed(system="typhoon:stache"):
     """A one-node machine with one shared and one private page resident.
 

@@ -1,29 +1,29 @@
-"""The symbolic protocol explorer (repro.protocols.explore).
+"""The protocol walk (repro.protocols.explore).
 
-Covers the explorer's three contracts: it is deterministic (same
-tables, same corpus, byte for byte), it enforces the declarative specs
-against its own protocol models (a table edit that legalizes nothing
-new makes exploration *fail*, not silently shrink), and the committed
-litmus corpus covers every reachable ``(state, event)`` edge of every
-explorable ProtocolSpec.  Replay of the corpus on the real machines
-lives in tests/integration/test_litmus.py.
+Covers the walk's three contracts: it is deterministic (same handlers,
+same corpus, byte for byte), it checks the real handlers against the
+declarative specs (a table edit that outlaws a step the handlers take
+makes the walk *fail*, not silently shrink), and the committed litmus
+corpus covers every ``(state, event, receiver tag)`` edge the walk
+reaches.  Replay of the corpus on the real machines lives in
+tests/integration/test_litmus.py.
 """
 
 import dataclasses
+import json
 import pathlib
 
 import pytest
 
+from repro.protocols import conformance
 from repro.protocols.conformance import STACHE_SPEC
 from repro.protocols.directory import DirectoryState
 from repro.protocols.explore import (
     EXPLORABLE_PROTOCOLS,
     ExploreConfig,
-    SpecDivergence,
-    explore,
     explore_protocol,
-    synthesize_corpus,
 )
+from repro.protocols.verify import CoherenceViolation
 
 CORPUS_DIR = pathlib.Path(__file__).parents[1] / "litmus"
 
@@ -31,7 +31,7 @@ SMALL = ExploreConfig(nodes=2, blocks=1, ops_per_node=1)
 
 
 # ----------------------------------------------------------------------
-# Exploration mechanics
+# Walk mechanics
 # ----------------------------------------------------------------------
 def test_every_model_explores_under_small_bounds():
     for name in EXPLORABLE_PROTOCOLS:
@@ -39,10 +39,9 @@ def test_every_model_explores_under_small_bounds():
         assert result.states > 1
         assert result.transitions >= result.states - 1
         assert result.edges
-        # Every edge's witness trace actually contains the edge.
-        for edge, path in result.edge_paths.items():
-            trace_edges = {e for step in path.trace for e in step[-1]}
-            assert edge in trace_edges
+        # Every edge's witness prefix actually took the edge.
+        for edge, visit in result.edge_visits.items():
+            assert edge in visit.edges
 
 
 def test_exploration_is_deterministic():
@@ -56,7 +55,7 @@ def test_exploration_is_deterministic():
 def test_degenerate_bounds_are_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         ExploreConfig(nodes=1)
-    with pytest.raises(ValueError, match="no exploration model"):
+    with pytest.raises(ValueError, match="no exploration system"):
         explore_protocol("em3d-update", SMALL)
 
 
@@ -73,12 +72,12 @@ def test_depth_bound_terminates_the_adversarial_livelock():
     assert ("pending-invalidate", "stache.inval", "Busy") in result.edges
 
 
-def test_model_divergence_from_the_spec_tables_is_an_error():
-    """Drop one legal transition from the stache tables: the model (a
-    line-for-line twin of the handlers) must step outside the narrowed
-    spec and raise, naming the missing edge — the same tripwire that
-    would catch the spec and the implementation drifting apart."""
-    model_cls = EXPLORABLE_PROTOCOLS["stache"]
+def test_walk_divergence_from_the_spec_tables_is_a_coherence_violation(
+        monkeypatch):
+    """Drop one legal transition from the stache tables: the real
+    handlers take it, so the strict monitor on the walked machine must
+    raise, naming the missing edge — the tripwire that catches the spec
+    and the implementation drifting apart."""
     narrowed = dataclasses.replace(
         STACHE_SPEC,
         directory_transitions=frozenset(
@@ -86,30 +85,25 @@ def test_model_divergence_from_the_spec_tables_is_an_error():
             if edge != (DirectoryState.HOME, DirectoryState.SHARED)
         ),
     )
-
-    class Narrowed(model_cls):
-        spec = narrowed
-
-    with pytest.raises(SpecDivergence, match="home -> shared"):
-        explore(Narrowed(SMALL), SMALL)
+    monkeypatch.setitem(conformance.SPECS, "stache", narrowed)
+    with pytest.raises(CoherenceViolation, match="home -> shared"):
+        explore_protocol("stache", SMALL)
 
 
 # ----------------------------------------------------------------------
 # Corpus coverage: the tentpole acceptance property
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", sorted(EXPLORABLE_PROTOCOLS))
-def test_corpus_covers_every_reachable_edge(protocol):
+def test_corpus_covers_every_reachable_edge(protocol, synthesized):
     """The committed corpus is a *complete* set cover: the union of its
-    cases' edges equals every (state, event, dst-state) edge the
-    bounded exploration of the protocol's spec can reach.  One test per
-    unique explorable spec (migratory shares stache's tables and
-    em3d-update's corpus is stache-derived)."""
-    cases, result = synthesize_corpus(protocol)
+    cases' edges equals every (state, event, receiver tag) edge the
+    bounded walk of the protocol's handlers reaches.  One test per
+    walked system (migratory shares stache's tables and em3d-update's
+    corpus is stache-derived)."""
+    cases, result = synthesized[protocol]
     covered = {tuple(edge) for case in cases for edge in case.edges}
     assert covered == result.edges
     # And the committed corpus files carry exactly these cases.
-    import json
-
     committed = json.loads(
         (CORPUS_DIR / f"{protocol}.json").read_text())["cases"]
     assert [case["name"] for case in committed] == [c.name for c in cases]
@@ -119,11 +113,11 @@ def test_corpus_covers_every_reachable_edge(protocol):
     assert committed_edges == result.edges
 
 
-def test_stache_corpus_enumerates_the_overtaking_family():
+def test_stache_corpus_enumerates_the_overtaking_family(synthesized):
     """The grant-vs-invalidation overtaking family is derived, not
     sampled: the corpus contains cases that poison a grant and cases
     that complete the poisoned-grant refetch."""
-    cases, _result = synthesize_corpus("stache")
+    cases, _result = synthesized["stache"]
     poisoning = [c for c in cases
                  if c.expect_stats.get("stache.grants_poisoned")]
     refetching = [c for c in cases
@@ -138,9 +132,9 @@ def test_stache_corpus_enumerates_the_overtaking_family():
     assert "stache.inval" in delayed
 
 
-def test_synthesized_schedules_are_well_formed():
+def test_synthesized_schedules_are_well_formed(synthesized):
     for protocol in sorted(EXPLORABLE_PROTOCOLS):
-        cases, _ = synthesize_corpus(protocol)
+        cases, _ = synthesized[protocol]
         for case in cases:
             assert case.programs, case.name
             for rule in case.schedule:

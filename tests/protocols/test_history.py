@@ -169,3 +169,22 @@ def test_property_migratory_protocol_is_register_consistent(ops, seed):
     violations = check_register_consistency(machine.history)
     assert violations == [], "\n".join(str(v) for v in violations)
     check_stache_coherence(machine, region)
+
+
+#: A store that hits in the cache in the same cycle as the writeback
+#: handler that exports and downgrades its block (node 1, cycle 716):
+#: the hypothesis example that exposed the lost store, pinned.
+LOST_STORE_OPS = [(0, False, 0, 0, 0)] * 12 + [
+    (0, False, 1, 0, 0), (1, False, 0, 0, 0), (0, False, 0, 1, 0),
+    (0, False, 0, 1, 0), (1, True, 0, 1, 0), (1, False, 1, 0, 0),
+    (1, True, 0, 1, 0),
+]
+
+
+def test_store_hitting_before_a_same_cycle_downgrade_is_not_lost():
+    machine, protocol, region = make_stache_machine(
+        nodes=NODES, seed=0, shared_bytes=4 * 4096, stache_page_budget=1)
+    machine.history = AccessHistory()
+    run_script(machine, programs_from(LOST_STORE_OPS))
+    violations = check_register_consistency(machine.history)
+    assert violations == [], "\n".join(str(v) for v in violations)

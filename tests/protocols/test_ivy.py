@@ -141,6 +141,24 @@ class TestContention:
         assert violations == [], "\n".join(str(v) for v in violations)
 
 
+    def test_recall_overtaking_its_grant_waits_for_it(self):
+        """On a lossy network a recall or invalidation can overtake the
+        grant that created the copy it chases (grants ride the response
+        network, recalls and invalidations the request network).  The
+        node must defer it until the grant is installed; installing the
+        late grant afterwards left two writers, and this run read a
+        stale 0 (node 2, block 1)."""
+        from tests.integration.test_fault_resilience import run_under_faults
+
+        machine, protocol, region = make_machine(seed=2, pages=1)
+        run_under_faults(machine, region, [
+            (2, False, 0, 0, 675), (3, False, 0, 1, 647),
+            (3, False, 0, 1, 624), (0, True, 0, 0, 24),
+            (2, False, 0, 1, 833), (1, True, 0, 1, 927),
+        ])
+        assert machine.stats.get("ivy.overtaken_grants") >= 1
+
+
 class TestGranularityEffect:
     def test_false_sharing_thrashes_pages_but_not_blocks(self):
         """The Section 2.4 argument, quantified: two nodes writing

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.config import (
     FIGURE3_CACHE_SIZES,
+    MAX_NODES,
     CacheConfig,
     ConfigError,
     DirNNBCosts,
@@ -110,6 +111,11 @@ class TestMachineConfig:
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
             MachineConfig(nodes=0).validate()
+
+    def test_rejects_more_than_max_nodes(self):
+        MachineConfig(nodes=MAX_NODES).validate()
+        with pytest.raises(ConfigError, match=f"at most {MAX_NODES} nodes"):
+            MachineConfig(nodes=MAX_NODES + 1).validate()
 
     def test_rejects_mismatched_block_sizes(self):
         config = MachineConfig(block_size=64)
