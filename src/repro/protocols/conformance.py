@@ -455,8 +455,8 @@ class ConformanceMonitor:
         """The home's directory entry (IVY: manager record) for
         ``block``; None until the protocol materializes it."""
         if self._ivy_pages is not None:
-            return next((state for (_manager, page), state
-                         in self._ivy_pages.items() if page == block), None)
+            return self._ivy_pages.get(
+                (self.machine.heap.home_of(block), block))
         return self._block_entries.get(block)
 
     def directory_state(self, block: int) -> str | None:

@@ -143,6 +143,12 @@ class ExploreConfig:
     def __post_init__(self):
         if self.nodes < 2 or self.blocks < 1 or self.ops_per_node < 1:
             raise ValueError(f"degenerate bounds {self!r}")
+        # Every replay stops before a parked message could arrive.
+        if _slot(self.max_steps + 1) >= _PARKED:
+            raise ValueError(
+                f"max_steps={self.max_steps} reaches the parked-message "
+                f"horizon ({_PARKED} cycles)"
+            )
 
 
 @dataclass
@@ -420,16 +426,17 @@ def _canonical(run: CaseRun, prefix: _Prefix, config: ExploreConfig,
     return best
 
 
+#: Receiver tags (a Tempest tag, or a DirNNB cache-line state) under
+#: which a load / a store proceeds without leaving the node.
+_READABLE = frozenset({"ReadWrite", "ReadOnly", "exclusive", "shared"})
+_WRITABLE = frozenset({"ReadWrite", "exclusive"})
+
+
 def _faults(run: CaseRun, node_id: int, addr: int, op: str) -> bool:
     """Would this access leave the node (a tag fault or, on DirNNB, a
     cache miss)?  Hits and local fills change no protocol state."""
-    node = run.machine.nodes[node_id]
-    is_write = op == "w"
-    tags = getattr(node, "tags", None)
-    if tags is None:
-        line = node.cache.lookup(addr)
-        return line is None or (is_write and line.state.value == "shared")
-    return not tags.has_page(addr) or tags.check(addr, is_write) is not None
+    allowed = _WRITABLE if op == "w" else _READABLE
+    return run.monitor.tag_at(node_id, addr) not in allowed
 
 
 def _parked(run: CaseRun, prefix: _Prefix) -> list:

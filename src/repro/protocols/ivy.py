@@ -33,7 +33,8 @@ request network, so a recall or invalidation can overtake the grant
 that created the copy it chases.  Each grant therefore carries a
 per-page version, recalls and invalidations carry the version of the
 grant that made their target owner or member, and a node that has not
-installed that version yet defers the message until its grant arrives.
+installed that version yet defers the message until its grant arrives
+and the access the grant enables has completed.
 
 Every handler is ordinary user-level Tempest code, so the Stache-vs-IVY
 bench (`benchmarks/test_granularity.py`) compares two *policies* on
@@ -353,8 +354,15 @@ class IvyProtocol:
         tempest.resume()
         key = (tempest.node_id, page_addr)
         self._installed[key] = message.payload["version"]
-        for deferred in self._deferred.pop(key, ()):
-            if deferred.handler == self.RECALL:
-                self._h_recall(tempest, deferred)
-            else:
-                self._h_inval(tempest, deferred)
+        deferred = self._deferred.pop(key, None)
+        if deferred:
+            # Serving them now would take the page away before the
+            # resumed access could use it: redeliver them locally once
+            # that access has completed.
+            tempest.after_access(
+                lambda: self._redeliver(tempest, deferred))
+
+    def _redeliver(self, tempest: Tempest, messages: list[Message]) -> None:
+        for message in messages:
+            tempest.send(tempest.node_id, message.handler, vnet=message.vnet,
+                         size_words=message.size_words, **message.payload)

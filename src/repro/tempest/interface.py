@@ -43,6 +43,7 @@ class TempestBackend(Protocol):
     thread: ComputationThread
     heap: GlobalHeap
     written_blocks: set
+    after_access: list
 
     @property
     def num_nodes(self) -> int: ...
@@ -209,6 +210,13 @@ class Tempest:
     def resume(self, value: Any = None) -> None:
         """Table 1 ``resume``: restart this node's suspended thread."""
         self._backend.thread.resume(value)
+
+    def after_access(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the computation thread's current access
+        completes: for a suspended thread, the access ``resume`` lets
+        retry.  A handler defers work with it that must not pre-empt
+        the access it just enabled."""
+        self._backend.after_access.append(callback)
 
     @property
     def thread_suspended(self) -> bool:

@@ -87,6 +87,9 @@ class TempestNode:
         self.thread = ComputationThread(self.engine, node_id)
         self.registry = HandlerRegistry(node_id)
         self.page_fault_handler: PageFaultHandler | None = None
+        #: Callbacks to run when the CPU's current access completes
+        #: (:meth:`Tempest.after_access`), then cleared.
+        self.after_access: list[Callable[[], None]] = []
         #: Blocks written since this node last gained them (the M-vs-E
         #: distinction an ownership bus provides); cleared on downgrade
         #: or invalidation.  Custom protocols use it (e.g. migratory
@@ -255,6 +258,10 @@ class TempestNode:
             self.machine.history.record(
                 self.node_id, addr, is_write, value, start, self.engine.now
             )
+        if self.after_access:
+            callbacks, self.after_access = self.after_access, []
+            for callback in callbacks:
+                callback()
         return None if is_write else value
 
     def _handle_page_fault(self, addr: int, is_write: bool) -> Generator:

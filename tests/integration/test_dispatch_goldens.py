@@ -75,8 +75,9 @@ RELIABLE_GOLDENS = {
 }
 
 #: IVY's rows: under this plan's losses a recall or invalidation often
-#: overtakes its grant and must wait for it (see repro.protocols.ivy),
-#: so pages change hands far more often than on a reliable network.
+#: overtakes its grant and must wait for it and for the access it
+#: enables (see repro.protocols.ivy).  Blizzard's row is slow because
+#: its bounded inbox NACKs much of every 64-packet page transfer.
 LOSSY_GOLDENS = {
     "dirnnb": (94258.0, "d7b7f0c2a2b6b06b", ("5f34478302da46fa",)),
     "typhoon:stache": (113007.0, "74b076a939383d9a", (
@@ -85,9 +86,9 @@ LOSSY_GOLDENS = {
     "typhoon:migratory": (86457.0, "4e6e43f083157ce0", (
         "4d9e83ecd3d8ca94", "103516d018f1f0d1", "f33a9aa427f0b2d2",
         "d2c889f339eb82ff")),
-    "typhoon:ivy": (2256034.0, "41aea278430723dd", (
-        "5966188709fb7452", "b2e34f1b9d415c25", "2307fd08411684ff",
-        "7b5df832ef592f76")),
+    "typhoon:ivy": (2052086.0, "9de2b75367e211f4", (
+        "b3b0e40f25acf4f4", "330521095ecb14b8", "fe77154acf020f26",
+        "15fb7259e38a9bf0")),
     "typhoon:em3d-update": (113007.0, "74b076a939383d9a", (
         "a6a5c3d71d88a9be", "8a7476ee667fb485", "dfb0fa2da45fd76b",
         "ffd35dc0f9caa00c")),
@@ -97,9 +98,9 @@ LOSSY_GOLDENS = {
     "decoupled:migratory": (126899.0, "cce0829bd46d2ea6", (
         "5770f3c28ea98df0", "6d5540a3456c8b71", "7678f05f1ac04f70",
         "14378fd2c9889aff")),
-    "decoupled:ivy": (3510508.0, "4133c7754a5c7941", (
-        "0adf20c7e7eab6ef", "94dc2e8b95ab7185", "d7c55a5e1640b055",
-        "a570815dddc4318c")),
+    "decoupled:ivy": (3250874.0, "3ca5d19b78d60ca0", (
+        "c9a32005dce5f8ea", "dd1d46899c2166c9", "17a311515db53ba6",
+        "f9ac6acd6b5b9d2f")),
     "decoupled:em3d-update": (175434.0, "c262f095f1a2c227", (
         "34d5d829c498a48d", "22e84c66a16f0e59", "0815ae0cf02f5a64",
         "0bf2a8dad8482141")),
@@ -109,9 +110,9 @@ LOSSY_GOLDENS = {
     "blizzard:migratory": (165602.0, "530b8a470b70c803", (
         "21d152ca31595c5f", "611c21b07be29d70", "f135f781454e0c70",
         "5d15e4590651af13")),
-    "blizzard:ivy": (13993299.0, "78b1c35ab3c8c633", (
-        "ebdb0431901d1ce8", "602e94a808cdbc95", "10e63fbe65202f08",
-        "269948e635e91191")),
+    "blizzard:ivy": (13608865.0, "649a1f3308daee89", (
+        "86f06ac4220c5b5e", "bc1e3c597ce0aa95", "00e15bd12fc2d30c",
+        "89fc0cae8ca7e8ec")),
 }
 
 
@@ -154,6 +155,24 @@ def lossy_outcomes():
 def test_lossy_outcome_pinned(system, lossy_outcomes):
     pinned, _stats = lossy_outcomes[system]
     assert pinned == LOSSY_GOLDENS[system]
+
+
+#: IVY's page requests on the reliable network (the RELIABLE_GOLDENS runs).
+RELIABLE_IVY_PAGE_REQUESTS = {
+    "typhoon:ivy": 1655, "decoupled:ivy": 1655, "blizzard:ivy": 3337,
+}
+
+
+@pytest.mark.parametrize("system", sorted(RELIABLE_IVY_PAGE_REQUESTS))
+def test_lossy_ivy_refaults_no_more_than_reliable(system, lossy_outcomes):
+    """Losses reorder IVY's grants and recalls, but every faulting
+    access still completes on the grant it asked for: a recall that
+    overtook a grant waits for the access, so the page does not bounce
+    more often than on a reliable network."""
+    _pinned, stats = lossy_outcomes[system]
+    assert stats.get("ivy.overtaken_grants") > 0
+    assert (stats.get("ivy.page_requests")
+            <= RELIABLE_IVY_PAGE_REQUESTS[system])
 
 
 def test_lossy_plan_exercises_every_fault_branch(lossy_outcomes):

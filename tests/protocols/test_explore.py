@@ -55,6 +55,10 @@ def test_exploration_is_deterministic():
 def test_degenerate_bounds_are_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         ExploreConfig(nodes=1)
+    # A replay that long would run into the parked messages' arrivals.
+    ExploreConfig(max_steps=48)
+    with pytest.raises(ValueError, match="parked-message horizon"):
+        ExploreConfig(max_steps=49)
     with pytest.raises(ValueError, match="no exploration system"):
         explore_protocol("em3d-update", SMALL)
 

@@ -158,6 +158,27 @@ class TestContention:
         ])
         assert machine.stats.get("ivy.overtaken_grants") >= 1
 
+    @pytest.mark.parametrize(
+        "system", ["typhoon:ivy", "decoupled:ivy", "blizzard:ivy"])
+    def test_access_completes_on_a_grant_its_recall_overtook(self, system):
+        """Node 2's recall reaches node 1 before node 1's delayed write
+        grant.  The recall waits for the grant *and* for the write it
+        enables, so each node faults once; serving the recall with the
+        grant took the page away first, and node 1 faulted again."""
+        from repro.protocols.explore import SynthesizedCase, run_case
+
+        case = SynthesizedCase(
+            protocol="ivy", name="overtaken-grant", nodes=3, blocks=1,
+            programs={1: [("w", 0, 0)], 2: [("w", 0, 2000)]},
+            schedule=[{"handler": "ivy.grant", "src": 0, "dst": 1,
+                       "occurrence": 1, "action": None, "delay": 10_000}],
+            edges=[], expect_stats={}, trace=[])
+        machine = run_case(case, system).machine
+        assert machine.stats.get("ivy.overtaken_grants") == 1
+        assert machine.stats.get("ivy.page_requests") == 2
+        assert [record.node for record in machine.history.records] == [1, 2]
+        assert check_register_consistency(machine.history) == []
+
 
 class TestGranularityEffect:
     def test_false_sharing_thrashes_pages_but_not_blocks(self):
