@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.memory.allocator import SharedRegion
+from repro.sim.process import SYNC
 
 #: Cycles charged per floating-point operation in application kernels.
 FLOP_CYCLES = 2
@@ -42,6 +43,11 @@ def _no_run(seq, start, out):
     run decomposes to the scalar per-access path (node models without
     lanes, and machines with ``batch_lanes`` off)."""
     return start
+
+
+def _no_charge(cycles):
+    """Fallback inline charge: the worker yields every compute charge."""
+    return False
 
 
 class _InlineDone:
@@ -90,12 +96,21 @@ class AppContext:
     the worker drives with ``yield from``: either the node's ``access``
     generator (the general path) or a reusable inline-completion object
     when the access was serviced without touching the event queue.
+
+    Hits and compute charges may commit inside the node's lookahead
+    window, ahead of the engine's clock (see :mod:`repro.memory.lane`).
+    Worker code between these calls then runs at the node's local clock,
+    which is the time it would run at without lookahead; anything that
+    touches another node's state must be a sync point (see
+    :mod:`repro.sim.process`) — :meth:`barrier` and every yielded
+    Future or delay are.
     """
 
     def __init__(self, machine, node_id: int):
         self.machine = machine
         self.node_id = node_id
         self._node = machine.nodes[node_id]
+        self._engine = machine.engine
         # The batched inline-hit lane: node models expose access_inline,
         # which services TLB + cache hits (the dominant reference class)
         # in one plain call — no generator, no event queue.  Consecutive
@@ -113,13 +128,17 @@ class AppContext:
         if getattr(machine, "batch_lanes", True):
             self._run_reads = getattr(self._node, "run_read_prefix", _no_run)
             self._run_plan = getattr(self._node, "run_plan_prefix", _no_run)
+            self._charge_inline = getattr(self._node, "charge_inline",
+                                          _no_charge)
         else:
             # Scalar mode is the differential oracle *and* the honest
             # perf baseline: a run decomposes to exactly what an
             # unported worker executes — one read()/write() call per
-            # element, each driven by ``yield from``.
+            # element, each driven by ``yield from``, and one yielded
+            # delay per compute charge.
             self._run_reads = _no_run
             self._run_plan = _no_run
+            self._charge_inline = _no_charge
             self.read_run = self._read_run_scalar
             self.access_plan = self._plan_scalar
 
@@ -167,6 +186,7 @@ class AppContext:
         run = self._run_reads
         inline = self._inline
         access = self._access
+        engine = self._engine
         while index < total:
             # The stopping element takes exactly the scalar read() path:
             # inline attempt, then the general access generator.
@@ -179,6 +199,11 @@ class AppContext:
                 # guaranteed-rejected call per element.
                 out.append(hit[0])
                 index += 1
+                continue
+            if engine.ahead is not None:
+                # The lookahead run is out of room: catch up, then retry
+                # from the caught-up clock.
+                yield SYNC
                 continue
             out.append((yield from access(addrs[index], False)))
             index += 1
@@ -221,6 +246,7 @@ class AppContext:
         run = self._run_plan
         inline = self._inline
         access = self._access
+        engine = self._engine
         while index < total:
             addr, is_write, value = ops[index]
             hit = inline(addr, is_write, value)
@@ -230,6 +256,9 @@ class AppContext:
                 # until an op actually suspends the thread.
                 out.append(hit[0])
                 index += 1
+                continue
+            if engine.ahead is not None:
+                yield SYNC
                 continue
             out.append((yield from access(addr, is_write, value)))
             index += 1
@@ -250,7 +279,7 @@ class AppContext:
 
     def compute(self, flops: int = 0, overhead: int = 0):
         cycles = flops * FLOP_CYCLES + overhead * OVERHEAD_CYCLES
-        if cycles:
+        if cycles and not self._charge_inline(cycles):
             charge = self._charge
             charge.cycles = cycles
             return charge
@@ -259,6 +288,8 @@ class AppContext:
         return done
 
     def barrier(self) -> Generator:
+        # Arriving changes state every node shares: a sync point.
+        yield SYNC
         start = self.machine.engine.now
         yield from self.machine.barrier_wait(self.node_id)
         self.machine.stats.incr(

@@ -64,13 +64,15 @@ class BlizzardMachine(MachineBase):
         (uncharged; the clock has stopped) so post-run state inspection
         sees a quiescent machine.
         """
-        from repro.sim.process import Future
+        from repro.sim.process import SYNC, Future
 
         done_count = [0]
         all_done = Future(self.engine)
 
         def wrapped(node_id: int) -> Generator:
             result = yield from worker_factory(node_id)
+            # The count is shared by every node: a sync point.
+            yield SYNC
             done_count[0] += 1
             if done_count[0] == self.num_nodes:
                 all_done.resolve(None)

@@ -155,8 +155,8 @@ _REGISTRY = {
     "differential": (
         "Batched-vs-scalar lane differential over the matrix",
         lambda args: [
-            experiments.run_differential(nodes=min(args.nodes, 4),
-                                         seed=args.seed)
+            experiments.run_differential(
+                nodes=args.nodes if args.nodes_given else 4, seed=args.seed)
         ],
     ),
     "ablations": (
@@ -327,6 +327,14 @@ def _sweep_command(args) -> int:
     return 0
 
 
+class _ExplicitNodes(argparse.Action):
+    """Store ``--nodes`` and note that it was given (``nodes_given``)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.nodes = values
+        namespace.nodes_given = True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -342,7 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
              "synthesized litmus corpus (docs/protocols.md)",
     )
     parser.add_argument("--nodes", type=_node_count, default=8,
-                        help="simulated processors (paper: 32; default 8)")
+                        action=_ExplicitNodes,
+                        help="simulated processors (paper: 32; default 8, "
+                             "differential 4)")
+    parser.set_defaults(nodes_given=False)
     parser.add_argument("--seed", type=int, default=42,
                         help="master RNG seed (default 42)")
     parser.add_argument("--apps", type=str, default=",".join(APP_NAMES),

@@ -29,6 +29,9 @@ class MachineBase:
 
     #: Human-readable protocol/system name (subclasses override).
     system_name = "base"
+    #: Whether a node's CPU may commit hits ahead of the clock (see
+    #: repro.memory.lane); off where nodes share state hits touch.
+    cpu_lookahead = True
 
     def __init__(self, config: MachineConfig):
         config.validate()
@@ -51,6 +54,11 @@ class MachineBase:
         self.barrier = BarrierNetwork(
             self.engine, config.nodes, config.network.barrier_latency, self.stats
         )
+        if self.cpu_lookahead:
+            # Per-node lookahead (see repro.sim.engine): no message
+            # reaches another node sooner than this.
+            self.engine.enable_lookahead(self.interconnect.min_latency,
+                                         config.nodes)
         self.nodes: list = []
         self.execution_time: float = 0
         self._finish_times: dict[int, float] = {}
@@ -201,7 +209,8 @@ class MachineBase:
         processes = []
         for node_id in range(self.num_nodes):
             process = Process(
-                self.engine, worker_factory(node_id), name=f"cpu{node_id}"
+                self.engine, worker_factory(node_id), name=f"cpu{node_id}",
+                owner=node_id,
             )
             process.finished.add_callback(
                 lambda _value, node_id=node_id: self._record_finish(node_id)

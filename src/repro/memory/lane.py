@@ -1,13 +1,15 @@
-"""The CPU's hit path: the scalar inline hit and the batched lanes.
+"""The CPU's hit path: the scalar inline hit, the batched lanes, and
+inline compute charges.
 
 A node's ``access_inline(addr, is_write, value)`` commits one reference
 that hits — TLB hit, mapped page, cache hit, no event inside the hit
 window — without touching the event queue, and returns ``(result,)``;
 it returns None, having changed nothing, when the ``access`` generator
 must run instead.  The engine window is checked *first*: in lock-step
-phases another node almost always has an event inside the hit window,
-and that rejection must cost a few loads, not a TLB/cache probe that
-``access`` then repeats.
+phases another node often has an event inside the hit window, and that
+rejection must cost a few loads, not a TLB/cache probe that ``access``
+then repeats.  ``charge_inline(cycles)`` commits a compute charge the
+same way, or returns False when the worker must yield it.
 
 ``AppContext.read_run``/``write_run``/``access_plan`` hand whole runs of
 references to a node's ``run_read_prefix``/``run_plan_prefix``.  Those
@@ -17,15 +19,16 @@ same clock, counters, data image, ``written_blocks`` and history.  They
 return the index of the first element *not* committed; the caller
 services it through the scalar path and retries from there.
 
-Every Tempest backend runs these three callables.
-:func:`build_access_lanes` binds them to a node once, from the backend's
-per-reference costs, so one cost triple decides what a hit costs for a
+Every Tempest backend runs these callables.  :func:`build_access_lanes`
+binds them to a node once, from the delays the backend's ``access``
+generator yields for a hit, so one triple decides what a hit costs for a
 single reference and for a run of them:
 
-* ``private_cost`` — a reference to a private page (the bare cache hit);
-* ``shared_read_cost`` / ``shared_write_cost`` — a reference to a shared
-  page (Typhoon: the bare hit; Blizzard: poll + inserted check + hit;
-  decoupled: inserted check + hit, no poll);
+* ``private_yields`` — a reference to a private page (the bare cache
+  hit);
+* ``shared_read_yields`` / ``shared_write_yields`` — a reference to a
+  shared page (Typhoon: the bare hit; Blizzard: poll, inserted check,
+  hit; decoupled: inserted check, hit, no poll), zeros dropped;
 * ``inbox`` — Blizzard's message inbox: queued messages must be polled
   before a reference, so a non-empty inbox refuses the inline hit and
   the batch.  Backends without one pass ``()``, which costs a truth
@@ -39,9 +42,25 @@ once per block, and adds a written block to ``written_blocks`` once.
 The engine-window bound is computed once per call; each element's
 completion time is compared against it.
 
-A call deopts — returns ``start`` with no side effects — under a live
-fault plan or conformance monitor, with zero-delay work pending, or with
-a non-empty inbox: the scalar path is the oracle those modes observe.
+**Lookahead.**  Where the engine's window (:meth:`Engine.horizon
+<repro.sim.engine.Engine.horizon>`) is too small, all four callables
+use the node's own lookahead window, ``horizon(node_id)``, instead: a
+commit that completes past the engine's window opens a lookahead run
+(:meth:`Engine.run_ahead <repro.sim.engine.Engine.run_ahead>`) and
+appends the delays the ``access`` generator would have yielded to
+``engine.skipped``, for the worker's process to replay
+(:mod:`repro.sim.process`).  Why this is exact: a hit touches only this
+node's TLB, cache, tags, memory image, ``written_blocks`` and its own
+counters, and nothing owned by another node reads those before the
+window closes (see docs/performance.md, "Node locality").  Lookahead is
+off outside ``engine.run``, with a non-empty inbox, under a fault plan,
+a conformance monitor or history recording, and with ``batch_lanes``
+off: scalar mode is the oracle.
+
+A lane call deopts — returns ``start`` with no side effects — under a
+live fault plan or conformance monitor, with zero-delay work pending, or
+with a non-empty inbox: the scalar path is the oracle those modes
+observe.
 """
 
 from __future__ import annotations
@@ -57,7 +76,7 @@ from repro.memory.mirror import PAGE_MAPPED, READ_HIT, TLB_PRESENT, WRITE_HIT
 #: creates the dict" step fails loudly instead of sharing state.
 _NO_WORDS = MappingProxyType({})
 
-#: The window bound with no queued event and no ``run(until=...)``.
+#: No bound (``-_NEVER``: no room at all).
 _NEVER = float("inf")
 
 #: Page-flag bits a hit needs on shared and on private pages.
@@ -67,21 +86,21 @@ _PRIVATE_NEED = TLB_PRESENT
 _SHARED_LINE = LineState.SHARED
 
 
-def build_access_lanes(node, private_cost, shared_read_cost,
-                       shared_write_cost, inbox=()):
-    """Return ``(access_inline, run_read_prefix, run_plan_prefix)`` bound
-    to ``node``.
+def build_access_lanes(node, private_yields, shared_read_yields,
+                       shared_write_yields, inbox=()):
+    """Return ``(access_inline, run_read_prefix, run_plan_prefix,
+    charge_inline)`` bound to ``node``.
 
     ``node`` supplies the engine, machine, TLB, page table, cache,
-    mirror, image, counters and layout shifts; every container it hands over is a stable object
-    (cleared in place, never reassigned), so binding them once is safe.
-    The machine's fault plan, conformance monitor and history are read
-    per call, so a mid-run mode change takes effect on the next call.
+    mirror, image, counters and layout shifts; every container it hands
+    over is a stable object (cleared in place, never reassigned), so
+    binding them once is safe.  The machine's fault plan, conformance
+    monitor, history and lane mode are read per call, so a mid-run mode
+    change takes effect on the next call.
     """
     engine = node.engine
     machine = node.machine
-    fifo = engine._fifo
-    queue = engine._queue
+    skipped = engine.skipped
     page_flags_get = node.mirror.page_flags.get
     block_flags_get = node.mirror.block_flags.get
     words_of = node.image._blocks
@@ -105,25 +124,54 @@ def build_access_lanes(node, private_cost, shared_read_cost,
     block_mask = ~(layout.block_size - 1)
     block_low = layout.block_size - 1
     bpp_mask = layout.blocks_per_page - 1
+    private_cost = sum(private_yields)
+    shared_read_cost = sum(shared_read_yields)
+    shared_write_cost = sum(shared_write_yields)
     # Room for at least two of the cheapest elements: a one-element
     # batch costs more in lane setup than the scalar inline commit it
     # replaces (under-claiming is always sound).
     min_room = 2 * private_cost
 
+    def window(goal):
+        """``(bound, edge)`` for a commit that would complete at ``goal``.
+
+        The commit may complete before ``bound``; completing at or past
+        ``edge`` (the engine's own window) makes it a lookahead run.
+        The node's lookahead window is consulted only when ``goal`` does
+        not fit the engine's window, since finding it walks the queue.
+        """
+        ahead = engine.ahead
+        if ahead is not None:
+            if ahead == node_id:
+                return engine.ahead_bound, -_NEVER
+            return -_NEVER, -_NEVER
+        edge = engine.horizon()
+        if (goal < edge or inbox or not engine._running
+                or machine.fault_plan is not None
+                or machine.conformance is not None
+                or machine.history is not None or not machine.batch_lanes):
+            return edge, edge
+        return engine.horizon(node_id), edge
+
     def access_inline(addr, is_write, value=None):
         """Commit one reference that hits, or return None unchanged."""
-        if fifo or inbox:
+        if inbox:
             return None
         shared = addr >= SHARED_BASE
         if shared:
+            yields = shared_write_yields if is_write else shared_read_yields
             cycles = shared_write_cost if is_write else shared_read_cost
         else:
+            yields = private_yields
             cycles = private_cost
-        target = engine.now + cycles
-        if queue and queue[0][0] <= target:
-            return None
-        until = engine._until
-        if until is not None and target > until:
+        now = engine.now
+        target = now + cycles
+        if engine.ahead == node_id:
+            bound = engine.ahead_bound
+            edge = -_NEVER
+        else:
+            bound, edge = window(target)
+        if target >= bound:
             return None
         if (addr >> page_shift) not in tlb_entries:
             return None
@@ -135,6 +183,10 @@ def build_access_lanes(node, private_cost, shared_read_cost,
             return None
         # Commit.  The probes above cannot schedule events, so the window
         # check still holds and the clock can move directly.
+        if target >= edge:
+            if engine.ahead is None:
+                engine.run_ahead(node_id, bound)
+            skipped.extend(yields)
         engine.now = target
         cpu_tlb.hits += 1
         cache.hits += 1
@@ -149,13 +201,47 @@ def build_access_lanes(node, private_cost, shared_read_cost,
         counters[cycles_key] += cycles
         history = machine.history
         if history is not None:
-            history.record(node_id, addr, is_write, value,
-                           target - cycles, target)
+            history.record(node_id, addr, is_write, value, now, target)
         return (result,)
 
-    def commit(seq, start, index, now, target, out, plan):
+    def charge_inline(cycles):
+        """Commit a compute charge of ``cycles`` > 0, or return False."""
+        now = engine.now
+        target = now + cycles
+        bound, edge = window(target)
+        if target >= bound:
+            return False
+        if target >= edge:
+            if engine.ahead is None:
+                engine.run_ahead(node_id, bound)
+            skipped.append(cycles)
+        engine.now = target
+        return True
+
+    def commit(seq, start, index, now, target, out, plan, edge, bound):
         """Apply the side effects of committing ``seq[start:index]``."""
         n = index - start
+        if target >= edge:
+            if engine.ahead is None:
+                engine.run_ahead(node_id, bound)
+            if not plan and target - now == n * shared_read_cost:
+                # Every read shared, or private ones indistinguishable: a
+                # shared read's yields add up to more than the private
+                # hit's unless they are the same one hit.
+                skipped.extend(shared_read_yields * n)
+            else:
+                extend = skipped.extend
+                for i in range(start, index):
+                    if plan:
+                        addr, is_write, _value = seq[i]
+                    else:
+                        addr, is_write = seq[i], False
+                    if addr < SHARED_BASE:
+                        extend(private_yields)
+                    elif is_write:
+                        extend(shared_write_yields)
+                    else:
+                        extend(shared_read_yields)
         engine.now = target
         cpu_tlb.hits += n
         cache.hits += n
@@ -192,35 +278,30 @@ def build_access_lanes(node, private_cost, shared_read_cost,
                 cost = shared_write_cost if is_write else shared_read_cost
             yield addr, is_write, value, cost
 
+    def lane_window(now, length, cost):
+        """``(bound, edge)`` for a lane over ``length`` elements costing up
+        to ``cost`` each, or None when not even two of the cheapest fit."""
+        bound, edge = window(now + length * cost)
+        if bound <= now + min_room:
+            return None
+        return bound, edge
+
     def run_read_prefix(addrs, start, out):
         """Commit the longest all-hit prefix of the reads ``addrs[start:]``.
 
         Appends each committed element's value to ``out`` and returns
         the index of the first element not committed.
         """
-        if (fifo or inbox or machine.fault_plan is not None
+        if (inbox or machine.fault_plan is not None
                 or machine.conformance is not None):
             return start
-        # The engine window, computed once.  An element completing at
-        # ``step`` commits while ``step < queue head`` (no event fires
-        # inside its hit window) and ``step <= until`` (``run(until=)``).
-        # Only the tighter of the two binds, so each element needs one
-        # comparison, ``step >= bound``; ``inclusive`` decides equality.
+        # The window, computed once: an element completing at ``step``
+        # commits while ``step < bound``.
         now = engine.now
-        if queue:
-            bound = queue[0][0]
-            # Reject before anything else: in lock-step phases another
-            # node's event usually sits inside the first hit window.
-            if bound <= now + min_room:
-                return start
-            inclusive = False
-        else:
-            bound, inclusive = _NEVER, True
-        until = engine._until
-        if until is not None and until < bound:
-            if now + private_cost > until:
-                return start
-            bound, inclusive = until, True
+        bounds = lane_window(now, len(addrs) - start, shared_read_cost)
+        if bounds is None:
+            return start
+        bound, edge = bounds
         out_append = out.append
         target = now
         base = page = -1
@@ -243,7 +324,7 @@ def build_access_lanes(node, private_cost, shared_read_cost,
                     break
                 word = words_get(base, _NO_WORDS).get
             step = target + cost
-            if step >= bound and (step > bound or not inclusive):
+            if step >= bound:
                 break
             out_append(word(addr & block_low, 0))
             target = step
@@ -253,7 +334,7 @@ def build_access_lanes(node, private_cost, shared_read_cost,
             # The per-element window checks prove no event fires inside
             # [now, target], and the probes schedule nothing, so this
             # equals index - start sequential inline commits.
-            commit(addrs, start, index, now, target, out, False)
+            commit(addrs, start, index, now, target, out, False, edge, bound)
         return index
 
     def run_plan_prefix(ops, start, out):
@@ -264,22 +345,14 @@ def build_access_lanes(node, private_cost, shared_read_cost,
         bit): a write to a SHARED line is an upgrade miss and stops the
         prefix, exactly as the scalar path rejects it.
         """
-        if (fifo or inbox or machine.fault_plan is not None
+        if (inbox or machine.fault_plan is not None
                 or machine.conformance is not None):
             return start
         now = engine.now
-        if queue:
-            bound = queue[0][0]
-            if bound <= now + min_room:
-                return start
-            inclusive = False
-        else:
-            bound, inclusive = _NEVER, True
-        until = engine._until
-        if until is not None and until < bound:
-            if now + private_cost > until:
-                return start
-            bound, inclusive = until, True
+        bounds = lane_window(now, len(ops) - start, shared_write_cost)
+        if bounds is None:
+            return start
+        bound, edge = bounds
         out_append = out.append
         target = now
         base = page = -1
@@ -309,7 +382,7 @@ def build_access_lanes(node, private_cost, shared_read_cost,
                 if not flags & WRITE_HIT:
                     break
                 step = target + write_cost
-                if step >= bound and (step > bound or not inclusive):
+                if step >= bound:
                     break
                 if words is _NO_WORDS:
                     # First write to a block the image never held:
@@ -324,14 +397,14 @@ def build_access_lanes(node, private_cost, shared_read_cost,
                 if not flags & READ_HIT:
                     break
                 step = target + read_cost
-                if step >= bound and (step > bound or not inclusive):
+                if step >= bound:
                     break
                 out_append(words.get(addr & block_low, 0))
             target = step
         else:
             index = len(ops)
         if index != start:
-            commit(ops, start, index, now, target, out, True)
+            commit(ops, start, index, now, target, out, True, edge, bound)
         return index
 
-    return access_inline, run_read_prefix, run_plan_prefix
+    return access_inline, run_read_prefix, run_plan_prefix, charge_inline

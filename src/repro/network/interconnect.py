@@ -10,7 +10,6 @@ enabled to check that the conclusions are contention-robust.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Callable
 
 from repro.network.message import Message, NACK_HANDLER
@@ -47,6 +46,14 @@ class Interconnect:
             [topology.latency(src, dst) for dst in range(topology.nodes)]
             for src in range(topology.nodes)
         ]
+        #: The least latency between two distinct nodes: the lookahead
+        #: one node's events leave every other node (a local message
+        #: comes from the node itself).  Fault delays and contention only
+        #: add to it.
+        self.min_latency = min(
+            (latency for src, row in enumerate(self._latencies)
+             for dst, latency in enumerate(row) if src != dst),
+            default=0)
         self._counters = self.stats._counters
         self._latency_dist = None
         self._sinks: dict[int, Callable[[Message], None]] = {}
@@ -103,7 +110,7 @@ class Interconnect:
         src = message.src
         if src == dst:
             counters["network.local_packets"] += 1
-            engine.schedule_anon(1, self._deliver, message)
+            engine.schedule_owned(dst, now + 1, self._deliver, message)
             return
         if self._fault_plan is None and not self.model_contention:
             # Reliable, contention-free: every packet on a channel takes
@@ -118,14 +125,8 @@ class Interconnect:
                 dist = self._latency_dist = self.stats.distribution(
                     "network.latency")
             dist.add(arrival - now)
-            if arrival > now:
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                heappush(engine._queue,
-                         (arrival, seq, None, self._deliver, (message,)))
-            else:
-                engine.schedule_at_anon(arrival, self._deliver, message)
+            # A delivery is its destination's event.
+            engine.schedule_owned(dst, arrival, self._deliver, message)
             return
 
         arrival = now + self._latencies[src][dst]

@@ -54,6 +54,8 @@ class DirNNBMachine(MachineBase):
     """N nodes with hardware caches and full-map directories."""
 
     system_name = "dirnnb"
+    #: Every hit touches the one shared image: the global window stays.
+    cpu_lookahead = False
 
     def __init__(self, config: MachineConfig):
         super().__init__(config)
@@ -527,15 +529,9 @@ class DirNNBNode:
         repeats.
         """
         engine = self.engine
-        if engine._fifo:
-            return None
         hit_cycles = self._hit_cycles
         target = engine.now + hit_cycles
-        queue = engine._queue
-        if queue and queue[0][0] <= target:
-            return None
-        until = engine._until
-        if until is not None and target > until:
+        if target >= engine.horizon():
             return None
         if (addr >> self._page_shift) not in self._tlb_entries:
             return None

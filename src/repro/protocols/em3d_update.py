@@ -43,7 +43,7 @@ from repro.network.message import (
 )
 from repro.protocols.stache import PAGE_MODE_STACHE, StacheProtocol
 from repro.sim.engine import SimulationError
-from repro.sim.process import Future
+from repro.sim.process import SYNC, Future
 from repro.tempest.interface import Tempest
 
 PAGE_MODE_CUSTOM_HOME = 3
@@ -275,6 +275,8 @@ class Em3dUpdateProtocol(StacheProtocol):
         """
         if kind not in (KIND_E, KIND_H):
             raise SimulationError(f"unknown EM3D phase kind {kind!r}")
+        # The flush sends before it first waits: a sync point.
+        yield SYNC
         machine = self._machine()
         tempest = machine.nodes[node_id].tempest
         state = self._states[node_id]

@@ -11,46 +11,62 @@ simulation deterministic for a given seed.
 Structural fast paths keep the common cases cheap (see
 ``docs/performance.md``):
 
-* **Zero-delay fast lane.**  ``schedule(0, ...)`` — the dominant event
-  class, since every ``Future.resolve`` callback and same-cycle handler
-  chains through it — lands in a plain deque instead of the binary heap.
-  A zero-delay event carries the current clock value, which is the
-  minimum over everything queued, so the only events that may precede it
-  are heap events for the *same* cycle with a *smaller* sequence number;
-  the run loop performs exactly that (time, seq) merge, so firing order
-  is bit-identical to a single heap.
+* **Cycle buckets.**  The queue is one deque per pending cycle plus a
+  small heap of those cycles' times.  Sequence numbers are drawn in
+  scheduling order, so appending keeps every bucket in ``seq`` order and
+  firing bucket by bucket is exactly ``(time, seq)`` order — with an
+  append and a popleft per event instead of a heap push and pop of a
+  tuple compared element by element.  A zero-delay event joins the
+  current cycle's bucket behind everything already there, as its
+  ``seq`` says it must.  In lock-step phases many events share a cycle,
+  so the time heap changes only once per cycle.
 
 * **Anonymous events.**  Most schedules never use the returned handle:
   the caller discards it and nothing ever cancels the event.
-  :meth:`Engine.call_soon` (zero delay) and :meth:`Engine.schedule_anon`
-  / :meth:`Engine.schedule_at_anon` (timed) queue a bare
-  ``(seq, fn, args)`` / ``(time, seq, None, fn, args)`` tuple instead of
-  allocating an :class:`_Event`, skipping the hottest allocation in the
-  simulator.  Ordering is unchanged — both lanes order purely on
-  ``(time, seq)``, which anonymous entries carry in the same positions.
+  :meth:`Engine.call_soon` (zero delay), :meth:`Engine.schedule_anon` /
+  :meth:`Engine.schedule_at_anon` (timed) and the owned forms queue a
+  bare ``(fn, args, time)`` tuple instead of allocating an :class:`_Event`,
+  skipping the hottest allocation in the simulator.  A cancelled
+  :class:`_Event` stays in its bucket as a husk and is skipped there.
 
-* **Same-cycle batching.**  When the heap head lies strictly in the
-  future, an unbounded run drains the entire zero-delay fifo in one
-  tight loop without re-consulting the heap: events fired during the
-  drain can only append to the fifo (zero delay keeps ``time == now``)
-  or push heap entries at strictly later times, so the invariant holds
-  for the whole run and per-event lane comparison is skipped.
+* **Inline clock advance.**  :meth:`Engine.horizon` is the one window
+  rule: the clock may move to any ``target < horizon()`` without a
+  schedule/fire round trip, because no queued event could fire in the
+  skipped window (``run(until=...)`` caps it just past ``until``).  The
+  process layer, the dispatch loop and a node's hit path all use it —
+  the Wind-Tunnel direct-execution trick applied to CPython overhead.
 
-* **Inline clock advance.**  :meth:`Engine.try_advance` lets a caller
-  (the process layer, a node's inline-hit path) move the clock forward
-  without a schedule/fire round trip when no queued event could fire in
-  the skipped window — the Wind-Tunnel direct-execution trick applied to
-  CPython overhead.
-
-The heap itself stores ``(time, seq, ...)`` tuples so ordering uses
-C-level tuple comparison rather than a Python ``__lt__`` per sift step;
-the unique ``seq`` guarantees comparison never reaches the third slot.
+* **Per-node lookahead.**  Another node can touch a node only through
+  a message, and a message takes at least :attr:`Engine.lookahead`
+  cycles (the interconnect's least latency between distinct nodes).
+  So a CPU may run ahead of the clock up to ``horizon(node)``: the
+  least of the queue head plus ``lookahead``, the earliest queued event
+  that is the node's own or nobody's, and ``run(until=...)``.  Every
+  event records its time as a *fence*: in its node's fence list when it
+  has an owner (:meth:`schedule_owned`: a delivery belongs to its
+  destination, handler-processor work to its node), in the shared list
+  otherwise.  A worker CPU's own resume (:meth:`wake`) records none:
+  the only thread it can affect is waiting for it.  Fence lists are
+  heaps of times pruned lazily once the clock passes them (an entry at
+  the current cycle may already have fired; keeping it is only
+  conservative).  Inside the window the CPU commits hits and compute
+  charges against a local clock (:meth:`run_ahead` lets it move ``now``
+  there) and records the delays its generator would have yielded.
+  :meth:`catch_up` restores the clock; the process then replays those
+  delays one by one under the ordinary window rule, scheduling a resume
+  wherever the path without lookahead would have.  Every event
+  therefore fires at the same ``(time, seq)`` as without lookahead: a
+  resume scheduled straight at the local clock would draw an earlier
+  ``seq`` and reorder its ties with other events of that cycle.  A
+  schedule made while a node is ahead would break this, and
+  :meth:`catch_up` raises :class:`SimulationError` if one was.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from heapq import heappop, heappush
+from math import inf, nextafter
 from typing import Any, Callable
 
 
@@ -99,49 +115,76 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        #: Timed events: a heap of (time, seq, event) triples for
-        #: cancellable events and (time, seq, None, fn, args) quintuples
-        #: for anonymous ones (never cancelled, no handle).
-        self._queue: list[tuple] = []
-        #: Zero-delay events: always carry the current clock value, in
-        #: seq order (the fast lane; see module docstring).  Holds
-        #: _Event objects and anonymous (seq, fn, args) tuples.
-        self._fifo: deque = deque()
+        #: Pending events by cycle: each deque holds ``(fn, args, time)``
+        #: tuples and :class:`_Event` objects in ``seq`` order (each
+        #: keeps its own time: an int and a float cycle share a bucket,
+        #: and the clock takes the firing event's value).
+        self._buckets: dict[float, deque] = {}
+        #: Heap of the cycles that have a bucket.
+        self._times: list[float] = []
         self._seq = 0
         self.now: float = 0
         self._events_fired = 0
         self._running = False
         #: Live (scheduled, unfired, uncancelled) events — O(1) pending.
         self._live = 0
-        #: Active ``run(until=...)`` bound; honoured by try_advance.
+        #: Active ``run(until=...)`` bound, and the exclusive horizon cap
+        #: it sets (just past ``until``; inf when unbounded).
         self._until: float | None = None
+        self._cap: float = inf
+        #: Least delay with which one node's event can reach another
+        #: node; 0 (the default) turns per-node lookahead off.
+        self.lookahead: float = 0
+        #: Fence heaps (see the module doc): per node, and for events
+        #: without an owner.  None while lookahead is off.
+        self._fences: list[list] | None = None
+        self._fence_all: list | None = None
+        #: The node running ahead of the clock, or None (see
+        #: :meth:`run_ahead`), with the clock and sequence number it
+        #: left at, its horizon, and the delays it has skipped (one list
+        #: for the engine's life: the hit path binds it once).
+        self.ahead: int | None = None
+        self._ahead_from: float = 0
+        self._ahead_seq = 0
+        self.ahead_bound: float = 0
+        self.skipped: list = []
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> _Event:
-        """Schedule ``fn(*args)`` to fire ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        seq = self._seq
-        self._seq = seq + 1
+    def _push(self, time: float, entry: Any) -> None:
+        """Append ``entry`` to ``time``'s bucket (its ``seq`` is drawn)."""
+        self._seq += 1
         self._live += 1
-        # _Event built without the __init__ call: this is the single
-        # hottest allocation site in the simulator.
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heappush(self._times, time)
+        bucket.append(entry)
+
+    def _event(self, time: float, fn: Callable[..., Any],
+               args: tuple) -> _Event:
+        # _Event built without the __init__ call: handles are the one
+        # schedule that allocates.
         event = _Event.__new__(_Event)
-        event.seq = seq
+        event.time = time
+        event.seq = self._seq
         event.fn = fn
         event.args = args
         event.cancelled = False
         event.fired = False
         event.engine = self
-        if delay == 0:
-            event.time = self.now
-            self._fifo.append(event)
-        else:
-            event.time = time = self.now + delay
-            heapq.heappush(self._queue, (time, seq, event))
+        self._push(time, event)
+        fences = self._fence_all
+        if fences is not None:
+            self._fence(fences, time)
         return event
+
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> _Event:
+        """Schedule ``fn(*args)`` to fire ``delay`` cycles from now."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule {delay} cycles in the past")
+        return self._event(self.now + delay, fn, args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> _Event:
         """Schedule ``fn(*args)`` to fire at absolute cycle ``time``."""
@@ -150,22 +193,7 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at cycle {time}; clock is already at {now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        event = _Event.__new__(_Event)
-        event.time = time
-        event.seq = seq
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        event.fired = False
-        event.engine = self
-        if time == now:
-            self._fifo.append(event)
-        else:
-            heapq.heappush(self._queue, (time, seq, event))
-        return event
+        return self._event(time, fn, args)
 
     # ------------------------------------------------------------------
     # Anonymous scheduling (no handle, never cancelled)
@@ -173,37 +201,38 @@ class Engine:
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
         """Queue ``fn(*args)`` to fire this cycle, after pending events.
 
-        The allocation-free form of ``schedule(0, ...)``: a bare
-        ``(seq, fn, args)`` tuple joins the zero-delay fifo.  No handle
-        is returned, so the event cannot be cancelled — exactly the
+        The allocation-free form of ``schedule(0, ...)``: no handle is
+        returned, so the event cannot be cancelled — exactly the
         contract of self-dispatch call sites (future callbacks, process
         kick-off) that drop the handle on the floor anyway.
         """
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        self._fifo.append((seq, fn, args))
+        now = self.now
+        self._push(now, (fn, args, now))
+        fences = self._fence_all
+        if fences is not None:
+            self._fence(fences, now)
 
     def schedule_anon(self, delay: float, fn: Callable[..., Any],
                       *args: Any) -> None:
         """``schedule`` without a handle: the event cannot be cancelled.
 
-        Queues a bare tuple instead of an :class:`_Event` — for hot call
-        sites (message delivery, process wakeups, barrier releases) that
-        never cancel.  Firing order is identical to :meth:`schedule`.
+        For hot call sites (message delivery, process wakeups, barrier
+        releases) that never cancel.  Firing order is identical to
+        :meth:`schedule`.
         """
-        if delay == 0:
-            seq = self._seq
-            self._seq = seq + 1
-            self._live += 1
-            self._fifo.append((seq, fn, args))
-            return
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        seq = self._seq
-        self._seq = seq + 1
+        time = self.now + delay
+        self._seq += 1
         self._live += 1
-        heapq.heappush(self._queue, (self.now + delay, seq, None, fn, args))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heappush(self._times, time)
+        bucket.append((fn, args, time))
+        fences = self._fence_all
+        if fences is not None:
+            self._fence(fences, time)
 
     def schedule_at_anon(self, time: float, fn: Callable[..., Any],
                          *args: Any) -> None:
@@ -213,105 +242,191 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at cycle {time}; clock is already at {now}"
             )
-        seq = self._seq
-        self._seq = seq + 1
+        self._push(time, (fn, args, time))
+        fences = self._fence_all
+        if fences is not None:
+            self._fence(fences, time)
+
+    def schedule_owned(self, owner: int, time: float,
+                       fn: Callable[..., Any], *args: Any) -> None:
+        """``schedule_at_anon`` for an event that belongs to node ``owner``.
+
+        Only ``owner``'s state may change when it fires: it bounds
+        ``owner``'s lookahead and no other node's (see the module doc).
+        """
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at cycle {time}; clock is already at "
+                f"{self.now}"
+            )
+        self._seq += 1
         self._live += 1
-        if time == now:
-            self._fifo.append((seq, fn, args))
-        else:
-            heapq.heappush(self._queue, (time, seq, None, fn, args))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heappush(self._times, time)
+        bucket.append((fn, args, time))
+        fences = self._fences
+        if fences is not None:
+            self._fence(fences[owner], time)
+
+    def wake(self, time: float, fn: Callable[[], Any]) -> None:
+        """Schedule a waiting CPU thread's own resume ``fn()`` at ``time``.
+
+        It bounds no node's lookahead: the one thread it resumes is
+        waiting for it, so it cannot be ahead.
+        """
+        self._seq += 1
+        self._live += 1
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._buckets[time] = deque()
+            heappush(self._times, time)
+        bucket.append((fn, (), time))
+
+    def _fence(self, fences: list, time: float) -> None:
+        """Record ``time`` in a fence heap, dropping passed entries."""
+        now = self.now
+        while fences and fences[0] < now:
+            heappop(fences)
+        heappush(fences, time)
+
+    def enable_lookahead(self, latency: float, nodes: int) -> None:
+        """Turn per-node lookahead on for nodes ``0..nodes-1``: no event
+        of one node reaches another in less than ``latency`` cycles."""
+        self.lookahead = latency
+        self._fences = [[] for _ in range(nodes)]
+        self._fence_all = []
 
     # ------------------------------------------------------------------
-    # Inline time advance (the process layer's compute fast path)
+    # Inline time advance and per-node lookahead
     # ------------------------------------------------------------------
+    def horizon(self, node: int | None = None) -> float:
+        """The exclusive bound on inline clock moves.
+
+        Moving the clock to any ``target < horizon()`` is
+        indistinguishable from scheduling a wakeup and firing it: no
+        queued event fires in between and ``run(until=...)`` is not
+        crossed.  With ``node``, the bound is that node's lookahead
+        window instead: events of other nodes inside it cannot reach the
+        node before it closes (see the module doc).  While ``node`` is
+        ahead this is the bound its run was opened with.
+        """
+        times = self._times
+        bound = times[0] if times else inf
+        if node is not None:
+            if self.ahead == node:
+                return self.ahead_bound
+            if self.lookahead and times:
+                now = self.now
+                bound += self.lookahead
+                for fences in (self._fences[node], self._fence_all):
+                    while fences and fences[0] < now:
+                        heappop(fences)
+                    if fences and fences[0] < bound:
+                        bound = fences[0]
+        cap = self._cap
+        return bound if bound < cap else cap
+
+    def run_ahead(self, node: int, bound: float) -> None:
+        """Let ``node``'s CPU run ahead of the clock up to ``bound``.
+
+        The caller then moves ``now`` itself and appends every delay it
+        skips to :attr:`skipped`; :meth:`catch_up` ends the run.
+        """
+        self.ahead = node
+        self.ahead_bound = bound
+        self._ahead_from = self.now
+        self._ahead_seq = self._seq
+
+    def catch_up(self, into: deque) -> None:
+        """End the lookahead run: restore the clock and move the skipped
+        delays to ``into`` (the caller replays them in order)."""
+        node = self.ahead
+        self.ahead = None
+        local, self.now = self.now, self._ahead_from
+        if self._seq != self._ahead_seq:
+            raise SimulationError(
+                f"{self._seq - self._ahead_seq} event(s) scheduled while "
+                f"node {node} ran ahead to cycle {local} of {self.now}; "
+                "a sync point is missing before the schedule"
+            )
+        into.extend(self.skipped)
+        self.skipped.clear()
+
     def try_advance(self, delay: float) -> bool:
         """Advance the clock ``delay`` cycles inline if provably safe.
 
-        Safe means no queued event could fire at or before the target
-        time and no active ``run(until=...)`` bound would be crossed; the
-        advance is then indistinguishable from scheduling a wakeup event
-        and firing it, because nothing else can run in between.  Returns
-        False (taking no action) when the caller must schedule normally.
+        Safe means ``now + delay < horizon()``.  Returns False (taking no
+        action) when the caller must schedule normally.
         """
         if delay < 0:
             raise SimulationError(f"cannot advance {delay} cycles into the past")
-        if self._fifo:
-            return False
         target = self.now + delay
-        queue = self._queue
-        if queue and queue[0][0] <= target:
-            return False
-        until = self._until
-        if until is not None and target > until:
-            return False
-        self.now = target
-        return True
+        if target < self.horizon():
+            self.now = target
+            return True
+        return False
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _prune_heads(self) -> None:
-        """Drop cancelled husks from both lane heads (anonymous entries
-        are never cancelled, so only _Event heads need checking)."""
-        fifo = self._fifo
-        queue = self._queue
-        while fifo:
-            head = fifo[0]
-            if type(head) is tuple or not head.cancelled:
-                break
-            fifo.popleft()
-        while queue:
-            entry = queue[0][2]
-            if entry is None or not entry.cancelled:
-                break
-            heapq.heappop(queue)
+    def _pop(self) -> Any:
+        """Remove and return the next entry (live or husk), or None.
 
-    def _next(self) -> tuple[float, bool] | None:
-        """Peek the next live event: ``(time, from_heap)`` or None.
-
-        A fifo event always carries the current clock value — the
-        minimum over everything queued — so a heap event precedes it
-        only at equal time with a smaller sequence number.
+        A bucket leaves the queue with
+        its last entry, before that entry fires, so what it schedules
+        for this cycle opens a fresh bucket behind it.
         """
-        self._prune_heads()
-        fifo = self._fifo
-        queue = self._queue
-        if fifo:
-            head = fifo[0]
-            seq = head[0] if type(head) is tuple else head.seq
-            if queue:
-                qhead = queue[0]
-                if qhead[0] == self.now and qhead[1] < seq:
-                    return qhead[0], True
-            return self.now, False
-        if queue:
-            return queue[0][0], True
+        times = self._times
+        if not times:
+            return None
+        time = times[0]
+        bucket = self._buckets[time]
+        entry = bucket.popleft()
+        if not bucket:
+            heappop(times)
+            del self._buckets[time]
+        return entry
+
+    def _fire(self, entry: Any) -> bool:
+        """Fire a popped entry; False for a cancelled husk."""
+        if type(entry) is tuple:
+            self.now = entry[2]
+            self._live -= 1
+            self._events_fired += 1
+            entry[0](*entry[1])
+            return True
+        if entry.cancelled:
+            return False
+        self.now = entry.time
+        self._live -= 1
+        self._events_fired += 1
+        entry.fired = True
+        entry.fn(*entry.args)
+        return True
+
+    def _next_live(self) -> float | None:
+        """Drop husks at the head; return the next live event's cycle."""
+        times = self._times
+        buckets = self._buckets
+        while times:
+            time = times[0]
+            bucket = buckets[time]
+            head = bucket[0]
+            if type(head) is tuple or not head.cancelled:
+                return time
+            bucket.popleft()
+            if not bucket:
+                heappop(times)
+                del buckets[time]
         return None
 
     def step(self) -> bool:
         """Fire the next pending event.  Returns False if the queue is empty."""
-        nxt = self._next()
-        if nxt is None:
+        if self._next_live() is None:
             return False
-        time, from_heap = nxt
-        self.now = time
-        self._live -= 1
-        self._events_fired += 1
-        if from_heap:
-            entry = heapq.heappop(self._queue)
-            event = entry[2]
-            if event is None:
-                entry[3](*entry[4])
-            else:
-                event.fired = True
-                event.fn(*event.args)
-        else:
-            head = self._fifo.popleft()
-            if type(head) is tuple:
-                head[1](*head[2])
-            else:
-                head.fired = True
-                head.fn(*head.args)
+        self._fire(self._pop())
         return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
@@ -325,90 +440,63 @@ class Engine:
             raise SimulationError("engine is not reentrant")
         self._running = True
         self._until = until
-        fired = 0
-        queue = self._queue
-        fifo = self._fifo
-        heappop = heapq.heappop
-        popleft = fifo.popleft
-        bounded = until is not None or max_events is not None
+        if until is not None:
+            self._cap = nextafter(until, inf)
+        times = self._times
+        buckets = self._buckets
         try:
+            if until is None and max_events is None:
+                # The hot loop: one bucket at a time, each entry popped
+                # before it fires (see _pop), the bucket's own deque
+                # reused until it empties.
+                while times:
+                    time = times[0]
+                    bucket = buckets[time]
+                    popleft = bucket.popleft
+                    while True:
+                        entry = popleft()
+                        last = not bucket
+                        if last:
+                            heappop(times)
+                            del buckets[time]
+                        if type(entry) is tuple:
+                            self.now = entry[2]
+                            self._live -= 1
+                            self._events_fired += 1
+                            entry[0](*entry[1])
+                        elif not entry.cancelled:
+                            self.now = entry.time
+                            self._live -= 1
+                            self._events_fired += 1
+                            entry.fired = True
+                            entry.fn(*entry.args)
+                        if last:
+                            break
+                return
+            fired = 0
             while True:
-                # Drop cancelled husks at both lane heads (anonymous
-                # tuples are never cancelled), then pick the (time, seq)
-                # minimum across the two lanes.
-                while fifo:
-                    head = fifo[0]
-                    if type(head) is tuple or not head.cancelled:
-                        break
-                    popleft()
-                while queue:
-                    qev = queue[0][2]
-                    if qev is None or not qev.cancelled:
-                        break
-                    heappop(queue)
-                if fifo:
-                    if not bounded and (not queue or queue[0][0] > self.now):
-                        # Same-cycle batch: nothing in the heap can fire
-                        # this cycle, and events fired below only append
-                        # zero-delay work (still this cycle) or heap
-                        # entries at strictly later times, so the whole
-                        # fifo drains without re-checking the heap.  A
-                        # husk cancelled mid-drain is skipped here too.
-                        while fifo:
-                            head = popleft()
-                            if type(head) is tuple:
-                                self._live -= 1
-                                self._events_fired += 1
-                                head[1](*head[2])
-                            elif not head.cancelled:
-                                head.fired = True
-                                self._live -= 1
-                                self._events_fired += 1
-                                head.fn(*head.args)
-                        continue
-                    head = fifo[0]
-                    from_heap = False
-                    etime = self.now
-                    if queue:
-                        qhead = queue[0]
-                        hseq = head[0] if type(head) is tuple else head.seq
-                        if qhead[0] == etime and qhead[1] < hseq:
-                            from_heap = True
-                elif queue:
-                    from_heap = True
-                    etime = queue[0][0]
-                else:
+                time = self._next_live()
+                if time is None:
                     break
-                if bounded:
-                    if until is not None and etime > until:
-                        self.now = until
-                        return
-                    if max_events is not None and fired >= max_events:
-                        return
-                    fired += 1
-                self._live -= 1
-                self._events_fired += 1
-                if from_heap:
-                    entry = heappop(queue)
-                    self.now = etime
-                    qev = entry[2]
-                    if qev is None:
-                        entry[3](*entry[4])
-                    else:
-                        qev.fired = True
-                        qev.fn(*qev.args)
-                else:
-                    head = popleft()
-                    if type(head) is tuple:
-                        head[1](*head[2])
-                    else:
-                        head.fired = True
-                        head.fn(*head.args)
+                if until is not None and time > until:
+                    self.now = until
+                    return
+                if max_events is not None and fired >= max_events:
+                    return
+                fired += 1
+                self._fire(self._pop())
             if until is not None and until > self.now:
                 self.now = until
         finally:
             self._running = False
             self._until = None
+            self._cap = inf
+            if self.ahead is not None:
+                # A generator raised while its node was ahead: leave the
+                # clock where the engine had it.
+                self.ahead = None
+                self.skipped.clear()
+                self.now = self._ahead_from
 
     # ------------------------------------------------------------------
     # Introspection

@@ -10,14 +10,28 @@ yields one of:
 * another generator — run it as a sub-routine inline (same process, shared
   suspension), its return value is sent back.
 
+* :data:`SYNC` — a sync point: end any lookahead run first (below).
+
 This is the mechanism by which application kernels "execute": the CPU model
-in :mod:`repro.typhoon.node` wraps an application generator in a process,
+in :mod:`repro.tempest.node` wraps an application generator in a process,
 services cache hits inline, and yields futures for misses so the protocol
 machinery can run.
+
+**Lookahead runs.**  A node's hit path may commit hits and compute
+charges ahead of the clock (:meth:`Engine.run_ahead
+<repro.sim.engine.Engine.run_ahead>`) while the process's generator
+runs.  Whatever the generator yields next is a sync point: the process
+ends the run (:meth:`Engine.catch_up
+<repro.sim.engine.Engine.catch_up>`), replays the skipped delays through
+the ordinary per-yield window rule, and only then acts on the yielded
+value.  Code that touches another node's state or schedules an event
+before its first yield yields :data:`SYNC` first.
 """
 
 from __future__ import annotations
 
+from collections import deque
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable
 
 from repro.sim.engine import Engine, SimulationError
@@ -25,6 +39,33 @@ from repro.sim.engine import Engine, SimulationError
 
 class ProcessKilled(Exception):
     """Injected into a generator when its process is killed."""
+
+
+class _Marker:
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+#: Yielded to end the node's lookahead run before the code after it
+#: runs; a no-op when the node is not ahead.
+SYNC = _Marker("SYNC")
+
+#: ``Process._advance``'s "nothing held over: resume the generator".
+_RESUME = _Marker("RESUME")
+
+
+class _Exit:
+    """A generator's return value, held over until the replay ends."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: Any):
+        self.value = value
 
 
 class Future:
@@ -109,12 +150,27 @@ class Process:
     ``run`` call — silent failure would corrupt experiment results.
     """
 
-    def __init__(self, engine: Engine, generator: Generator, name: str = "process"):
+    def __init__(self, engine: Engine, generator: Generator,
+                 name: str = "process", owner: int | None = None):
         self.engine = engine
         self.name = name
+        #: The node whose CPU this process is (a node has one): its
+        #: resumes bound no node's lookahead (see Engine.wake).  With
+        #: None they bound every node's.
+        self.owner = owner
         self.finished = Future(engine)
         self._stack: list[Generator] = [generator]
         self._killed = False
+        #: Delays skipped by a lookahead run, still to replay, and the
+        #: yielded value to act on once they are.
+        self._replay: deque = deque()
+        self._held: Any = _RESUME
+        #: Schedules this CPU's resume at an absolute time: a worker's
+        #: own resume bounds no node's lookahead (Engine.wake), any
+        #: other process's bounds every node's.
+        self._wake = (engine.wake if owner is not None
+                      else engine.schedule_at_anon)
+        self._replay_fn = self._replay_step
         engine.call_soon(self._advance, None)
 
     # ------------------------------------------------------------------
@@ -127,49 +183,51 @@ class Process:
         return not self.finished.done
 
     # ------------------------------------------------------------------
-    def _advance(self, send_value: Any) -> None:
+    def _advance(self, send_value: Any = None, yielded: Any = _RESUME) -> None:
         """Resume the generator stack and interpret what it yields next.
 
         Consecutive numeric yields are the hot path: whenever the engine
-        can prove no other event would fire in the skipped window, the
-        delay is applied inline (``Engine.try_advance``) and the
+        can prove no other event would fire in the skipped window
+        (``Engine.horizon``), the delay is applied inline and the
         generator is resumed immediately — an arbitrarily long run of
         compute charges and serviced cache hits then collapses into this
         one tight loop, entering the event queue only on a miss, fault,
         or sync operation (a Future, or a delay that overlaps pending
-        work).
+        work).  ``yielded`` is a value yielded before a lookahead replay,
+        acted on now instead of resuming the generator.
         """
         engine = self.engine
-        # The fifo and heap objects are stable for the engine's lifetime,
-        # so the inline-advance window check below can read them directly
-        # instead of paying a method call per numeric yield.
-        fifo = engine._fifo
-        queue = engine._queue
         stack = self._stack
         finished = self.finished
+        # The window bound, recomputed only when something was scheduled
+        # (nothing else can move the queue head while this loop runs).
+        seen = -1
+        horizon = 0
         while True:
-            if finished._done:
-                return
-            generator = stack[-1]
-            try:
-                if self._killed:
-                    yielded = generator.throw(ProcessKilled())
-                else:
-                    yielded = generator.send(send_value)
-            except StopIteration as stop:
-                stack.pop()
-                if stack:
-                    send_value = stop.value
-                    continue
-                finished.resolve(stop.value)
-                return
-            except ProcessKilled:
-                stack.pop()
-                if stack:
-                    # Propagate the kill up through nested sub-generators.
-                    continue
-                finished.resolve(None)
-                return
+            if yielded is _RESUME:
+                if finished._done:
+                    return
+                generator = stack[-1]
+                try:
+                    if self._killed:
+                        yielded = generator.throw(ProcessKilled())
+                    else:
+                        yielded = generator.send(send_value)
+                except StopIteration as stop:
+                    stack.pop()
+                    if stack:
+                        send_value = stop.value
+                        continue
+                    yielded = _Exit(stop.value)
+                except ProcessKilled:
+                    stack.pop()
+                    if stack:
+                        # Propagate the kill up through nested sub-generators.
+                        continue
+                    yielded = _Exit(None)
+                if engine.ahead is not None:
+                    self._catch_up(yielded)
+                    return
 
             kind = type(yielded)
             if kind is int or kind is float:
@@ -177,34 +235,40 @@ class Process:
                     raise SimulationError(
                         f"{self.name} yielded negative delay {yielded}"
                     )
+                send_value = None
                 if yielded == 0:
-                    send_value = None
+                    yielded = _RESUME
                     continue
-                # Inline Engine.try_advance: advance the clock directly
-                # when no queued event could fire in the skipped window
-                # and no run(until=) bound would be crossed.
                 target = engine.now + yielded
-                if (
-                    not fifo
-                    and (not queue or queue[0][0] > target)
-                    and ((until := engine._until) is None or target <= until)
-                ):
+                if engine._seq != seen:
+                    seen = engine._seq
+                    horizon = engine.horizon()
+                if target < horizon:
                     engine.now = target
-                    send_value = None
+                    yielded = _RESUME
                     continue
-                engine.schedule_anon(yielded, self._advance, None)
+                self._wake(target, self._advance)
                 return
+            if kind is _Exit:
+                finished.resolve(yielded.value)
+                return
+            if yielded is SYNC:
+                send_value = None
+                yielded = _RESUME
+                continue
             if isinstance(yielded, Future):
                 if yielded.done:
                     # Already-resolved future: send the value straight
                     # back in rather than taking a heap round trip.
                     send_value = yielded.value
+                    yielded = _RESUME
                     continue
                 yielded.add_callback(self._advance)
                 return
             if hasattr(yielded, "send") and hasattr(yielded, "throw"):
                 stack.append(yielded)
                 send_value = None
+                yielded = _RESUME
                 continue
             if isinstance(yielded, (int, float)):
                 # Numeric subclass (e.g. bool) — rare enough that the
@@ -213,15 +277,62 @@ class Process:
                     raise SimulationError(
                         f"{self.name} yielded negative delay {yielded}"
                     )
+                send_value = None
                 if yielded == 0:
-                    send_value = None
+                    yielded = _RESUME
                     continue
-                engine.schedule_anon(yielded, self._advance, None)
+                self._wake(engine.now + yielded, self._advance)
                 return
             raise SimulationError(
                 f"{self.name} yielded unsupported value {yielded!r}; "
                 "expected a delay, a Future, or a sub-generator"
             )
+
+    def _catch_up(self, yielded: Any) -> None:
+        """End the node's lookahead run, replay it, then act on ``yielded``."""
+        self.engine.catch_up(self._replay)
+        self._held = yielded
+        self._replay_step()
+
+    def _replay_step(self) -> None:
+        """Replay skipped delays under the ordinary per-yield rule.
+
+        Each delay advances the clock inline when the window is clear
+        and otherwise schedules this method, exactly where the generator
+        would have scheduled its resume, so the engine sees the same
+        events in the same order as without lookahead.
+        """
+        engine = self.engine
+        replay = self._replay
+        now = engine.now
+        # Engine.horizon(), inlined; nothing is scheduled until the loop
+        # ends, so one bound holds for all of it.
+        times = engine._times
+        horizon = times[0] if times else engine._cap
+        if horizon > engine._cap:
+            horizon = engine._cap
+        while replay:
+            target = now + replay.popleft()
+            if target >= horizon:
+                engine.now = now
+                if self.owner is None:
+                    engine.schedule_at_anon(target, self._replay_fn)
+                    return
+                # Engine.wake, inlined: replay steps are most of the
+                # events of a lock-step phase.
+                engine._seq += 1
+                engine._live += 1
+                buckets = engine._buckets
+                bucket = buckets.get(target)
+                if bucket is None:
+                    bucket = buckets[target] = deque()
+                    heappush(times, target)
+                bucket.append((self._replay_fn, (), target))
+                return
+            now = target
+        engine.now = now
+        held, self._held = self._held, _RESUME
+        self._advance(None, held)
 
     def __repr__(self) -> str:
         state = "done" if self.finished.done else "running"

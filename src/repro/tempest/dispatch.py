@@ -29,11 +29,12 @@ speed without changing a single observable event:
 * :class:`DispatchRows` resolves each handler name once, on first use,
   to the raw handler, its delivery guard's duplicate check (called
   inline), and its full cost with cycles-per-instruction folded in.
-* Engine entries are anonymous ``(time, seq, None, fn, args)`` tuples,
-  exactly what :meth:`~repro.sim.engine.Engine.schedule_anon` queues.
+* Engine entries are anonymous, owned by this node
+  (:meth:`~repro.sim.engine.Engine.schedule_owned`): handler work
+  bounds this node's CPU lookahead and no other node's.
 * When a handler finishes with more work queued, the next handler's
-  charge window is checked under the :meth:`Engine.try_advance
-  <repro.sim.engine.Engine.try_advance>` condition: if no queued event
+  charge window is checked against :meth:`Engine.horizon
+  <repro.sim.engine.Engine.horizon>`: if no queued event
   can fire inside it, the entry that would be pushed is provably the
   next event fired, so the clock advances and the handler runs in the
   same loop, with no heap round trip and no deeper Python stack.  An
@@ -48,7 +49,6 @@ branches on one pointer test each, inside this single path.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.memory.tags import AccessFault
@@ -302,22 +302,18 @@ class HandlerDispatcher:
                 cost += self._np_tlb_miss
                 self._counters[self._np_tlb_misses_key] += 1
         self._counters[self._handler_cycles_key] += cost
-        # Engine.schedule_anon, inlined.
+        # Handler work is this node's event.
         engine = self.engine
-        seq = engine._seq
-        engine._seq = seq + 1
-        engine._live += 1
-        if cost:
-            heappush(engine._queue, (engine.now + cost, seq, None,
-                                     self._execute, (fn, seen, message)))
-        else:
-            engine._fifo.append((seq, self._execute, (fn, seen, message)))
+        engine.schedule_owned(self._node_id, engine.now + cost,
+                              self._execute, fn, seen, message)
 
     def _start_fault(self, fault: AccessFault) -> None:
         self._busy = True
         fn, cost = self._fault_row(fault)
         self._counters[self._handler_cycles_key] += cost
-        self.engine.schedule_anon(cost, self._execute, fn, None, fault)
+        engine = self.engine
+        engine.schedule_owned(self._node_id, engine.now + cost,
+                              self._execute, fn, None, fault)
 
     def _execute(self, fn, seen, argument) -> None:
         """Run a handler whose charge has elapsed, then the next ones.
@@ -327,8 +323,8 @@ class HandlerDispatcher:
         network first, then captured faults, then requests — which is
         ``_finish`` + ``_pump`` with ``_busy`` left set across
         back-to-back handlers.  If no queued event can fire inside the
-        next charge window (the :meth:`Engine.try_advance
-        <repro.sim.engine.Engine.try_advance>` condition), the entry that
+        next charge window (:meth:`Engine.horizon
+        <repro.sim.engine.Engine.horizon>`), the entry that
         would be pushed is provably the next event fired, so the clock
         advances and the loop runs it; otherwise the entry is queued and
         control returns to the engine.  ``fn=None`` enters the loop at
@@ -357,11 +353,9 @@ class HandlerDispatcher:
                     self._extra_charge = 0
                     self._counters[self._handler_cycles_key] += extra
                     target = engine.now + extra
-                    queue = engine._queue
-                    if (engine._fifo or (queue and queue[0][0] <= target)
-                            or ((until := engine._until) is not None
-                                and target > until)):
-                        engine.schedule_anon(extra, self._finish)
+                    if target >= engine.horizon():
+                        engine.schedule_owned(self._node_id, target,
+                                              self._finish)
                         return
                     engine.now = target
             if self._fault_plan is not None:
@@ -388,20 +382,9 @@ class HandlerDispatcher:
                         self._counters[self._np_tlb_misses_key] += 1
             self._counters[self._handler_cycles_key] += cost
             target = engine.now + cost
-            queue = engine._queue
-            if (engine._fifo or (queue and queue[0][0] <= target)
-                    or ((until := engine._until) is not None
-                        and target > until)):
-                # Engine.schedule_anon, inlined.
-                seq = engine._seq
-                engine._seq = seq + 1
-                engine._live += 1
-                if cost:
-                    heappush(queue, (target, seq, None, self._execute,
-                                     (fn, seen, argument)))
-                else:
-                    engine._fifo.append(
-                        (seq, self._execute, (fn, seen, argument)))
+            if target >= engine.horizon():
+                engine.schedule_owned(self._node_id, target, self._execute,
+                                      fn, seen, argument)
                 return
             engine.now = target
 

@@ -45,12 +45,17 @@ from repro.memory.tags import AccessFault, Tag, TagStore
 from repro.memory.tlb import Tlb
 from repro.network.message import Message
 from repro.sim.engine import SimulationError
+from repro.sim.process import SYNC
 from repro.tempest.interface import Tempest
 from repro.tempest.messaging import HandlerRegistry
 from repro.tempest.threads import ComputationThread
 
 #: fn(tempest, addr, is_write) -> extra cycles or None
 PageFaultHandler = Callable[[Tempest, int, bool], int | None]
+
+
+def _nonzero(*delays: int) -> tuple:
+    return tuple(delay for delay in delays if delay)
 
 
 class TempestNode:
@@ -120,12 +125,14 @@ class TempestNode:
         self._check_read_cycles = check_read_cycles
         self._check_write_cycles = check_write_cycles
         self._polls = poll_cycles is not None
-        # The hit path (repro.memory.lane): a private reference costs the
-        # bare hit, a shared one poll + inserted check + hit.
+        # The hit path (repro.memory.lane), given the delays ``access``
+        # yields for a hit: a private reference the bare hit, a shared
+        # one poll, inserted check and hit (zeros dropped).
         poll = poll_cycles or 0
-        self.access_inline, self.run_read_prefix, self.run_plan_prefix = (
-            build_access_lanes(self, hit, poll + check_read_cycles + hit,
-                               poll + check_write_cycles + hit, inbox))
+        (self.access_inline, self.run_read_prefix, self.run_plan_prefix,
+         self.charge_inline) = build_access_lanes(
+            self, _nonzero(hit), _nonzero(poll, check_read_cycles, hit),
+            _nonzero(poll, check_write_cycles, hit), inbox)
 
     def _connect(self, np, sink) -> None:
         """Finish assembly: ``np`` is the handler engine protocols program
@@ -169,8 +176,17 @@ class TempestNode:
     def access(self, addr: int, is_write: bool, value: Any = None) -> Generator:
         """One CPU load or store; a generator the worker drives.
 
-        Returns the loaded value (reads) or None (writes).
+        Returns the loaded value (reads) or None (writes).  A miss may
+        enqueue a fault before its first delay, so the access first ends
+        any lookahead run (a sync point, see repro.sim.process).  A hit
+        the run had no room for then commits inline from the caught-up
+        clock, where a new run may start.
         """
+        if self.engine.ahead is not None:
+            yield SYNC
+            hit = self.access_inline(addr, is_write, value)
+            if hit is not None:
+                return hit[0]
         counters = self._counters
         counters[self._refs_key] += 1
         start = self.engine.now

@@ -75,7 +75,26 @@ def test_differential_subcommand(capsys):
     assert main(["differential", "--nodes", "2"]) == 0
     out = capsys.readouterr().out
     assert "typhoon:stache" in out
+    assert "2 nodes" in out
     assert "NO" not in out.split("events_batched")[-1]
+
+
+@pytest.mark.parametrize("argv,nodes", [
+    (["differential"], 4),
+    (["differential", "--nodes", "16"], 16),
+    (["differential", "--nodes", "2"], 2),
+])
+def test_differential_honours_an_explicit_node_count(argv, nodes,
+                                                     monkeypatch):
+    seen = []
+
+    def fake(nodes, seed):
+        seen.append(nodes)
+        return experiments.ExperimentResult("differential", "stub", ["x"])
+
+    monkeypatch.setattr(experiments, "run_differential", fake)
+    assert main(argv) == 0
+    assert seen == [nodes]
 
 
 # ----------------------------------------------------------------------
