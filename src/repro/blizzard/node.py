@@ -41,6 +41,10 @@ class SoftwareDispatcher:
     :meth:`BlizzardNode._service_one`.
     """
 
+    #: No events of its own: handlers run on the CPU (see
+    #: HandlerDispatcher.due).
+    due = float("inf")
+
     def __init__(self, node: "BlizzardNode"):
         self.node = node
         self._fault_dispatch: dict[tuple[int, bool], str] = {}

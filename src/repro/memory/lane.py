@@ -43,13 +43,17 @@ The engine-window bound is computed once per call; each element's
 completion time is compared against it.
 
 **Lookahead.**  Where the engine's window (:meth:`Engine.horizon
-<repro.sim.engine.Engine.horizon>`) is too small, all four callables
-use the node's own lookahead window, ``horizon(node_id)``, instead: a
-commit that completes past the engine's window opens a lookahead run
-(:meth:`Engine.run_ahead <repro.sim.engine.Engine.run_ahead>`) and
-appends the delays the ``access`` generator would have yielded to
-``engine.skipped``, for the worker's process to replay
-(:mod:`repro.sim.process`).  Why this is exact: a hit touches only this
+<repro.sim.engine.Engine.horizon>`) is too small for a batched run, a
+lane uses the node's own lookahead window instead (``horizon(node_id)``,
+cut at the handler processor's ``due``): a prefix that completes past
+the engine's window opens a lookahead run (:meth:`Engine.run_ahead
+<repro.sim.engine.Engine.run_ahead>`).  While the run is open, every
+commit — lane, scalar hit or compute charge — is checked against its
+bound and appends the delays the ``access`` generator would have
+yielded to ``engine.skipped``, for the worker's process to replay
+(:mod:`repro.sim.process`).  Only the lanes open runs: a run opened by
+a lone scalar hit is usually cut short by the next miss, and ending a
+run costs a process round trip of its own.  Why this is exact: a hit touches only this
 node's TLB, cache, tags, memory image, ``written_blocks`` and its own
 counters, and nothing owned by another node reads those before the
 window closes (see docs/performance.md, "Node locality").  Lookahead is
@@ -58,9 +62,8 @@ a conformance monitor or history recording, and with ``batch_lanes``
 off: scalar mode is the oracle.
 
 A lane call deopts — returns ``start`` with no side effects — under a
-live fault plan or conformance monitor, with zero-delay work pending, or
-with a non-empty inbox: the scalar path is the oracle those modes
-observe.
+live fault plan or conformance monitor, or with a non-empty inbox: the
+scalar path is the oracle those modes observe.
 """
 
 from __future__ import annotations
@@ -146,12 +149,22 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                 return engine.ahead_bound, -_NEVER
             return -_NEVER, -_NEVER
         edge = engine.horizon()
-        if (goal < edge or inbox or not engine._running
+        if goal < edge:
+            return edge, edge
+        return lookahead(edge), edge
+
+    def lookahead(edge):
+        """This node's lookahead horizon (not ahead yet), or ``edge``
+        where lookahead is off.  The node's handler processor keeps its
+        own next event out of the engine's fences (``due``)."""
+        if (inbox or engine.ahead is not None or not engine._running
                 or machine.fault_plan is not None
                 or machine.conformance is not None
                 or machine.history is not None or not machine.batch_lanes):
-            return edge, edge
-        return engine.horizon(node_id), edge
+            return edge
+        bound = engine.horizon(node_id)
+        due = node.np.due
+        return due if due < bound else bound
 
     def access_inline(addr, is_write, value=None):
         """Commit one reference that hits, or return None unchanged."""
@@ -170,7 +183,10 @@ def build_access_lanes(node, private_yields, shared_read_yields,
             bound = engine.ahead_bound
             edge = -_NEVER
         else:
-            bound, edge = window(target)
+            # A scalar hit continues a run but opens none: a run opened
+            # here is usually cut short by the next miss, and ending it
+            # costs a process round trip of its own.
+            bound = edge = engine.horizon()
         if target >= bound:
             return None
         if (addr >> page_shift) not in tlb_entries:
@@ -205,10 +221,16 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         return (result,)
 
     def charge_inline(cycles):
-        """Commit a compute charge of ``cycles`` > 0, or return False."""
+        """Commit a compute charge of ``cycles`` > 0, or return False.
+
+        Like a scalar hit, it continues a lookahead run but opens none.
+        """
         now = engine.now
         target = now + cycles
-        bound, edge = window(target)
+        if engine.ahead == node_id:
+            bound, edge = engine.ahead_bound, -_NEVER
+        else:
+            bound = edge = engine.horizon()
         if target >= bound:
             return False
         if target >= edge:

@@ -120,6 +120,11 @@ class FaultSpec:
             )
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
+        for field, least in (("recv_queue_limit", 0), ("baf_limit", 0),
+                             ("send_queue_depth", 1)):
+            value = getattr(self, field)
+            if value is not None and value < least:
+                raise ValueError(f"{field}={value} must be at least {least}")
 
     @property
     def is_null(self) -> bool:

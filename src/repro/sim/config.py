@@ -55,6 +55,9 @@ class CacheConfig:
         return max(1, self.num_blocks // self.associativity)
 
     def validate(self) -> None:
+        if self.block_size < 1 or self.associativity < 1:
+            raise ConfigError(
+                "cache block size and associativity must be positive")
         if self.size_bytes % self.block_size:
             raise ConfigError(
                 "cache size must be a multiple of the block size")
@@ -83,6 +86,14 @@ class TlbConfig:
     replacement: str = "fifo"
     miss_cycles: int = 25
 
+    def validate(self) -> None:
+        if self.entries < 1:
+            raise ConfigError(f"a TLB needs an entry, got {self.entries}")
+        if self.miss_cycles < 0:
+            raise ConfigError(
+                f"TLB miss cycles must not be negative, got "
+                f"{self.miss_cycles}")
+
 
 @dataclass
 class NetworkConfig:
@@ -103,6 +114,14 @@ class NetworkConfig:
     # contention"; neither do we by default.  True serializes each
     # (src, dst, vnet) channel at one word per cycle (an ablation).
     model_contention: bool = False
+
+    def validate(self) -> None:
+        if min(self.latency, self.barrier_latency, self.mesh_per_hop) < 0:
+            raise ConfigError("network latencies must not be negative")
+        if self.topology not in ("ideal", "mesh2d"):
+            raise ConfigError(f"unknown topology {self.topology!r}")
+        if self.max_payload_words < 1:
+            raise ConfigError("a packet must carry at least one word")
 
 
 @dataclass
@@ -358,7 +377,13 @@ class MachineConfig:
     seed: int = 42
 
     def validate(self) -> None:
+        if self.block_size < 1 or self.page_size < 1:
+            raise ConfigError("block and page sizes must be positive")
+        if min(self.cache_hit_cycles, self.local_miss_cycles) < 0:
+            raise ConfigError("access cycle costs must not be negative")
         self.cache.validate()
+        self.tlb.validate()
+        self.network.validate()
         if self.nodes < 1:
             raise ConfigError("need at least one node")
         if self.nodes > MAX_NODES:

@@ -11,8 +11,9 @@ simulation deterministic for a given seed.
 Structural fast paths keep the common cases cheap (see
 ``docs/performance.md``):
 
-* **Cycle buckets.**  The queue is one deque per pending cycle plus a
-  small heap of those cycles' times.  Sequence numbers are drawn in
+* **Cycle buckets.**  The queue is one bucket per pending cycle (the
+  lone entry itself, or a deque once a second joins it) plus a heap of
+  those cycles' times.  Sequence numbers are drawn in
   scheduling order, so appending keeps every bucket in ``seq`` order and
   firing bucket by bucket is exactly ``(time, seq)`` order — with an
   append and a popleft per event instead of a heap push and pop of a
@@ -44,9 +45,11 @@ Structural fast paths keep the common cases cheap (see
   that is the node's own or nobody's, and ``run(until=...)``.  Every
   event records its time as a *fence*: in its node's fence list when it
   has an owner (:meth:`schedule_owned`: a delivery belongs to its
-  destination, handler-processor work to its node), in the shared list
-  otherwise.  A worker CPU's own resume (:meth:`wake`) records none:
-  the only thread it can affect is waiting for it.  Fence lists are
+  destination), in the shared list otherwise.  Events whose owner
+  tracks them itself record none (:meth:`post`): a worker CPU's own
+  resume — the only thread it can affect is waiting for it — and a
+  handler processor's next item, whose time the processor keeps in
+  ``due`` for its node's hit path.  Fence lists are
   heaps of times pruned lazily once the clock passes them (an entry at
   the current cycle may already have fired; keeping it is only
   conservative).  Inside the window the CPU commits hits and compute
@@ -100,7 +103,7 @@ class _Event:
             return
         self.cancelled = True
         if self.engine is not None:
-            self.engine._live -= 1
+            self.engine._cancelled += 1
 
 
 class Engine:
@@ -115,8 +118,9 @@ class Engine:
     """
 
     def __init__(self) -> None:
-        #: Pending events by cycle: each deque holds ``(fn, args, time)``
-        #: tuples and :class:`_Event` objects in ``seq`` order (each
+        #: Pending events by cycle: one entry, or a deque of entries in
+        #: ``seq`` order.  Entries are ``(fn, args, time)`` tuples and
+        #: :class:`_Event` objects (each
         #: keeps its own time: an int and a float cycle share a bucket,
         #: and the clock takes the firing event's value).
         self._buckets: dict[float, deque] = {}
@@ -126,8 +130,9 @@ class Engine:
         self.now: float = 0
         self._events_fired = 0
         self._running = False
-        #: Live (scheduled, unfired, uncancelled) events — O(1) pending.
-        self._live = 0
+        #: Events cancelled before they fired (``pending`` is drawn
+        #: sequence numbers minus fired minus cancelled).
+        self._cancelled = 0
         #: Active ``run(until=...)`` bound, and the exclusive horizon cap
         #: it sets (just past ``until``; inf when unbounded).
         self._until: float | None = None
@@ -139,6 +144,8 @@ class Engine:
         #: without an owner.  None while lookahead is off.
         self._fences: list[list] | None = None
         self._fence_all: list | None = None
+        #: The last cycle an unowned zero-delay event was queued in.
+        self._soon: float = -inf
         #: The node running ahead of the clock, or None (see
         #: :meth:`run_ahead`), with the clock and sequence number it
         #: left at, its horizon, and the delays it has skipped (one list
@@ -153,14 +160,22 @@ class Engine:
     # Scheduling
     # ------------------------------------------------------------------
     def _push(self, time: float, entry: Any) -> None:
-        """Append ``entry`` to ``time``'s bucket (its ``seq`` is drawn)."""
+        """Add ``entry`` to ``time``'s bucket (its ``seq`` is drawn).
+
+        A bucket is the lone entry itself until a second one joins it;
+        then it becomes a deque.  Most cycles of a spread-out run hold
+        one event, and they pay no deque.
+        """
         self._seq += 1
-        self._live += 1
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = self._buckets[time] = deque()
+        buckets = self._buckets
+        held = buckets.get(time)
+        if held is None:
+            buckets[time] = entry
             heappush(self._times, time)
-        bucket.append(entry)
+        elif type(held) is deque:
+            held.append(entry)
+        else:
+            buckets[time] = deque((held, entry))
 
     def _event(self, time: float, fn: Callable[..., Any],
                args: tuple) -> _Event:
@@ -208,9 +223,8 @@ class Engine:
         """
         now = self.now
         self._push(now, (fn, args, now))
-        fences = self._fence_all
-        if fences is not None:
-            self._fence(fences, now)
+        if self._fence_all is not None:
+            self._soon = now
 
     def schedule_anon(self, delay: float, fn: Callable[..., Any],
                       *args: Any) -> None:
@@ -223,13 +237,7 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         time = self.now + delay
-        self._seq += 1
-        self._live += 1
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = self._buckets[time] = deque()
-            heappush(self._times, time)
-        bucket.append((fn, args, time))
+        self._push(time, (fn, args, time))
         fences = self._fence_all
         if fences is not None:
             self._fence(fences, time)
@@ -249,7 +257,8 @@ class Engine:
 
     def schedule_owned(self, owner: int, time: float,
                        fn: Callable[..., Any], *args: Any) -> None:
-        """``schedule_at_anon`` for an event that belongs to node ``owner``.
+        """``schedule_at_anon`` for an event that belongs to node ``owner``
+        (a message delivery).
 
         Only ``owner``'s state may change when it fires: it bounds
         ``owner``'s lookahead and no other node's (see the module doc).
@@ -259,37 +268,63 @@ class Engine:
                 f"cannot schedule at cycle {time}; clock is already at "
                 f"{self.now}"
             )
+        # Engine._push, inlined: deliveries and handler work.
         self._seq += 1
-        self._live += 1
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = self._buckets[time] = deque()
+        buckets = self._buckets
+        held = buckets.get(time)
+        entry = (fn, args, time)
+        if held is None:
+            buckets[time] = entry
             heappush(self._times, time)
-        bucket.append((fn, args, time))
+        elif type(held) is deque:
+            held.append(entry)
+        else:
+            buckets[time] = deque((held, entry))
         fences = self._fences
         if fences is not None:
-            self._fence(fences[owner], time)
+            fences = fences[owner]
+            heappush(fences, time)
+            if len(fences) > 64:
+                self._prune(fences)
 
-    def wake(self, time: float, fn: Callable[[], Any]) -> None:
-        """Schedule a waiting CPU thread's own resume ``fn()`` at ``time``.
+    def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at ``time`` >= now, recording no fence.
 
-        It bounds no node's lookahead: the one thread it resumes is
-        waiting for it, so it cannot be ahead.
+        For events whose owner bounds its own node's lookahead itself: a
+        waiting CPU thread's resume (the thread cannot be ahead while it
+        waits) and a handler processor's next item (the node's hit path
+        reads the processor's ``due``).
         """
+        # Engine._push, inlined: the commonest schedule.
         self._seq += 1
-        self._live += 1
-        bucket = self._buckets.get(time)
-        if bucket is None:
-            bucket = self._buckets[time] = deque()
+        buckets = self._buckets
+        held = buckets.get(time)
+        entry = (fn, args, time)
+        if held is None:
+            buckets[time] = entry
             heappush(self._times, time)
-        bucket.append((fn, (), time))
+        elif type(held) is deque:
+            held.append(entry)
+        else:
+            buckets[time] = deque((held, entry))
 
     def _fence(self, fences: list, time: float) -> None:
-        """Record ``time`` in a fence heap, dropping passed entries."""
+        """Record ``time`` in a fence heap; passed entries are dropped
+        when the heap is read (``horizon``) or grows long.  An event for
+        the current cycle only marks the cycle (``_soon``): it closes
+        every window until the clock moves on."""
+        if time == self.now:
+            self._soon = time
+            return
+        heappush(fences, time)
+        if len(fences) > 64:
+            self._prune(fences)
+
+    def _prune(self, fences: list) -> None:
+        """Drop the fences the clock has passed."""
         now = self.now
         while fences and fences[0] < now:
             heappop(fences)
-        heappush(fences, time)
 
     def enable_lookahead(self, latency: float, nodes: int) -> None:
         """Turn per-node lookahead on for nodes ``0..nodes-1``: no event
@@ -319,6 +354,8 @@ class Engine:
                 return self.ahead_bound
             if self.lookahead and times:
                 now = self.now
+                if self._soon == now:
+                    return now
                 bound += self.lookahead
                 for fences in (self._fences[node], self._fence_all):
                     while fences and fences[0] < now:
@@ -382,25 +419,27 @@ class Engine:
         if not times:
             return None
         time = times[0]
-        bucket = self._buckets[time]
-        entry = bucket.popleft()
-        if not bucket:
-            heappop(times)
-            del self._buckets[time]
+        held = self._buckets[time]
+        if type(held) is deque:
+            entry = held.popleft()
+            if held:
+                return entry
+        else:
+            entry = held
+        heappop(times)
+        del self._buckets[time]
         return entry
 
     def _fire(self, entry: Any) -> bool:
         """Fire a popped entry; False for a cancelled husk."""
         if type(entry) is tuple:
             self.now = entry[2]
-            self._live -= 1
             self._events_fired += 1
             entry[0](*entry[1])
             return True
         if entry.cancelled:
             return False
         self.now = entry.time
-        self._live -= 1
         self._events_fired += 1
         entry.fired = True
         entry.fn(*entry.args)
@@ -412,14 +451,11 @@ class Engine:
         buckets = self._buckets
         while times:
             time = times[0]
-            bucket = buckets[time]
-            head = bucket[0]
+            held = buckets[time]
+            head = held[0] if type(held) is deque else held
             if type(head) is tuple or not head.cancelled:
                 return time
-            bucket.popleft()
-            if not bucket:
-                heappop(times)
-                del buckets[time]
+            self._pop()
         return None
 
     def step(self) -> bool:
@@ -451,22 +487,29 @@ class Engine:
                 # reused until it empties.
                 while times:
                     time = times[0]
-                    bucket = buckets[time]
-                    popleft = bucket.popleft
+                    held = buckets[time]
+                    if type(held) is deque:
+                        popleft = held.popleft
+                    else:
+                        # A lone entry: fire it below as the bucket's
+                        # last.
+                        popleft = None
                     while True:
-                        entry = popleft()
-                        last = not bucket
+                        if popleft is None:
+                            entry = held
+                            last = True
+                        else:
+                            entry = popleft()
+                            last = not held
                         if last:
                             heappop(times)
                             del buckets[time]
                         if type(entry) is tuple:
                             self.now = entry[2]
-                            self._live -= 1
                             self._events_fired += 1
                             entry[0](*entry[1])
                         elif not entry.cancelled:
                             self.now = entry.time
-                            self._live -= 1
                             self._events_fired += 1
                             entry.fired = True
                             entry.fn(*entry.args)
@@ -505,10 +548,11 @@ class Engine:
     def pending(self) -> int:
         """Number of live events still queued (cancelled husks excluded).
 
-        O(1): maintained as a counter on schedule/fire/cancel rather than
-        scanned, so stray ``repr(engine)`` calls stay cheap in long runs.
+        O(1): every schedule draws a sequence number, so this is the
+        number drawn minus the events fired and cancelled — never a
+        scan, so stray ``repr(engine)`` calls stay cheap in long runs.
         """
-        return self._live
+        return self._seq - self._events_fired - self._cancelled
 
     @property
     def events_fired(self) -> int:

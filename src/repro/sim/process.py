@@ -155,7 +155,7 @@ class Process:
         self.engine = engine
         self.name = name
         #: The node whose CPU this process is (a node has one): its
-        #: resumes bound no node's lookahead (see Engine.wake).  With
+        #: resumes bound no node's lookahead (see Engine.post).  With
         #: None they bound every node's.
         self.owner = owner
         self.finished = Future(engine)
@@ -166,9 +166,9 @@ class Process:
         self._replay: deque = deque()
         self._held: Any = _RESUME
         #: Schedules this CPU's resume at an absolute time: a worker's
-        #: own resume bounds no node's lookahead (Engine.wake), any
+        #: own resume bounds no node's lookahead (Engine.post), any
         #: other process's bounds every node's.
-        self._wake = (engine.wake if owner is not None
+        self._wake = (engine.post if owner is not None
                       else engine.schedule_at_anon)
         self._replay_fn = self._replay_step
         engine.call_soon(self._advance, None)
@@ -318,16 +318,19 @@ class Process:
                 if self.owner is None:
                     engine.schedule_at_anon(target, self._replay_fn)
                     return
-                # Engine.wake, inlined: replay steps are most of the
+                # Engine.post, inlined: replay steps are most of the
                 # events of a lock-step phase.
                 engine._seq += 1
-                engine._live += 1
                 buckets = engine._buckets
-                bucket = buckets.get(target)
-                if bucket is None:
-                    bucket = buckets[target] = deque()
+                held = buckets.get(target)
+                entry = (self._replay_fn, (), target)
+                if held is None:
+                    buckets[target] = entry
                     heappush(times, target)
-                bucket.append((self._replay_fn, (), target))
+                elif type(held) is deque:
+                    held.append(entry)
+                else:
+                    buckets[target] = deque((held, entry))
                 return
             now = target
         engine.now = now

@@ -29,9 +29,10 @@ speed without changing a single observable event:
 * :class:`DispatchRows` resolves each handler name once, on first use,
   to the raw handler, its delivery guard's duplicate check (called
   inline), and its full cost with cycles-per-instruction folded in.
-* Engine entries are anonymous, owned by this node
-  (:meth:`~repro.sim.engine.Engine.schedule_owned`): handler work
-  bounds this node's CPU lookahead and no other node's.
+* Engine entries are anonymous and record no lookahead fence
+  (:meth:`~repro.sim.engine.Engine.post`): handler work bounds only
+  this node's CPU, whose hit path reads ``due``, the time of the
+  processor's next event.
 * When a handler finishes with more work queued, the next handler's
   charge window is checked against :meth:`Engine.horizon
   <repro.sim.engine.Engine.horizon>`: if no queued event
@@ -49,6 +50,7 @@ branches on one pointer test each, inside this single path.
 from __future__ import annotations
 
 from collections import deque
+from math import inf
 from typing import TYPE_CHECKING, Callable
 
 from repro.memory.tags import AccessFault
@@ -134,6 +136,10 @@ class HandlerDispatcher:
         self._baf_buffer: deque[AccessFault] = deque()
         self._busy = False
         self._extra_charge = 0
+        #: When this processor's next own event fires (inf: none
+        #: pending).  Its events record no engine fence; the node's hit
+        #: path bounds its lookahead by this instead.
+        self.due = inf
 
         # (page mode, is_write) -> handler name.  Section 5.4: the page
         # mode, access type and tag select the fault handler PC; the tag
@@ -302,18 +308,17 @@ class HandlerDispatcher:
                 cost += self._np_tlb_miss
                 self._counters[self._np_tlb_misses_key] += 1
         self._counters[self._handler_cycles_key] += cost
-        # Handler work is this node's event.
         engine = self.engine
-        engine.schedule_owned(self._node_id, engine.now + cost,
-                              self._execute, fn, seen, message)
+        self.due = due = engine.now + cost
+        engine.post(due, self._execute, fn, seen, message)
 
     def _start_fault(self, fault: AccessFault) -> None:
         self._busy = True
         fn, cost = self._fault_row(fault)
         self._counters[self._handler_cycles_key] += cost
         engine = self.engine
-        engine.schedule_owned(self._node_id, engine.now + cost,
-                              self._execute, fn, None, fault)
+        self.due = due = engine.now + cost
+        engine.post(due, self._execute, fn, None, fault)
 
     def _execute(self, fn, seen, argument) -> None:
         """Run a handler whose charge has elapsed, then the next ones.
@@ -331,6 +336,7 @@ class HandlerDispatcher:
         the dispatch step (see :meth:`_finish`).
         """
         engine = self.engine
+        self.due = inf
         while True:
             if fn is not None:
                 self._extra_charge = 0
@@ -354,8 +360,8 @@ class HandlerDispatcher:
                     self._counters[self._handler_cycles_key] += extra
                     target = engine.now + extra
                     if target >= engine.horizon():
-                        engine.schedule_owned(self._node_id, target,
-                                              self._finish)
+                        self.due = target
+                        engine.post(target, self._finish)
                         return
                     engine.now = target
             if self._fault_plan is not None:
@@ -383,8 +389,8 @@ class HandlerDispatcher:
             self._counters[self._handler_cycles_key] += cost
             target = engine.now + cost
             if target >= engine.horizon():
-                engine.schedule_owned(self._node_id, target, self._execute,
-                                      fn, seen, argument)
+                self.due = target
+                engine.post(target, self._execute, fn, seen, argument)
                 return
             engine.now = target
 

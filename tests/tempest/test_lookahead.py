@@ -75,8 +75,9 @@ def test_a_worker_that_skips_its_sync_point_fails_loudly(monkeypatch):
             yield from ticker(ctx, 200)
             return
         yield from ctx.read(base)          # a miss: the block comes in
-        for _ in range(8):
-            yield from ctx.read(base)      # hits, committed ahead
+        yield SYNC
+        # Hits: the batched lane opens a run and commits them ahead.
+        yield from ctx.read_run([base] * 4)
         # A send with no SYNC before it: scheduled while ahead.
         machine.nodes[0].tempest.send(1, "probe")
 
@@ -99,8 +100,8 @@ def test_the_clock_is_restored_when_a_worker_raises_ahead(monkeypatch):
             yield from ticker(ctx, 200)
             return
         yield from ctx.read(base)
-        for _ in range(8):
-            yield from ctx.read(base)
+        yield SYNC
+        yield from ctx.read_run([base] * 4)
         seen.append((engine.ahead, engine.now))
         raise RuntimeError("boom")
 
@@ -130,8 +131,8 @@ def delivery_run(lanes):
         ctx = AppContext(machine, node_id)
         if node_id == 0:
             yield from ctx.read(base)
-            for _ in range(120):
-                yield from ctx.read(base)
+            for _ in range(40):
+                yield from ctx.read_run([base] * 3)
         elif node_id == 1:
             yield from ticker(ctx, 120)
             yield SYNC
@@ -178,8 +179,7 @@ def tie_run(lanes):
         yield from ctx.read(base + 64 * node_id)
         yield from ctx.barrier()
         for step in range(6):
-            for _ in range(5):
-                yield from ctx.read(base + 64 * node_id)
+            yield from ctx.read_run([base + 64 * node_id] * 5)
             yield SYNC
             log.append((engine.now, node_id, step))
 
