@@ -104,6 +104,7 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     engine = node.engine
     machine = node.machine
     skipped = engine.skipped
+    times = engine._times
     page_flags_get = node.mirror.page_flags.get
     block_flags_get = node.mirror.block_flags.get
     words_of = node.image._blocks
@@ -134,24 +135,6 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     # batch costs more in lane setup than the scalar inline commit it
     # replaces (under-claiming is always sound).
     min_room = 2 * private_cost
-
-    def window(goal):
-        """``(bound, edge)`` for a commit that would complete at ``goal``.
-
-        The commit may complete before ``bound``; completing at or past
-        ``edge`` (the engine's own window) makes it a lookahead run.
-        The node's lookahead window is consulted only when ``goal`` does
-        not fit the engine's window, since finding it walks the queue.
-        """
-        ahead = engine.ahead
-        if ahead is not None:
-            if ahead == node_id:
-                return engine.ahead_bound, -_NEVER
-            return -_NEVER, -_NEVER
-        edge = engine.horizon()
-        if goal < edge:
-            return edge, edge
-        return lookahead(edge), edge
 
     def lookahead(edge):
         """This node's lookahead horizon (not ahead yet), or ``edge``
@@ -185,8 +168,11 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         else:
             # A scalar hit continues a run but opens none: a run opened
             # here is usually cut short by the next miss, and ending it
-            # costs a process round trip of its own.
-            bound = edge = engine.horizon()
+            # costs a process round trip of its own.  Engine.horizon(),
+            # inlined: this runs once per reference.
+            bound = edge = times[0] if times else _NEVER
+            if engine._cap < edge:
+                bound = edge = engine._cap
         if target >= bound:
             return None
         if (addr >> page_shift) not in tlb_entries:
@@ -302,8 +288,26 @@ def build_access_lanes(node, private_yields, shared_read_yields,
 
     def lane_window(now, length, cost):
         """``(bound, edge)`` for a lane over ``length`` elements costing up
-        to ``cost`` each, or None when not even two of the cheapest fit."""
-        bound, edge = window(now + length * cost)
+        to ``cost`` each, or None when not even two of the cheapest fit.
+
+        The prefix may complete before ``bound``; completing at or past
+        ``edge`` (the engine's own window) makes it a lookahead run.  The
+        node's lookahead window is consulted only when the run does not
+        fit the engine's window.
+        """
+        ahead = engine.ahead
+        if ahead is None:
+            # Engine.horizon(), inlined: a lane call costs a few hits.
+            edge = times[0] if times else _NEVER
+            if engine._cap < edge:
+                edge = engine._cap
+            bound = edge
+            if edge < now + length * cost:
+                bound = lookahead(edge)
+        elif ahead == node_id:
+            bound, edge = engine.ahead_bound, -_NEVER
+        else:
+            return None
         if bound <= now + min_room:
             return None
         return bound, edge

@@ -43,9 +43,11 @@ Structural fast paths keep the common cases cheap (see
   So a CPU may run ahead of the clock up to ``horizon(node)``: the
   least of the queue head plus ``lookahead``, the earliest queued event
   that is the node's own or nobody's, and ``run(until=...)``.  Every
-  event records its time as a *fence*: in its node's fence list when it
-  has an owner (:meth:`schedule_owned`: a delivery belongs to its
-  destination), in the shared list otherwise.  Events whose owner
+  timed event records its time as a *fence*: in its node's fence list
+  when it has an owner (:meth:`schedule_owned`: a delivery belongs to
+  its destination), in the shared list otherwise; a zero-delay event
+  with no owner only marks its cycle, which closes every window until
+  the clock moves on.  Events whose owner
   tracks them itself record none (:meth:`post`): a worker CPU's own
   resume — the only thread it can affect is waiting for it — and a
   handler processor's next item, whose time the processor keeps in

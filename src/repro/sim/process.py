@@ -55,8 +55,8 @@ class _Marker:
 #: runs; a no-op when the node is not ahead.
 SYNC = _Marker("SYNC")
 
-#: ``Process._advance``'s "nothing held over: resume the generator".
-_RESUME = _Marker("RESUME")
+#: ``Process._interpret``'s "suspended: something else resumes it".
+_SUSPENDED = _Marker("SUSPENDED")
 
 
 class _Exit:
@@ -164,7 +164,7 @@ class Process:
         #: Delays skipped by a lookahead run, still to replay, and the
         #: yielded value to act on once they are.
         self._replay: deque = deque()
-        self._held: Any = _RESUME
+        self._held: Any = None
         #: Schedules this CPU's resume at an absolute time: a worker's
         #: own resume bounds no node's lookahead (Engine.post), any
         #: other process's bounds every node's.
@@ -183,7 +183,7 @@ class Process:
         return not self.finished.done
 
     # ------------------------------------------------------------------
-    def _advance(self, send_value: Any = None, yielded: Any = _RESUME) -> None:
+    def _advance(self, send_value: Any = None) -> None:
         """Resume the generator stack and interpret what it yields next.
 
         Consecutive numeric yields are the hot path: whenever the engine
@@ -193,8 +193,8 @@ class Process:
         compute charges and serviced cache hits then collapses into this
         one tight loop, entering the event queue only on a miss, fault,
         or sync operation (a Future, or a delay that overlaps pending
-        work).  ``yielded`` is a value yielded before a lookahead replay,
-        acted on now instead of resuming the generator.
+        work).  Whatever the generator yields while its node is ahead
+        ends the lookahead run first (:meth:`_catch_up`).
         """
         engine = self.engine
         stack = self._stack
@@ -204,31 +204,29 @@ class Process:
         seen = -1
         horizon = 0
         while True:
-            if yielded is _RESUME:
-                if finished._done:
-                    return
-                generator = stack[-1]
-                try:
-                    if self._killed:
-                        yielded = generator.throw(ProcessKilled())
-                    else:
-                        yielded = generator.send(send_value)
-                except StopIteration as stop:
-                    stack.pop()
-                    if stack:
-                        send_value = stop.value
-                        continue
-                    yielded = _Exit(stop.value)
-                except ProcessKilled:
-                    stack.pop()
-                    if stack:
-                        # Propagate the kill up through nested sub-generators.
-                        continue
-                    yielded = _Exit(None)
-                if engine.ahead is not None:
-                    self._catch_up(yielded)
-                    return
-
+            if finished._done:
+                return
+            generator = stack[-1]
+            try:
+                if self._killed:
+                    yielded = generator.throw(ProcessKilled())
+                else:
+                    yielded = generator.send(send_value)
+            except StopIteration as stop:
+                stack.pop()
+                if stack:
+                    send_value = stop.value
+                    continue
+                yielded = _Exit(stop.value)
+            except ProcessKilled:
+                stack.pop()
+                if stack:
+                    # Propagate the kill up through nested sub-generators.
+                    continue
+                yielded = _Exit(None)
+            if engine.ahead is not None:
+                self._catch_up(yielded)
+                return
             kind = type(yielded)
             if kind is int or kind is float:
                 if yielded < 0:
@@ -237,7 +235,6 @@ class Process:
                     )
                 send_value = None
                 if yielded == 0:
-                    yielded = _RESUME
                     continue
                 target = engine.now + yielded
                 if engine._seq != seen:
@@ -245,48 +242,49 @@ class Process:
                     horizon = engine.horizon()
                 if target < horizon:
                     engine.now = target
-                    yielded = _RESUME
                     continue
                 self._wake(target, self._advance)
                 return
-            if kind is _Exit:
-                finished.resolve(yielded.value)
+            send_value = self._interpret(yielded)
+            if send_value is _SUSPENDED:
                 return
-            if yielded is SYNC:
-                send_value = None
-                yielded = _RESUME
-                continue
-            if isinstance(yielded, Future):
-                if yielded.done:
-                    # Already-resolved future: send the value straight
-                    # back in rather than taking a heap round trip.
-                    send_value = yielded.value
-                    yielded = _RESUME
-                    continue
-                yielded.add_callback(self._advance)
-                return
-            if hasattr(yielded, "send") and hasattr(yielded, "throw"):
-                stack.append(yielded)
-                send_value = None
-                yielded = _RESUME
-                continue
-            if isinstance(yielded, (int, float)):
-                # Numeric subclass (e.g. bool) — rare enough that the
-                # exact-type fast path above skipped it; same rules.
-                if yielded < 0:
-                    raise SimulationError(
-                        f"{self.name} yielded negative delay {yielded}"
-                    )
-                send_value = None
-                if yielded == 0:
-                    yielded = _RESUME
-                    continue
-                self._wake(engine.now + yielded, self._advance)
-                return
-            raise SimulationError(
-                f"{self.name} yielded unsupported value {yielded!r}; "
-                "expected a delay, a Future, or a sub-generator"
-            )
+
+    def _interpret(self, yielded: Any) -> Any:
+        """Act on a non-delay yield: the value to send back in, or
+        ``_SUSPENDED`` when something else will resume the process."""
+        if type(yielded) is _Exit:
+            self.finished.resolve(yielded.value)
+            return _SUSPENDED
+        if yielded is SYNC:
+            return None
+        if isinstance(yielded, Future):
+            if yielded.done:
+                # Already-resolved future: send the value straight back
+                # in rather than taking a heap round trip.
+                return yielded.value
+            yielded.add_callback(self._advance)
+            return _SUSPENDED
+        if hasattr(yielded, "send") and hasattr(yielded, "throw"):
+            self._stack.append(yielded)
+            return None
+        if isinstance(yielded, (int, float)):
+            # A delay: a numeric subclass (e.g. bool) the exact-type fast
+            # path skips, or one held over a lookahead replay.
+            if yielded < 0:
+                raise SimulationError(
+                    f"{self.name} yielded negative delay {yielded}"
+                )
+            engine = self.engine
+            target = engine.now + yielded
+            if target < engine.horizon():
+                engine.now = target
+                return None
+            self._wake(target, self._advance)
+            return _SUSPENDED
+        raise SimulationError(
+            f"{self.name} yielded unsupported value {yielded!r}; "
+            "expected a delay, a Future, or a sub-generator"
+        )
 
     def _catch_up(self, yielded: Any) -> None:
         """End the node's lookahead run, replay it, then act on ``yielded``."""
@@ -334,8 +332,10 @@ class Process:
                 return
             now = target
         engine.now = now
-        held, self._held = self._held, _RESUME
-        self._advance(None, held)
+        held, self._held = self._held, None
+        value = self._interpret(held)
+        if value is not _SUSPENDED:
+            self._advance(value)
 
     def __repr__(self) -> str:
         state = "done" if self.finished.done else "running"
