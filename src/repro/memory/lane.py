@@ -286,32 +286,6 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                 cost = shared_write_cost if is_write else shared_read_cost
             yield addr, is_write, value, cost
 
-    def lane_window(now, length, cost):
-        """``(bound, edge)`` for a lane over ``length`` elements costing up
-        to ``cost`` each, or None when not even two of the cheapest fit.
-
-        The prefix may complete before ``bound``; completing at or past
-        ``edge`` (the engine's own window) makes it a lookahead run.  The
-        node's lookahead window is consulted only when the run does not
-        fit the engine's window.
-        """
-        ahead = engine.ahead
-        if ahead is None:
-            # Engine.horizon(), inlined: a lane call costs a few hits.
-            edge = times[0] if times else _NEVER
-            if engine._cap < edge:
-                edge = engine._cap
-            bound = edge
-            if edge < now + length * cost:
-                bound = lookahead(edge)
-        elif ahead == node_id:
-            bound, edge = engine.ahead_bound, -_NEVER
-        else:
-            return None
-        if bound <= now + min_room:
-            return None
-        return bound, edge
-
     def run_read_prefix(addrs, start, out):
         """Commit the longest all-hit prefix of the reads ``addrs[start:]``.
 
@@ -322,12 +296,26 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                 or machine.conformance is not None):
             return start
         # The window, computed once: an element completing at ``step``
-        # commits while ``step < bound``.
+        # commits while ``step < bound``; completing at or past ``edge``
+        # (the engine's own window, Engine.horizon() inlined) makes it a
+        # lookahead run.  The node's lookahead window is consulted only
+        # when the run does not fit the engine's.
         now = engine.now
-        bounds = lane_window(now, len(addrs) - start, shared_read_cost)
-        if bounds is None:
+        ahead = engine.ahead
+        if ahead is None:
+            bound = edge = times[0] if times else _NEVER
+            if engine._cap < edge:
+                bound = edge = engine._cap
+            if edge < now + (len(addrs) - start) * shared_read_cost:
+                bound = lookahead(edge)
+        elif ahead == node_id:
+            bound, edge = engine.ahead_bound, -_NEVER
+        else:
             return start
-        bound, edge = bounds
+        # Reject before anything else: in lock-step phases another
+        # node's event usually sits inside the first hit window.
+        if bound <= now + min_room:
+            return start
         out_append = out.append
         target = now
         base = page = -1
@@ -375,10 +363,19 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                 or machine.conformance is not None):
             return start
         now = engine.now
-        bounds = lane_window(now, len(ops) - start, shared_write_cost)
-        if bounds is None:
+        ahead = engine.ahead
+        if ahead is None:
+            bound = edge = times[0] if times else _NEVER
+            if engine._cap < edge:
+                bound = edge = engine._cap
+            if edge < now + (len(ops) - start) * shared_write_cost:
+                bound = lookahead(edge)
+        elif ahead == node_id:
+            bound, edge = engine.ahead_bound, -_NEVER
+        else:
             return start
-        bound, edge = bounds
+        if bound <= now + min_room:
+            return start
         out_append = out.append
         target = now
         base = page = -1

@@ -199,8 +199,10 @@ class Process:
         engine = self.engine
         stack = self._stack
         finished = self.finished
-        # The window bound, recomputed only when something was scheduled
-        # (nothing else can move the queue head while this loop runs).
+        times = engine._times
+        # The window bound (Engine.horizon(), inlined), recomputed only
+        # when something was scheduled: nothing else can move the queue
+        # head while this loop runs.
         seen = -1
         horizon = 0
         while True:
@@ -239,7 +241,9 @@ class Process:
                 target = engine.now + yielded
                 if engine._seq != seen:
                     seen = engine._seq
-                    horizon = engine.horizon()
+                    horizon = times[0] if times else engine._cap
+                    if engine._cap < horizon:
+                        horizon = engine._cap
                 if target < horizon:
                     engine.now = target
                     continue
