@@ -336,6 +336,7 @@ class HandlerDispatcher:
         the dispatch step (see :meth:`_finish`).
         """
         engine = self.engine
+        times = engine._times
         self.due = inf
         while True:
             if fn is not None:
@@ -359,7 +360,9 @@ class HandlerDispatcher:
                     self._extra_charge = 0
                     self._counters[self._handler_cycles_key] += extra
                     target = engine.now + extra
-                    if target >= engine.horizon():
+                    # Engine.horizon(), inlined.
+                    if ((times and target >= times[0])
+                            or target >= engine._cap):
                         self.due = target
                         engine.post(target, self._finish)
                         return
@@ -388,7 +391,7 @@ class HandlerDispatcher:
                         self._counters[self._np_tlb_misses_key] += 1
             self._counters[self._handler_cycles_key] += cost
             target = engine.now + cost
-            if target >= engine.horizon():
+            if (times and target >= times[0]) or target >= engine._cap:
                 self.due = target
                 engine.post(target, self._execute, fn, seen, argument)
                 return
