@@ -104,6 +104,9 @@ class MachineBase:
         if plan is None or plan.is_null:
             return None
         plan.bind(self.rng.stream("faults"))
+        # Lookahead is off under a fault plan (the scalar path is the
+        # oracle it observes): drop the fence bookkeeping too.
+        self.engine.enable_lookahead(0, 0)
         transport = ReliableTransport(
             self.engine, self.interconnect, plan.spec, self.stats
         )
@@ -153,6 +156,8 @@ class MachineBase:
         monitor = ConformanceMonitor(
             self, spec, strict=strict, history=history
         ).attach()
+        # Lookahead is off under the monitor: drop its bookkeeping.
+        self.engine.enable_lookahead(0, 0)
         self.conformance = monitor
         if self.transport is not None:
             self.transport.flight_recorder = monitor.recorder

@@ -137,11 +137,10 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     min_room = 2 * private_cost
 
     def lookahead(edge):
-        """This node's lookahead horizon (not ahead yet), or ``edge``
-        where lookahead is off.  The node's handler processor keeps its
-        own next event out of the engine's fences (``due``)."""
-        if (inbox or engine.ahead is not None or not engine._running
-                or machine.fault_plan is not None
+        """A lane's lookahead horizon (no run open, inbox empty), or
+        ``edge`` where lookahead is off.  The node's handler processor
+        keeps its own next event out of the engine's fences (``due``)."""
+        if (not engine._running or machine.fault_plan is not None
                 or machine.conformance is not None
                 or machine.history is not None or not machine.batch_lanes):
             return edge

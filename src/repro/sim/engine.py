@@ -330,10 +330,11 @@ class Engine:
 
     def enable_lookahead(self, latency: float, nodes: int) -> None:
         """Turn per-node lookahead on for nodes ``0..nodes-1``: no event
-        of one node reaches another in less than ``latency`` cycles."""
+        of one node reaches another in less than ``latency`` cycles.
+        ``latency`` 0 turns it off, and with it the fence bookkeeping."""
         self.lookahead = latency
-        self._fences = [[] for _ in range(nodes)]
-        self._fence_all = []
+        self._fences = [[] for _ in range(nodes)] if latency else None
+        self._fence_all = [] if latency else None
 
     # ------------------------------------------------------------------
     # Inline time advance and per-node lookahead

@@ -278,6 +278,8 @@ class Process:
                 raise SimulationError(
                     f"{self.name} yielded negative delay {yielded}"
                 )
+            if not yielded:
+                return None
             engine = self.engine
             target = engine.now + yielded
             if target < engine.horizon():
