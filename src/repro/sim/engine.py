@@ -57,9 +57,10 @@ Structural fast paths keep the common cases cheap (see
   conservative).  Inside the window the CPU commits hits and compute
   charges against a local clock (:meth:`run_ahead` lets it move ``now``
   there) and records the delays its generator would have yielded.
-  :meth:`catch_up` restores the clock; the process then replays those
-  delays one by one under the ordinary window rule, scheduling a resume
-  wherever the path without lookahead would have.  Every event
+  :meth:`catch_up` restores the clock; :meth:`replay` then advances
+  through those delays one by one under the ordinary window rule,
+  scheduling a step wherever the path without lookahead would have
+  scheduled a resume (the run loop drains a step without a Python call).  Every event
   therefore fires at the same ``(time, seq)`` as without lookahead: a
   resume scheduled straight at the local clock would draw an earlier
   ``seq`` and reorder its ties with other events of that cycle.  A
@@ -394,6 +395,40 @@ class Engine:
         into.extend(self.skipped)
         self.skipped.clear()
 
+    def replay(self, delays: deque, done: Callable[[], Any],
+               fenced: bool = False) -> None:
+        """Advance through ``delays`` as a process yielding them would.
+
+        Each delay moves the clock inline while ``now + delay <
+        horizon()`` and otherwise becomes an event at ``now + delay``
+        that carries on from there, so every sequence number is drawn
+        where the yielding process would have drawn it.  ``done()`` runs
+        once the deque is empty.  The steps record no fence unless
+        ``fenced`` (see :meth:`post`).  The run loop drains a step
+        without a Python call per event: replayed steps are most of a
+        lock-step phase's events.
+        """
+        self._step((delays, done, fenced), self.now)
+
+    def _step(self, chain: tuple, now: float) -> None:
+        """One replay event at ``now`` (see :meth:`replay`)."""
+        delays = chain[0]
+        times = self._times
+        horizon = times[0] if times else inf
+        if self._cap < horizon:
+            horizon = self._cap
+        while delays:
+            target = now + delays.popleft()
+            if target >= horizon:
+                self.now = now
+                self._push(target, (None, chain, target))
+                if chain[2] and self._fence_all is not None:
+                    self._fence(self._fence_all, target)
+                return
+            now = target
+        self.now = now
+        chain[1]()
+
     def try_advance(self, delay: float) -> bool:
         """Advance the clock ``delay`` cycles inline if provably safe.
 
@@ -438,7 +473,10 @@ class Engine:
         if type(entry) is tuple:
             self.now = entry[2]
             self._events_fired += 1
-            entry[0](*entry[1])
+            if entry[0] is None:
+                self._step(entry[1], entry[2])
+            else:
+                entry[0](*entry[1])
             return True
         if entry.cancelled:
             return False
@@ -508,9 +546,33 @@ class Engine:
                             heappop(times)
                             del buckets[time]
                         if type(entry) is tuple:
-                            self.now = entry[2]
+                            self.now = now = entry[2]
                             self._events_fired += 1
-                            entry[0](*entry[1])
+                            fn = entry[0]
+                            if fn is not None:
+                                fn(*entry[1])
+                            else:
+                                # A replay step (Engine._step, inlined).
+                                chain = entry[1]
+                                delays = chain[0]
+                                horizon = times[0] if times else inf
+                                if self._cap < horizon:
+                                    horizon = self._cap
+                                while delays:
+                                    target = now + delays.popleft()
+                                    if target >= horizon:
+                                        self.now = now
+                                        self._push(target,
+                                                   (None, chain, target))
+                                        if (chain[2] and self._fence_all
+                                                is not None):
+                                            self._fence(self._fence_all,
+                                                        target)
+                                        break
+                                    now = target
+                                else:
+                                    self.now = now
+                                    chain[1]()
                         elif not entry.cancelled:
                             self.now = entry.time
                             self._events_fired += 1

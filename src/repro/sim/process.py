@@ -22,8 +22,9 @@ charges ahead of the clock (:meth:`Engine.run_ahead
 <repro.sim.engine.Engine.run_ahead>`) while the process's generator
 runs.  Whatever the generator yields next is a sync point: the process
 ends the run (:meth:`Engine.catch_up
-<repro.sim.engine.Engine.catch_up>`), replays the skipped delays through
-the ordinary per-yield window rule, and only then acts on the yielded
+<repro.sim.engine.Engine.catch_up>`), has the engine replay the skipped
+delays under the ordinary per-yield window rule (:meth:`Engine.replay
+<repro.sim.engine.Engine.replay>`), and only then acts on the yielded
 value.  Code that touches another node's state or schedules an event
 before its first yield yields :data:`SYNC` first.
 """
@@ -31,7 +32,6 @@ before its first yield yields :data:`SYNC` first.
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Any, Callable, Generator, Iterable
 
 from repro.sim.engine import Engine, SimulationError
@@ -170,7 +170,6 @@ class Process:
         #: other process's bounds every node's.
         self._wake = (engine.post if owner is not None
                       else engine.schedule_at_anon)
-        self._replay_fn = self._replay_step
         engine.call_soon(self._advance, None)
 
     # ------------------------------------------------------------------
@@ -293,51 +292,20 @@ class Process:
         )
 
     def _catch_up(self, yielded: Any) -> None:
-        """End the node's lookahead run, replay it, then act on ``yielded``."""
-        self.engine.catch_up(self._replay)
-        self._held = yielded
-        self._replay_step()
+        """End the node's lookahead run, replay it, then act on ``yielded``.
 
-    def _replay_step(self) -> None:
-        """Replay skipped delays under the ordinary per-yield rule.
-
-        Each delay advances the clock inline when the window is clear
-        and otherwise schedules this method, exactly where the generator
-        would have scheduled its resume, so the engine sees the same
-        events in the same order as without lookahead.
+        The engine replays the skipped delays exactly where this
+        generator would have scheduled its resumes (:meth:`Engine.replay
+        <repro.sim.engine.Engine.replay>`), so it sees the same events in
+        the same order as without lookahead.
         """
         engine = self.engine
-        replay = self._replay
-        now = engine.now
-        # Engine.horizon(), inlined; nothing is scheduled until the loop
-        # ends, so one bound holds for all of it.
-        times = engine._times
-        horizon = times[0] if times else engine._cap
-        if horizon > engine._cap:
-            horizon = engine._cap
-        while replay:
-            target = now + replay.popleft()
-            if target >= horizon:
-                engine.now = now
-                if self.owner is None:
-                    engine.schedule_at_anon(target, self._replay_fn)
-                    return
-                # Engine.post, inlined: replay steps are most of the
-                # events of a lock-step phase.
-                engine._seq += 1
-                buckets = engine._buckets
-                held = buckets.get(target)
-                entry = (self._replay_fn, (), target)
-                if held is None:
-                    buckets[target] = entry
-                    heappush(times, target)
-                elif type(held) is deque:
-                    held.append(entry)
-                else:
-                    buckets[target] = deque((held, entry))
-                return
-            now = target
-        engine.now = now
+        engine.catch_up(self._replay)
+        self._held = yielded
+        engine.replay(self._replay, self._replayed, self.owner is None)
+
+    def _replayed(self) -> None:
+        """The replay is over: act on the value held over it."""
         held, self._held = self._held, None
         value = self._interpret(held)
         if value is not _SUSPENDED:
