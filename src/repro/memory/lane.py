@@ -39,11 +39,11 @@ The lane works per cache block rather than per word.  It probes the
 changes and the block's flags byte only when the block changes, fetches
 the block's word dict from the :class:`~repro.memory.data.MemoryImage`
 once per block, and adds a written block to ``written_blocks`` once.
-The engine-window bound is computed once per call; each element's
+The engine-window bound is read once per call; each element's
 completion time is compared against it.
 
-**Lookahead.**  Where the engine's window (:meth:`Engine.horizon
-<repro.sim.engine.Engine.horizon>`) is too small for a batched run, a
+**Lookahead.**  Where the engine's window (:attr:`Engine.edge
+<repro.sim.engine.Engine.edge>`) is too small for a batched run, a
 lane uses the node's own lookahead window instead (``horizon(node_id)``,
 cut at the handler processor's ``due``): a prefix that completes past
 the engine's window opens a lookahead run (:meth:`Engine.run_ahead
@@ -51,9 +51,10 @@ the engine's window opens a lookahead run (:meth:`Engine.run_ahead
 commit — lane, scalar hit or compute charge — is checked against its
 bound and appends the delays the ``access`` generator would have
 yielded to ``engine.skipped``, for the worker's process to replay
-(:mod:`repro.sim.process`).  Only the lanes open runs: a run opened by
-a lone scalar hit is usually cut short by the next miss, and ending a
-run costs a process round trip of its own.  Why this is exact: a hit touches only this
+(:mod:`repro.sim.process`); the run's bound is then the engine's
+``edge``.  Only the lanes open runs: a run opened by a lone scalar hit
+is usually cut short by the next miss, and ending a run costs a process
+round trip of its own.  Why this is exact: a hit touches only this
 node's TLB, cache, tags, memory image, ``written_blocks`` and its own
 counters, and nothing owned by another node reads those before the
 window closes (see docs/performance.md, "Node locality").  Lookahead is
@@ -79,7 +80,8 @@ from repro.memory.mirror import PAGE_MAPPED, READ_HIT, TLB_PRESENT, WRITE_HIT
 #: creates the dict" step fails loudly instead of sharing state.
 _NO_WORDS = MappingProxyType({})
 
-#: No bound (``-_NEVER``: no room at all).
+#: No bound (as a lane's ``edge``, ``-_NEVER`` puts every commit in the
+#: open lookahead run).
 _NEVER = float("inf")
 
 #: Page-flag bits a hit needs on shared and on private pages.
@@ -104,7 +106,6 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     engine = node.engine
     machine = node.machine
     skipped = engine.skipped
-    times = engine._times
     page_flags_get = node.mirror.page_flags.get
     block_flags_get = node.mirror.block_flags.get
     words_of = node.image._blocks
@@ -138,15 +139,14 @@ def build_access_lanes(node, private_yields, shared_read_yields,
 
     def lookahead(edge):
         """A lane's lookahead horizon (no run open, inbox empty), or
-        ``edge`` where lookahead is off.  The node's handler processor
-        keeps its own next event out of the engine's fences (``due``)."""
+        ``edge`` where lookahead is off; never below ``edge``.  The
+        node's handler processor keeps its own next event out of the
+        engine's fences (``due``)."""
         if (not engine._running or machine.fault_plan is not None
                 or machine.conformance is not None
                 or machine.history is not None or not machine.batch_lanes):
             return edge
-        bound = engine.horizon(node_id)
-        due = node.np.due
-        return due if due < bound else bound
+        return max(edge, min(engine.horizon(node_id), node.np.due))
 
     def access_inline(addr, is_write, value=None):
         """Commit one reference that hits, or return None unchanged."""
@@ -161,18 +161,11 @@ def build_access_lanes(node, private_yields, shared_read_yields,
             cycles = private_cost
         now = engine.now
         target = now + cycles
-        if engine.ahead == node_id:
-            bound = engine.ahead_bound
-            edge = -_NEVER
-        else:
-            # A scalar hit continues a run but opens none: a run opened
-            # here is usually cut short by the next miss, and ending it
-            # costs a process round trip of its own.  Engine.horizon(),
-            # inlined: this runs once per reference.
-            bound = edge = times[0] if times else _NEVER
-            if engine._cap < edge:
-                bound = edge = engine._cap
-        if target >= bound:
+        # ``edge`` is the engine's window, or this node's run's bound
+        # while it is ahead: a scalar hit continues a run but opens
+        # none (a run opened here is usually cut short by the next miss,
+        # and ending it costs a process round trip of its own).
+        if target >= engine.edge:
             return None
         if (addr >> page_shift) not in tlb_entries:
             return None
@@ -184,9 +177,7 @@ def build_access_lanes(node, private_yields, shared_read_yields,
             return None
         # Commit.  The probes above cannot schedule events, so the window
         # check still holds and the clock can move directly.
-        if target >= edge:
-            if engine.ahead is None:
-                engine.run_ahead(node_id, bound)
+        if engine.ahead is not None:
             skipped.extend(yields)
         engine.now = target
         cpu_tlb.hits += 1
@@ -210,17 +201,10 @@ def build_access_lanes(node, private_yields, shared_read_yields,
 
         Like a scalar hit, it continues a lookahead run but opens none.
         """
-        now = engine.now
-        target = now + cycles
-        if engine.ahead == node_id:
-            bound, edge = engine.ahead_bound, -_NEVER
-        else:
-            bound = edge = engine.horizon()
-        if target >= bound:
+        target = engine.now + cycles
+        if target >= engine.edge:
             return False
-        if target >= edge:
-            if engine.ahead is None:
-                engine.run_ahead(node_id, bound)
+        if engine.ahead is not None:
             skipped.append(cycles)
         engine.now = target
         return True
@@ -294,23 +278,17 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         if (inbox or machine.fault_plan is not None
                 or machine.conformance is not None):
             return start
-        # The window, computed once: an element completing at ``step``
-        # commits while ``step < bound``; completing at or past ``edge``
-        # (the engine's own window, Engine.horizon() inlined) makes it a
-        # lookahead run.  The node's lookahead window is consulted only
-        # when the run does not fit the engine's.
+        # The window, read once: an element completing at ``step``
+        # commits while ``step < bound``, and completing at or past
+        # ``edge`` makes it part of a lookahead run.  The node's
+        # lookahead window is consulted only when the run does not fit
+        # the engine's.
         now = engine.now
-        ahead = engine.ahead
-        if ahead is None:
-            bound = edge = times[0] if times else _NEVER
-            if engine._cap < edge:
-                bound = edge = engine._cap
-            if edge < now + (len(addrs) - start) * shared_read_cost:
-                bound = lookahead(edge)
-        elif ahead == node_id:
-            bound, edge = engine.ahead_bound, -_NEVER
-        else:
-            return start
+        bound = edge = engine.edge
+        if engine.ahead is not None:
+            edge = -_NEVER
+        elif edge < now + (len(addrs) - start) * shared_read_cost:
+            bound = lookahead(edge)
         # Reject before anything else: in lock-step phases another
         # node's event usually sits inside the first hit window.
         if bound <= now + min_room:
@@ -362,17 +340,11 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                 or machine.conformance is not None):
             return start
         now = engine.now
-        ahead = engine.ahead
-        if ahead is None:
-            bound = edge = times[0] if times else _NEVER
-            if engine._cap < edge:
-                bound = edge = engine._cap
-            if edge < now + (len(ops) - start) * shared_write_cost:
-                bound = lookahead(edge)
-        elif ahead == node_id:
-            bound, edge = engine.ahead_bound, -_NEVER
-        else:
-            return start
+        bound = edge = engine.edge
+        if engine.ahead is not None:
+            edge = -_NEVER
+        elif edge < now + (len(ops) - start) * shared_write_cost:
+            bound = lookahead(edge)
         if bound <= now + min_room:
             return start
         out_append = out.append

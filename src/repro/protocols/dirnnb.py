@@ -531,9 +531,7 @@ class DirNNBNode:
         engine = self.engine
         hit_cycles = self._hit_cycles
         target = engine.now + hit_cycles
-        # Engine.horizon(), inlined: this runs once per reference.
-        times = engine._times
-        if (times and target >= times[0]) or target >= engine._cap:
+        if target >= engine.edge:
             return None
         if (addr >> self._page_shift) not in self._tlb_entries:
             return None

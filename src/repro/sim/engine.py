@@ -20,7 +20,10 @@ Structural fast paths keep the common cases cheap (see
   tuple compared element by element.  A zero-delay event joins the
   current cycle's bucket behind everything already there, as its
   ``seq`` says it must.  In lock-step phases many events share a cycle,
-  so the time heap changes only once per cycle.
+  so the time heap changes only once per cycle.  Per-node lookahead
+  (below) depends on this: its replay steps are most of a lock-step
+  phase's events, and on a heap of tuples they cost as much as the
+  generator resumes they replace (docs/performance.md).
 
 * **Anonymous events.**  Most schedules never use the returned handle:
   the caller discards it and nothing ever cancels the event.
@@ -34,38 +37,42 @@ Structural fast paths keep the common cases cheap (see
   rule: the clock may move to any ``target < horizon()`` without a
   schedule/fire round trip, because no queued event could fire in the
   skipped window (``run(until=...)`` caps it just past ``until``).  The
-  process layer, the dispatch loop and a node's hit path all use it —
-  the Wind-Tunnel direct-execution trick applied to CPython overhead.
+  engine keeps that bound in :attr:`Engine.edge`, updated as buckets
+  come and go, so the process layer, the dispatch loop, a node's hit
+  path and the replay each test it with one attribute read — the
+  Wind-Tunnel direct-execution trick applied to CPython overhead.
 
-* **Per-node lookahead.**  Another node can touch a node only through
-  a message, and a message takes at least :attr:`Engine.lookahead`
-  cycles (the interconnect's least latency between distinct nodes).
-  So a CPU may run ahead of the clock up to ``horizon(node)``: the
-  least of the queue head plus ``lookahead``, the earliest queued event
-  that is the node's own or nobody's, and ``run(until=...)``.  Every
-  timed event records its time as a *fence*: in its node's fence list
-  when it has an owner (:meth:`schedule_owned`: a delivery belongs to
-  its destination), in the shared list otherwise; a zero-delay event
-  with no owner only marks its cycle, which closes every window until
-  the clock moves on.  Events whose owner
-  tracks them itself record none (:meth:`post`): a worker CPU's own
-  resume — the only thread it can affect is waiting for it — and a
-  handler processor's next item, whose time the processor keeps in
-  ``due`` for its node's hit path.  Fence lists are
-  heaps of times pruned lazily once the clock passes them (an entry at
-  the current cycle may already have fired; keeping it is only
-  conservative).  Inside the window the CPU commits hits and compute
-  charges against a local clock (:meth:`run_ahead` lets it move ``now``
-  there) and records the delays its generator would have yielded.
+* **Per-node lookahead.**  Another node can touch a node only through a
+  message, and a message takes at least :attr:`Engine.lookahead` cycles
+  (the interconnect's least latency between distinct nodes).  So a CPU
+  may run ahead of the clock up to ``horizon(node)``: the least of the
+  queue head plus ``lookahead``, the earliest queued event that is the
+  node's own or nobody's, and ``run(until=...)``, and never less than
+  the engine's own window.  Every timed event records its time as a
+  *fence*: in its node's fence list when it has an owner
+  (:meth:`schedule_owned`: a delivery belongs to its destination), in
+  the shared list otherwise; a zero-delay event with no owner only marks
+  its cycle, which closes every window until the clock moves on.  Events
+  whose owner tracks them itself record none (:meth:`post`): a worker
+  CPU's own resume — the only thread it can affect is waiting for it —
+  and a handler processor's next item, whose time the processor keeps in
+  ``due`` for its node's hit path.  Fence lists are heaps of times
+  pruned lazily once the clock passes them (an entry at the current
+  cycle may already have fired; keeping it is only conservative).  The
+  bookkeeping starts at the first lookahead query, with everything then
+  queued counted as nobody's, so a run whose CPUs never ask pays none of
+  it.  Inside the window the CPU commits hits and compute charges
+  against a local clock (:meth:`run_ahead` lets it move ``now`` there)
+  and records the delays its generator would have yielded.
   :meth:`catch_up` restores the clock; :meth:`replay` then advances
   through those delays one by one under the ordinary window rule,
   scheduling a step wherever the path without lookahead would have
-  scheduled a resume (the run loop drains a step without a Python call).  Every event
-  therefore fires at the same ``(time, seq)`` as without lookahead: a
-  resume scheduled straight at the local clock would draw an earlier
-  ``seq`` and reorder its ties with other events of that cycle.  A
-  schedule made while a node is ahead would break this, and
-  :meth:`catch_up` raises :class:`SimulationError` if one was.
+  scheduled a resume.  Every event therefore fires at the same
+  ``(time, seq)`` as without lookahead: a resume scheduled straight at
+  the local clock would draw an earlier ``seq`` and reorder its ties
+  with other events of that cycle.  A schedule made while a node is
+  ahead would break this, and :meth:`catch_up` raises
+  :class:`SimulationError` if one was.
 """
 
 from __future__ import annotations
@@ -140,6 +147,11 @@ class Engine:
         #: it sets (just past ``until``; inf when unbounded).
         self._until: float | None = None
         self._cap: float = inf
+        #: The exclusive bound on inline clock moves (:meth:`horizon`):
+        #: the earliest queued cycle, capped just past ``until``; while
+        #: a node runs ahead, its run's bound.  Kept up to date as
+        #: buckets come and go, so a hot path reads one attribute.
+        self.edge: float = inf
         #: Least delay with which one node's event can reach another
         #: node; 0 (the default) turns per-node lookahead off.
         self.lookahead: float = 0
@@ -147,16 +159,17 @@ class Engine:
         #: without an owner.  None while lookahead is off.
         self._fences: list[list] | None = None
         self._fence_all: list | None = None
+        self._nodes = 0
         #: The last cycle an unowned zero-delay event was queued in.
         self._soon: float = -inf
         #: The node running ahead of the clock, or None (see
-        #: :meth:`run_ahead`), with the clock and sequence number it
-        #: left at, its horizon, and the delays it has skipped (one list
-        #: for the engine's life: the hit path binds it once).
+        #: :meth:`run_ahead`; :attr:`edge` is then its run's bound), with
+        #: the clock and sequence number it left at, and the delays it
+        #: has skipped (one list for the engine's life: the hit path
+        #: binds it once).
         self.ahead: int | None = None
         self._ahead_from: float = 0
         self._ahead_seq = 0
-        self.ahead_bound: float = 0
         self.skipped: list = []
 
     # ------------------------------------------------------------------
@@ -175,6 +188,8 @@ class Engine:
         if held is None:
             buckets[time] = entry
             heappush(self._times, time)
+            if time < self.edge:
+                self.edge = time
         elif type(held) is deque:
             held.append(entry)
         else:
@@ -271,24 +286,10 @@ class Engine:
                 f"cannot schedule at cycle {time}; clock is already at "
                 f"{self.now}"
             )
-        # Engine._push, inlined: deliveries and handler work.
-        self._seq += 1
-        buckets = self._buckets
-        held = buckets.get(time)
-        entry = (fn, args, time)
-        if held is None:
-            buckets[time] = entry
-            heappush(self._times, time)
-        elif type(held) is deque:
-            held.append(entry)
-        else:
-            buckets[time] = deque((held, entry))
+        self._push(time, (fn, args, time))
         fences = self._fences
         if fences is not None:
-            fences = fences[owner]
-            heappush(fences, time)
-            if len(fences) > 64:
-                self._prune(fences)
+            self._fence(fences[owner], time)
 
     def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at ``time`` >= now, recording no fence.
@@ -298,18 +299,7 @@ class Engine:
         waits) and a handler processor's next item (the node's hit path
         reads the processor's ``due``).
         """
-        # Engine._push, inlined: the commonest schedule.
-        self._seq += 1
-        buckets = self._buckets
-        held = buckets.get(time)
-        entry = (fn, args, time)
-        if held is None:
-            buckets[time] = entry
-            heappush(self._times, time)
-        elif type(held) is deque:
-            held.append(entry)
-        else:
-            buckets[time] = deque((held, entry))
+        self._push(time, (fn, args, time))
 
     def _fence(self, fences: list, time: float) -> None:
         """Record ``time`` in a fence heap; passed entries are dropped
@@ -332,10 +322,12 @@ class Engine:
     def enable_lookahead(self, latency: float, nodes: int) -> None:
         """Turn per-node lookahead on for nodes ``0..nodes-1``: no event
         of one node reaches another in less than ``latency`` cycles.
-        ``latency`` 0 turns it off, and with it the fence bookkeeping."""
+        ``latency`` 0 turns it off.  The fence bookkeeping starts at the
+        first lookahead query (:meth:`horizon`), so a run that never
+        asks pays none of it."""
         self.lookahead = latency
-        self._fences = [[] for _ in range(nodes)] if latency else None
-        self._fence_all = [] if latency else None
+        self._nodes = nodes
+        self._fences = self._fence_all = None
 
     # ------------------------------------------------------------------
     # Inline time advance and per-node lookahead
@@ -343,31 +335,44 @@ class Engine:
     def horizon(self, node: int | None = None) -> float:
         """The exclusive bound on inline clock moves.
 
-        Moving the clock to any ``target < horizon()`` is
+        Moving the clock to any ``target < horizon()`` (:attr:`edge`) is
         indistinguishable from scheduling a wakeup and firing it: no
         queued event fires in between and ``run(until=...)`` is not
         crossed.  With ``node``, the bound is that node's lookahead
-        window instead: events of other nodes inside it cannot reach the
-        node before it closes (see the module doc).  While ``node`` is
-        ahead this is the bound its run was opened with.
+        window instead, never less than the engine's: events of other
+        nodes inside it cannot reach the node before it closes (see the
+        module doc).  While a node is ahead both are its run's bound.
         """
+        edge = self.edge
         times = self._times
-        bound = times[0] if times else inf
-        if node is not None:
-            if self.ahead == node:
-                return self.ahead_bound
-            if self.lookahead and times:
-                now = self.now
-                if self._soon == now:
-                    return now
-                bound += self.lookahead
-                for fences in (self._fences[node], self._fence_all):
-                    while fences and fences[0] < now:
-                        heappop(fences)
-                    if fences and fences[0] < bound:
-                        bound = fences[0]
+        now = self.now
+        if (node is None or self.ahead is not None or not self.lookahead
+                or not times or self._soon == now):
+            return edge
+        fences = self._fences
+        if fences is None:
+            # The first query starts the bookkeeping: everything queued
+            # so far counts as nobody's (only conservative).
+            fences = self._fences = [[] for _ in range(self._nodes)]
+            self._fence_all = list(times)
+        bound = times[0] + self.lookahead
+        for fence in (fences[node], self._fence_all):
+            while fence and fence[0] < now:
+                heappop(fence)
+            if fence and fence[0] < bound:
+                bound = fence[0]
+        # A fence at the current cycle may have fired already.
+        if bound < edge:
+            return edge
         cap = self._cap
         return bound if bound < cap else cap
+
+    def _set_edge(self) -> None:
+        """Recompute :attr:`edge` from the queue and the ``until`` cap."""
+        times = self._times
+        edge = times[0] if times else inf
+        cap = self._cap
+        self.edge = edge if edge < cap else cap
 
     def run_ahead(self, node: int, bound: float) -> None:
         """Let ``node``'s CPU run ahead of the clock up to ``bound``.
@@ -376,7 +381,7 @@ class Engine:
         skips to :attr:`skipped`; :meth:`catch_up` ends the run.
         """
         self.ahead = node
-        self.ahead_bound = bound
+        self.edge = bound
         self._ahead_from = self.now
         self._ahead_seq = self._seq
 
@@ -385,6 +390,7 @@ class Engine:
         delays to ``into`` (the caller replays them in order)."""
         node = self.ahead
         self.ahead = None
+        self._set_edge()
         local, self.now = self.now, self._ahead_from
         if self._seq != self._ahead_seq:
             raise SimulationError(
@@ -404,30 +410,22 @@ class Engine:
         that carries on from there, so every sequence number is drawn
         where the yielding process would have drawn it.  ``done()`` runs
         once the deque is empty.  The steps record no fence unless
-        ``fenced`` (see :meth:`post`).  The run loop drains a step
-        without a Python call per event: replayed steps are most of a
-        lock-step phase's events.
+        ``fenced`` (see :meth:`post`).
         """
-        self._step((delays, done, fenced), self.now)
-
-    def _step(self, chain: tuple, now: float) -> None:
-        """One replay event at ``now`` (see :meth:`replay`)."""
-        delays = chain[0]
-        times = self._times
-        horizon = times[0] if times else inf
-        if self._cap < horizon:
-            horizon = self._cap
+        now = self.now
+        horizon = self.edge
         while delays:
             target = now + delays.popleft()
             if target >= horizon:
                 self.now = now
-                self._push(target, (None, chain, target))
-                if chain[2] and self._fence_all is not None:
+                self._push(target, (self.replay, (delays, done, fenced),
+                                    target))
+                if fenced and self._fence_all is not None:
                     self._fence(self._fence_all, target)
                 return
             now = target
         self.now = now
-        chain[1]()
+        done()
 
     def try_advance(self, delay: float) -> bool:
         """Advance the clock ``delay`` cycles inline if provably safe.
@@ -438,7 +436,7 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot advance {delay} cycles into the past")
         target = self.now + delay
-        if target < self.horizon():
+        if target < self.edge:
             self.now = target
             return True
         return False
@@ -466,6 +464,7 @@ class Engine:
             entry = held
         heappop(times)
         del self._buckets[time]
+        self._set_edge()
         return entry
 
     def _fire(self, entry: Any) -> bool:
@@ -473,10 +472,7 @@ class Engine:
         if type(entry) is tuple:
             self.now = entry[2]
             self._events_fired += 1
-            if entry[0] is None:
-                self._step(entry[1], entry[2])
-            else:
-                entry[0](*entry[1])
+            entry[0](*entry[1])
             return True
         if entry.cancelled:
             return False
@@ -519,6 +515,7 @@ class Engine:
         self._until = until
         if until is not None:
             self._cap = nextafter(until, inf)
+            self._set_edge()
         times = self._times
         buckets = self._buckets
         try:
@@ -545,34 +542,13 @@ class Engine:
                         if last:
                             heappop(times)
                             del buckets[time]
+                            # Engine._set_edge with no cap: this loop
+                            # runs only without ``until``.
+                            self.edge = times[0] if times else inf
                         if type(entry) is tuple:
-                            self.now = now = entry[2]
+                            self.now = entry[2]
                             self._events_fired += 1
-                            fn = entry[0]
-                            if fn is not None:
-                                fn(*entry[1])
-                            else:
-                                # A replay step (Engine._step, inlined).
-                                chain = entry[1]
-                                delays = chain[0]
-                                horizon = times[0] if times else inf
-                                if self._cap < horizon:
-                                    horizon = self._cap
-                                while delays:
-                                    target = now + delays.popleft()
-                                    if target >= horizon:
-                                        self.now = now
-                                        self._push(target,
-                                                   (None, chain, target))
-                                        if (chain[2] and self._fence_all
-                                                is not None):
-                                            self._fence(self._fence_all,
-                                                        target)
-                                        break
-                                    now = target
-                                else:
-                                    self.now = now
-                                    chain[1]()
+                            entry[0](*entry[1])
                         elif not entry.cancelled:
                             self.now = entry.time
                             self._events_fired += 1
@@ -605,6 +581,7 @@ class Engine:
                 self.ahead = None
                 self.skipped.clear()
                 self.now = self._ahead_from
+            self._set_edge()
 
     # ------------------------------------------------------------------
     # Introspection

@@ -187,7 +187,7 @@ class Process:
 
         Consecutive numeric yields are the hot path: whenever the engine
         can prove no other event would fire in the skipped window
-        (``Engine.horizon``), the delay is applied inline and the
+        (``target < Engine.edge``), the delay is applied inline and the
         generator is resumed immediately — an arbitrarily long run of
         compute charges and serviced cache hits then collapses into this
         one tight loop, entering the event queue only on a miss, fault,
@@ -198,12 +198,6 @@ class Process:
         engine = self.engine
         stack = self._stack
         finished = self.finished
-        times = engine._times
-        # The window bound (Engine.horizon(), inlined), recomputed only
-        # when something was scheduled: nothing else can move the queue
-        # head while this loop runs.
-        seen = -1
-        horizon = 0
         while True:
             if finished._done:
                 return
@@ -238,12 +232,7 @@ class Process:
                 if yielded == 0:
                     continue
                 target = engine.now + yielded
-                if engine._seq != seen:
-                    seen = engine._seq
-                    horizon = times[0] if times else engine._cap
-                    if engine._cap < horizon:
-                        horizon = engine._cap
-                if target < horizon:
+                if target < engine.edge:
                     engine.now = target
                     continue
                 self._wake(target, self._advance)
@@ -281,7 +270,7 @@ class Process:
                 return None
             engine = self.engine
             target = engine.now + yielded
-            if target < engine.horizon():
+            if target < engine.edge:
                 engine.now = target
                 return None
             self._wake(target, self._advance)

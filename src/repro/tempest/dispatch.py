@@ -34,9 +34,9 @@ speed without changing a single observable event:
   this node's CPU, whose hit path reads ``due``, the time of the
   processor's next event.
 * When a handler finishes with more work queued, the next handler's
-  charge window is checked against :meth:`Engine.horizon
-  <repro.sim.engine.Engine.horizon>`: if no queued event
-  can fire inside it, the entry that would be pushed is provably the
+  charge window is checked against the engine's window
+  (:attr:`Engine.edge <repro.sim.engine.Engine.edge>`): if no queued
+  event can fire inside it, the entry that would be pushed is provably the
   next event fired, so the clock advances and the handler runs in the
   same loop, with no heap round trip and no deeper Python stack.  An
   extra charge from :meth:`charge` is advanced the same way.
@@ -328,15 +328,14 @@ class HandlerDispatcher:
         network first, then captured faults, then requests — which is
         ``_finish`` + ``_pump`` with ``_busy`` left set across
         back-to-back handlers.  If no queued event can fire inside the
-        next charge window (:meth:`Engine.horizon
-        <repro.sim.engine.Engine.horizon>`), the entry that
+        next charge window (:attr:`Engine.edge
+        <repro.sim.engine.Engine.edge>`), the entry that
         would be pushed is provably the next event fired, so the clock
         advances and the loop runs it; otherwise the entry is queued and
         control returns to the engine.  ``fn=None`` enters the loop at
         the dispatch step (see :meth:`_finish`).
         """
         engine = self.engine
-        times = engine._times
         self.due = inf
         while True:
             if fn is not None:
@@ -360,9 +359,7 @@ class HandlerDispatcher:
                     self._extra_charge = 0
                     self._counters[self._handler_cycles_key] += extra
                     target = engine.now + extra
-                    # Engine.horizon(), inlined.
-                    if ((times and target >= times[0])
-                            or target >= engine._cap):
+                    if target >= engine.edge:
                         self.due = target
                         engine.post(target, self._finish)
                         return
@@ -391,7 +388,7 @@ class HandlerDispatcher:
                         self._counters[self._np_tlb_misses_key] += 1
             self._counters[self._handler_cycles_key] += cost
             target = engine.now + cost
-            if (times and target >= times[0]) or target >= engine._cap:
+            if target >= engine.edge:
                 self.due = target
                 engine.post(target, self._execute, fn, seen, argument)
                 return

@@ -17,7 +17,7 @@ from repro.apps.base import AppContext
 from repro.backends import compose
 from repro.sim.config import MachineConfig
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import SYNC
+from repro.sim.process import SYNC, Future
 
 
 def machine_for(system, nodes, lanes):
@@ -59,6 +59,26 @@ def test_a_schedule_while_a_node_is_ahead_fails_loudly():
     engine.schedule_anon(1, lambda: None)
     with pytest.raises(SimulationError, match="ran ahead"):
         engine.catch_up(deque())
+
+
+def test_events_queued_before_the_first_query_count_as_nobodys():
+    """The fence bookkeeping starts at the first lookahead query; what
+    was queued before it bounds every node."""
+    engine = Engine()
+    engine.enable_lookahead(11, 2)
+    seen = []
+
+    def probe():
+        seen.append(engine.horizon(0))
+        engine.schedule_owned(1, 3, lambda: None)
+        seen.append((engine.edge, engine.horizon(0), engine.horizon(1)))
+
+    engine.schedule_owned(1, 6, lambda: None)
+    engine.schedule_at_anon(1, probe)
+    engine.run()
+    # Node 1's event at 6 bounds node 0 too; the one at 3, queued after
+    # the first query, bounds node 1 only.
+    assert seen == [6, (3, 6, 3)]
 
 
 def test_a_worker_that_skips_its_sync_point_fails_loudly(monkeypatch):
@@ -196,3 +216,37 @@ def test_tied_resumes_keep_their_scalar_order(monkeypatch):
     assert {node for node, _now, _bound in runs} >= {0, 1}
     cycles = [now for now, _node, _step in scalar["log"]]
     assert len(cycles) > len(set(cycles)), "no two sync points tied"
+
+
+# ----------------------------------------------------------------------
+# The lookahead bound never falls below the engine's window
+# ----------------------------------------------------------------------
+def test_a_fired_fence_leaves_the_engine_window_to_the_lane(monkeypatch):
+    """A Future resolved by a timed event leaves that event's fence at
+    the current cycle; a run too long for the engine's window must still
+    commit the prefix that fits it."""
+    monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
+    machine, base = machine_for("typhoon:stache", 2, "batched")
+    engine = machine.engine
+    node = machine.nodes[0]
+    seen = []
+
+    def worker(node_id):
+        if node_id == 1:
+            return
+        yield from AppContext(machine, node_id).read(base)
+        resumed = Future(engine)
+        engine.schedule_anon(5, resumed.resolve, None)
+        engine.schedule_anon(25, lambda: None)
+        yield resumed
+        now = engine.now
+        out = []
+        seen.append((now, node.run_read_prefix([base] * 100, 0, out),
+                     engine.now - now, engine.ahead))
+
+    machine.run_workers(worker)
+    (now, index, moved, ahead), = seen
+    # The queued event 20 cycles on bounds the prefix: elements complete
+    # at now+1 .. now+19, inside the engine's own window.
+    assert index == 19 and moved == 19 * node._hit_cycles
+    assert ahead is None
