@@ -288,8 +288,9 @@ class AppContext:
         return done
 
     def barrier(self) -> Generator:
-        # Arriving changes state every node shares: a sync point.
-        yield SYNC
+        if self._engine.ahead is not None:
+            # Arriving changes state every node shares: a sync point.
+            yield SYNC
         start = self.machine.engine.now
         yield from self.machine.barrier_wait(self.node_id)
         self.machine.stats.incr(
