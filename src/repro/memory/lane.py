@@ -141,12 +141,14 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         """A lane's lookahead horizon (no run open, inbox empty), or
         ``edge`` where lookahead is off; never below ``edge``.  The
         node's handler processor keeps its own next event out of the
-        engine's fences (``due``)."""
+        engine's fences (``due``, a queued event's time)."""
         if (not engine._running or machine.fault_plan is not None
                 or machine.conformance is not None
                 or machine.history is not None or not machine.batch_lanes):
             return edge
-        return max(edge, min(engine.horizon(node_id), node.np.due))
+        bound = engine.horizon(node_id)
+        due = node.np.due
+        return due if due < bound else bound
 
     def access_inline(addr, is_write, value=None):
         """Commit one reference that hits, or return None unchanged."""

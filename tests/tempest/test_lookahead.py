@@ -221,10 +221,13 @@ def test_tied_resumes_keep_their_scalar_order(monkeypatch):
 # ----------------------------------------------------------------------
 # The lookahead bound never falls below the engine's window
 # ----------------------------------------------------------------------
-def test_a_fired_fence_leaves_the_engine_window_to_the_lane(monkeypatch):
-    """A Future resolved by a timed event leaves that event's fence at
-    the current cycle; a run too long for the engine's window must still
-    commit the prefix that fits it."""
+@pytest.mark.parametrize("resume", ["future", "delay"])
+def test_a_fired_fence_leaves_the_engine_window_to_the_lane(monkeypatch,
+                                                            resume):
+    """A worker resumes in the cycle of an event that has fired (the one
+    resolving its Future, or one queued just before its own wakeup); a
+    run too long for the engine's window must still commit the prefix
+    that fits it."""
     monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
     machine, base = machine_for("typhoon:stache", 2, "batched")
     engine = machine.engine
@@ -238,7 +241,8 @@ def test_a_fired_fence_leaves_the_engine_window_to_the_lane(monkeypatch):
         resumed = Future(engine)
         engine.schedule_anon(5, resumed.resolve, None)
         engine.schedule_anon(25, lambda: None)
-        yield resumed
+        engine.horizon(node_id)  # starts the fence bookkeeping
+        yield resumed if resume == "future" else 5
         now = engine.now
         out = []
         seen.append((now, node.run_read_prefix([base] * 100, 0, out),
