@@ -8,7 +8,9 @@ engine events fired, the engine's final sequence number (every schedule
 draws one, so a replay that schedules one event more or less, or in
 another order, moves it) and a digest of every statistic plus each
 node's cache and TLB counters.  The values were captured before
-lookahead existed and must never be re-pinned for a speed change.
+lookahead existed and must never be re-pinned for a speed change.  The
+barnes rows were captured before the write lane existed: barnes is the
+one paper application whose workers call ``write_run``.
 """
 
 import hashlib
@@ -21,11 +23,15 @@ from repro.sim.config import MachineConfig
 
 # (system, app) -> (execution_time, events_fired, final seq, stats digest)
 GOLDENS = {
+    ("blizzard:stache", "barnes"): (195955, 39989, 39989, "34e48887a0981efc"),
     ("blizzard:stache", "ocean"): (16448, 19220, 19220, "c4a7dcfca0db5791"),
     ("blizzard:stache", "em3d"): (78960, 57075, 57075, "6134548395a17df3"),
     ("blizzard:stache", "mp3d"): (261253, 30255, 30255, "17330f5cbf6c59c1"),
     ("decoupled:em3d-update", "em3d"): (34120, 31523, 31523,
                                         "a63684322d9492db"),
+    ("decoupled:stache", "barnes"): (158963, 32389, 32389,
+                                     "705bbdd40b7cdcc8"),
+    ("typhoon:stache", "barnes"): (99324, 33035, 33035, "0bbda90c4df04fc0"),
     ("typhoon:stache", "mp3d"): (124414, 25152, 25152, "77a20b1c68bd09a1"),
     ("typhoon:ivy", "em3d"): (190397, 201489, 201489, "dd29b35d396877bb"),
 }
