@@ -127,6 +127,8 @@ class AppContext:
         # and runs decompose to the per-access path above.
         if getattr(machine, "batch_lanes", True):
             self._run_reads = getattr(self._node, "run_read_prefix", _no_run)
+            self._run_writes = getattr(self._node, "run_write_prefix",
+                                       _no_run)
             self._run_plan = getattr(self._node, "run_plan_prefix", _no_run)
             self._charge_inline = getattr(self._node, "charge_inline",
                                           _no_charge)
@@ -137,9 +139,11 @@ class AppContext:
             # element, each driven by ``yield from``, and one yielded
             # delay per compute charge.
             self._run_reads = _no_run
+            self._run_writes = _no_run
             self._run_plan = _no_run
             self._charge_inline = _no_charge
             self.read_run = self._read_run_scalar
+            self.write_run = self._write_run_scalar
             self.access_plan = self._plan_scalar
 
     @property
@@ -221,10 +225,48 @@ class AppContext:
         return out
 
     def write_run(self, pairs):
-        """Write a run of ``(addr, value)`` pairs via the batched lane."""
-        return self.access_plan([
-            (addr, True, value) for addr, value in pairs
-        ])
+        """Write a run of ``(addr, value)`` pairs; ``yield from`` returns
+        one None per pair.
+
+        Same batched-prefix / scalar-tail contract as :meth:`read_run`:
+        behaviourally identical to ``write(addr, value)`` per pair.
+        """
+        out: list = []
+        index = self._run_writes(pairs, 0, out) if len(pairs) >= 3 else 0
+        if index >= len(pairs):
+            done = self._done
+            done.value = out
+            return done
+        return self._write_run_tail(pairs, index, out)
+
+    def _write_run_tail(self, pairs, index: int, out: list) -> Generator:
+        total = len(pairs)
+        run = self._run_writes
+        inline = self._inline
+        access = self._access
+        engine = self._engine
+        while index < total:
+            # Same reasoning as _read_run_tail.
+            addr, value = pairs[index]
+            if inline(addr, True, value) is not None:
+                out.append(None)
+                index += 1
+                continue
+            if engine.ahead is not None:
+                yield SYNC
+                continue
+            out.append((yield from access(addr, True, value)))
+            index += 1
+            if total - index >= 3:
+                index = run(pairs, index, out)
+        return out
+
+    def _write_run_scalar(self, pairs) -> Generator:
+        out: list = []
+        write = self.write
+        for addr, value in pairs:
+            out.append((yield from write(addr, value)))
+        return out
 
     def access_plan(self, ops):
         """Run a mixed plan of ``(addr, is_write, value)`` ops.

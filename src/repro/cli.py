@@ -52,6 +52,24 @@ def _config_error(prog: str, error: ValueError) -> int:
     return 2
 
 
+def _small_nodes(args) -> int:
+    """The node count of the matrix-wide experiments: an explicit
+    ``--nodes``, else 4 (they run every system, so 8 would be slow)."""
+    return args.nodes if args.nodes_given else 4
+
+
+def _workload(text: str) -> tuple[str, str]:
+    """``--workload`` type: an ``APP:DATASET`` the harness defines."""
+    from repro.harness.workloads import workload
+
+    app_name, _, dataset = text.partition(":")
+    try:
+        workload(app_name, dataset)
+    except KeyError as error:
+        raise argparse.ArgumentTypeError(error.args[0]) from None
+    return app_name, dataset
+
+
 #: experiment name -> (description, runner taking the parsed args)
 _REGISTRY = {
     "table1": (
@@ -89,7 +107,7 @@ _REGISTRY = {
     "granularity": (
         "Fine-grain (Stache) vs. page-grain (IVY) coherence",
         lambda args: [
-            experiments.run_granularity(nodes=min(args.nodes, 4),
+            experiments.run_granularity(nodes=_small_nodes(args),
                                         seed=args.seed)
         ],
     ),
@@ -116,14 +134,14 @@ _REGISTRY = {
     "reliability": (
         "Protocol resilience ladder under injected network faults",
         lambda args: [
-            experiments.run_reliability_ladder(nodes=min(args.nodes, 4),
+            experiments.run_reliability_ladder(nodes=_small_nodes(args),
                                                seed=args.seed)
         ],
     ),
     "conformance": (
         "Online protocol conformance: every transition checked, per system",
         lambda args: [
-            experiments.run_conformance_matrix(nodes=min(args.nodes, 4),
+            experiments.run_conformance_matrix(nodes=_small_nodes(args),
                                                seed=args.seed)
         ],
     ),
@@ -135,14 +153,14 @@ _REGISTRY = {
     "cost-points": (
         "One protocol, one access trace, three Tempest cost points",
         lambda args: [
-            experiments.run_cost_points(nodes=min(args.nodes, 4),
+            experiments.run_cost_points(nodes=_small_nodes(args),
                                         seed=args.seed)
         ],
     ),
     "matrix": (
         "Smoke-run every registered system on a tiny shared workload",
         lambda args: [
-            experiments.run_system_matrix(nodes=min(args.nodes, 4),
+            experiments.run_system_matrix(nodes=_small_nodes(args),
                                           seed=args.seed)
         ],
     ),
@@ -156,7 +174,8 @@ _REGISTRY = {
         "Batched-vs-scalar lane differential over the matrix",
         lambda args: [
             experiments.run_differential(
-                nodes=args.nodes if args.nodes_given else 4, seed=args.seed)
+                nodes=_small_nodes(args), seed=args.seed,
+                app=args.workload[0], dataset=args.workload[1])
         ],
     ),
     "ablations": (
@@ -351,13 +370,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--nodes", type=_node_count, default=8,
                         action=_ExplicitNodes,
-                        help="simulated processors (paper: 32; default 8, "
-                             "differential 4)")
+                        help="simulated processors (paper: 32; default 8; "
+                             "4 for granularity, reliability, conformance, "
+                             "cost-points, matrix and differential)")
     parser.set_defaults(nodes_given=False)
     parser.add_argument("--seed", type=int, default=42,
                         help="master RNG seed (default 42)")
     parser.add_argument("--apps", type=str, default=",".join(APP_NAMES),
                         help="figure3 only: comma-separated app subset")
+    parser.add_argument("--workload", type=_workload,
+                        default=("mp3d", "small"), metavar="APP:DATASET",
+                        help="differential only: the workload every system "
+                             "runs (default mp3d:small)")
     parser.add_argument("--format", choices=("text", "csv", "json"),
                         default="text", help="output format (default text)")
     return parser

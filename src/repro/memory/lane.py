@@ -90,6 +90,10 @@ _PRIVATE_NEED = TLB_PRESENT
 
 _SHARED_LINE = LineState.SHARED
 
+#: The kinds of run a lane commits: addresses to read, ``(addr, value)``
+#: pairs to write, and mixed ``(addr, is_write, value)`` plans.
+_READS, _WRITES, _PLAN = "reads", "writes", "plan"
+
 
 def build_access_lanes(node, private_yields, shared_read_yields,
                        shared_write_yields, inbox=()):
@@ -211,24 +215,25 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         engine.now = target
         return True
 
-    def commit(seq, start, index, now, target, out, plan, edge, bound):
-        """Apply the side effects of committing ``seq[start:index]``."""
+    def commit(seq, start, index, now, target, out, kind, edge, bound):
+        """Apply the side effects of committing ``seq[start:index]``, a
+        run of ``kind`` (:data:`_READS`, :data:`_WRITES` or
+        :data:`_PLAN`)."""
         n = index - start
         if target >= edge:
             if engine.ahead is None:
                 engine.run_ahead(node_id, bound)
-            if not plan and target - now == n * shared_read_cost:
+            if kind is _READS and target - now == n * shared_read_cost:
                 # Every read shared, or private ones indistinguishable: a
-                # shared read's yields add up to more than the private
-                # hit's unless they are the same one hit.
+                # shared reference's yields add up to more than the
+                # private hit's unless they are the same one hit.
                 skipped.extend(shared_read_yields * n)
+            elif kind is _WRITES and target - now == n * shared_write_cost:
+                skipped.extend(shared_write_yields * n)
             else:
                 extend = skipped.extend
-                for i in range(start, index):
-                    if plan:
-                        addr, is_write, _value = seq[i]
-                    else:
-                        addr, is_write = seq[i], False
+                for addr, is_write, _value in decoded(seq, start, index,
+                                                      out, kind):
                     if addr < SHARED_BASE:
                         extend(private_yields)
                     elif is_write:
@@ -245,31 +250,67 @@ def build_access_lanes(node, private_yields, shared_read_yields,
             # A float clock (left by ``run(until=<float>)``): sum the
             # integer costs exactly, as n scalar commits would.
             counters[cycles_key] += sum(
-                cost for _addr, _write, _value, cost
-                in elements(seq, start, index, out, plan))
+                cost_of(addr, is_write) for addr, is_write, _value
+                in decoded(seq, start, index, out, kind))
         history = machine.history
         if history is not None:
             t = now
-            for addr, is_write, value, cost in elements(seq, start, index,
-                                                        out, plan):
+            for addr, is_write, value in decoded(seq, start, index, out,
+                                                 kind):
+                cost = cost_of(addr, is_write)
                 history.record(node_id, addr, is_write, value, t, t + cost)
                 t += cost
 
-    def elements(seq, start, index, out, plan):
-        """``(addr, is_write, value, cost)`` per committed element."""
+    def cost_of(addr, is_write):
+        if addr < SHARED_BASE:
+            return private_cost
+        return shared_write_cost if is_write else shared_read_cost
+
+    def decoded(seq, start, index, out, kind):
+        """``(addr, is_write, value)`` per committed element; a read's
+        value is the one it appended to ``out``."""
         out_base = len(out) - (index - start)
         for i in range(start, index):
-            if plan:
+            if kind is _READS:
+                yield seq[i], False, out[out_base + i - start]
+            elif kind is _WRITES:
+                addr, value = seq[i]
+                yield addr, True, value
+            else:
                 addr, is_write, value = seq[i]
-            else:
-                addr, is_write = seq[i], False
-            if not is_write:
-                value = out[out_base + i - start]
-            if addr < SHARED_BASE:
-                cost = private_cost
-            else:
-                cost = shared_write_cost if is_write else shared_read_cost
-            yield addr, is_write, value, cost
+                if not is_write:
+                    value = out[out_base + i - start]
+                yield addr, is_write, value
+
+    def fit(target, cost, bound, most):
+        """How many of ``most`` elements costing ``cost`` each, the
+        first starting at ``target``, complete before ``bound``: exactly
+        the count stepping the clock one element at a time commits."""
+        if type(target) is not int:
+            # A float clock: only stepping rounds as scalar commits do.
+            n = 0
+            while n < most:
+                target += cost
+                if target >= bound:
+                    break
+                n += 1
+            return n
+        if target + most * cost < bound:
+            return most
+        # ``bound`` is finite here.  Correct the floored estimate with
+        # exact comparisons (an int against an int or float bound).
+        n = int((bound - target) // cost)
+        while n and target + n * cost >= bound:
+            n -= 1
+        while target + (n + 1) * cost < bound:
+            n += 1
+        return n
+
+    def stepped(target, cost, n):
+        """A float clock after ``n`` elements costing ``cost`` each."""
+        for _ in range(n):
+            target += cost
+        return target
 
     def run_read_prefix(addrs, start, out):
         """Commit the longest all-hit prefix of the reads ``addrs[start:]``.
@@ -280,54 +321,153 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         if (inbox or machine.fault_plan is not None
                 or machine.conformance is not None):
             return start
-        # The window, read once: an element completing at ``step``
-        # commits while ``step < bound``, and completing at or past
-        # ``edge`` makes it part of a lookahead run.  The node's
-        # lookahead window is consulted only when the run does not fit
-        # the engine's.
+        # The window, read once: an element completing before ``bound``
+        # commits, and completing at or past ``edge`` makes it part of a
+        # lookahead run.  The node's lookahead window is consulted only
+        # when the run does not fit the engine's.
+        total = len(addrs)
         now = engine.now
         bound = edge = engine.edge
         if engine.ahead is not None:
             edge = -_NEVER
-        elif edge < now + (len(addrs) - start) * shared_read_cost:
+        elif edge < now + (total - start) * shared_read_cost:
             bound = lookahead(edge)
         # Reject before anything else: in lock-step phases another
         # node's event usually sits inside the first hit window.
-        if bound <= now + min_room:
+        if bound <= now + min_room or start >= total:
             return start
+        int_clock = type(now) is int
         out_append = out.append
         target = now
-        base = page = -1
-        for index in range(start, len(addrs)):
-            addr = addrs[index]
-            if addr & block_mask != base:
-                base = addr & block_mask
-                if addr >> page_shift != page:
-                    page = addr >> page_shift
-                    if addr >= SHARED_BASE:
-                        need, cost = _SHARED_NEED, shared_read_cost
-                    else:
-                        need, cost = _PRIVATE_NEED, private_cost
-                    if page_flags_get(page, 0) & need != need:
-                        break
-                    blocks = block_flags_get(page)
-                    if blocks is None:
-                        break
-                if not blocks[(addr >> block_shift) & bpp_mask] & READ_HIT:
-                    break
-                word = words_get(base, _NO_WORDS).get
-            step = target + cost
-            if step >= bound:
+        index = start
+        addr = addrs[index]
+        while True:
+            # One page segment: its flags, its cost and the window's
+            # index limit, each found once.
+            page = addr >> page_shift
+            if addr >= SHARED_BASE:
+                need, cost = _SHARED_NEED, shared_read_cost
+            else:
+                need, cost = _PRIVATE_NEED, private_cost
+            if page_flags_get(page, 0) & need != need:
                 break
-            out_append(word(addr & block_low, 0))
-            target = step
-        else:
-            index = len(addrs)
+            blocks = block_flags_get(page)
+            if blocks is None:
+                break
+            first = index
+            if int_clock and target + (total - index) * cost < bound:
+                limit = total
+            else:
+                limit = index + fit(target, cost, bound, total - index)
+            base = -1
+            for index in range(first, limit):
+                addr = addrs[index]
+                if addr & block_mask != base:
+                    if addr >> page_shift != page:
+                        break
+                    base = addr & block_mask
+                    if not blocks[(addr >> block_shift) & bpp_mask] & READ_HIT:
+                        break
+                    word = words_get(base, _NO_WORDS).get
+                out_append(word(addr & block_low, 0))
+            else:
+                index = limit
+            if index == first:
+                break
+            if int_clock:
+                target += (index - first) * cost
+            else:
+                target = stepped(target, cost, index - first)
+            if index == total:
+                break
+            # The next page, or this page's window limit (an element of a
+            # cheaper page may still fit).
+            addr = addrs[index]
         if index != start:
-            # The per-element window checks prove no event fires inside
-            # [now, target], and the probes schedule nothing, so this
-            # equals index - start sequential inline commits.
-            commit(addrs, start, index, now, target, out, False, edge, bound)
+            # The window limits prove no event fires inside [now,
+            # target], and the probes schedule nothing, so this equals
+            # index - start sequential inline commits.
+            commit(addrs, start, index, now, target, out, _READS, edge,
+                   bound)
+        return index
+
+    def run_write_prefix(pairs, start, out):
+        """:func:`run_read_prefix` for the writes ``pairs[start:]``, each
+        an ``(addr, value)`` pair; appends None per committed write.
+
+        A write needs the block resident EXCLUSIVE (the mirror's
+        WRITE_HIT bit): a write to a SHARED line is an upgrade miss and
+        stops the prefix, exactly as the scalar path rejects it.
+        """
+        if (inbox or machine.fault_plan is not None
+                or machine.conformance is not None):
+            return start
+        total = len(pairs)
+        now = engine.now
+        bound = edge = engine.edge
+        if engine.ahead is not None:
+            edge = -_NEVER
+        elif edge < now + (total - start) * shared_write_cost:
+            bound = lookahead(edge)
+        if bound <= now + min_room or start >= total:
+            return start
+        int_clock = type(now) is int
+        target = now
+        index = start
+        addr = pairs[index][0]
+        while True:
+            page = addr >> page_shift
+            shared = addr >= SHARED_BASE
+            if shared:
+                need, cost = _SHARED_NEED, shared_write_cost
+            else:
+                need, cost = _PRIVATE_NEED, private_cost
+            if page_flags_get(page, 0) & need != need:
+                break
+            blocks = block_flags_get(page)
+            if blocks is None:
+                break
+            first = index
+            if int_clock and target + (total - index) * cost < bound:
+                limit = total
+            else:
+                limit = index + fit(target, cost, bound, total - index)
+            base = -1
+            for index in range(first, limit):
+                addr, value = pairs[index]
+                if addr & block_mask != base:
+                    if addr >> page_shift != page:
+                        break
+                    base = addr & block_mask
+                    flags = blocks[(addr >> block_shift) & bpp_mask]
+                    if not flags & WRITE_HIT:
+                        break
+                    words = words_get(base)
+                    if words is None:
+                        # First write to a block the image never held:
+                        # create its dict exactly as MemoryImage.write
+                        # does.
+                        words = words_of[base] = {}
+                    if shared:
+                        written_add(base)
+                words[addr & block_low] = value
+            else:
+                index = limit
+            if index == first:
+                break
+            if int_clock:
+                target += (index - first) * cost
+            else:
+                target = stepped(target, cost, index - first)
+            if index == total:
+                break
+            # The next page, or this page's window limit (an element of a
+            # cheaper page may still fit).
+            addr = pairs[index][0]
+        if index != start:
+            out += [None] * (index - start)
+            commit(pairs, start, index, now, target, out, _WRITES, edge,
+                   bound)
         return index
 
     def run_plan_prefix(ops, start, out):
@@ -400,7 +540,8 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         else:
             index = len(ops)
         if index != start:
-            commit(ops, start, index, now, target, out, True, edge, bound)
+            commit(ops, start, index, now, target, out, _PLAN, edge, bound)
         return index
 
-    return access_inline, run_read_prefix, run_plan_prefix, charge_inline
+    return (access_inline, run_read_prefix, run_write_prefix,
+            run_plan_prefix, charge_inline)

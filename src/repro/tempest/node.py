@@ -129,8 +129,8 @@ class TempestNode:
         # yields for a hit: a private reference the bare hit, a shared
         # one poll, inserted check and hit (zeros dropped).
         poll = poll_cycles or 0
-        (self.access_inline, self.run_read_prefix, self.run_plan_prefix,
-         self.charge_inline) = build_access_lanes(
+        (self.access_inline, self.run_read_prefix, self.run_write_prefix,
+         self.run_plan_prefix, self.charge_inline) = build_access_lanes(
             self, _nonzero(hit), _nonzero(poll, check_read_cycles, hit),
             _nonzero(poll, check_write_cycles, hit), inbox)
 

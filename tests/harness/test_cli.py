@@ -88,13 +88,60 @@ def test_differential_honours_an_explicit_node_count(argv, nodes,
                                                      monkeypatch):
     seen = []
 
-    def fake(nodes, seed):
+    def fake(nodes, seed, **_workload):
         seen.append(nodes)
         return experiments.ExperimentResult("differential", "stub", ["x"])
 
     monkeypatch.setattr(experiments, "run_differential", fake)
     assert main(argv) == 0
     assert seen == [nodes]
+
+
+@pytest.mark.parametrize("argv,workload", [
+    (["differential"], ("mp3d", "small")),
+    (["differential", "--workload", "barnes:small"], ("barnes", "small")),
+])
+def test_differential_runs_the_named_workload(argv, workload, monkeypatch):
+    seen = []
+
+    def fake(nodes, seed, app, dataset):
+        seen.append((app, dataset))
+        return experiments.ExperimentResult("differential", "stub", ["x"])
+
+    monkeypatch.setattr(experiments, "run_differential", fake)
+    assert main(argv) == 0
+    assert seen == [workload]
+
+
+def test_differential_rejects_an_unknown_workload(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["differential", "--workload", "barnes:huge"])
+    assert excinfo.value.code == 2
+    assert "no workload barnes/huge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,runner", [
+    ("granularity", "run_granularity"),
+    ("reliability", "run_reliability_ladder"),
+    ("conformance", "run_conformance_matrix"),
+    ("cost-points", "run_cost_points"),
+    ("matrix", "run_system_matrix"),
+])
+def test_matrix_experiments_honour_an_explicit_node_count(command, runner,
+                                                          monkeypatch):
+    """An explicit ``--nodes`` is used as given, above 4 too; without
+    the flag these experiments run on 4 nodes."""
+    seen = []
+
+    def fake(nodes, seed):
+        seen.append(nodes)
+        return experiments.ExperimentResult(command, "stub", ["x"])
+
+    monkeypatch.setattr(experiments, runner, fake)
+    for argv in ([command, "--nodes", "6"], [command, "--nodes", "2"],
+                 [command]):
+        assert main(argv) == 0
+    assert seen == [6, 2, 4]
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,29 @@
 """Edge cases of the batched access lane (``repro.memory.lane``).
 
-Each test builds two identical warmed machines and holds the lane on one
-against the scalar inline path on the other: the lane must commit
-exactly the prefix the scalar path would, with identical effects.
+Each test builds two identical warmed machines and holds a lane — the
+read lane, the write lane or the plan lane — on one against the scalar
+inline path on the other: the lane must commit exactly the prefix the
+scalar path would, with identical effects.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps.base import AppContext
+from repro.apps.base import AppContext, _no_run
 from repro.backends import compose
 from repro.network.message import Message
 from repro.sim.config import MachineConfig
+from repro.sim.process import SYNC
 
 PAGE = 4096
 #: A private-segment page (below SHARED_BASE): hits cost the bare hit.
 PRIVATE = 0x4000
 
 SYSTEMS = ["typhoon:stache", "blizzard:stache", "decoupled:stache"]
+
+#: The three batched lanes, each fed a run of its own kind.
+LANES = ["reads", "writes", "plan"]
 
 
 @pytest.fixture(autouse=True)
@@ -73,16 +78,39 @@ def scalar_prefix(node, ops, start):
     return index, out
 
 
-def assert_plan_matches_scalar(system, make_ops, prepare=lambda m: None):
-    """Run the plan lane on one machine and the scalar path on a twin."""
+def shaped(lane, ops):
+    """``ops`` as the run ``lane`` takes: all reads, all writes (a read
+    op writes its index), or the plan unchanged."""
+    if lane == "reads":
+        return [(addr, False, None) for addr, _write, _value in ops]
+    if lane == "writes":
+        return [(addr, True, k if value is None else value)
+                for k, (addr, _write, value) in enumerate(ops)]
+    return ops
+
+
+def lane_prefix(node, lane, ops, start, out):
+    """Run ``lane`` over the plan ops ``ops`` (already ``shaped``)."""
+    if lane == "reads":
+        return node.run_read_prefix([addr for addr, _w, _v in ops], start,
+                                    out)
+    if lane == "writes":
+        return node.run_write_prefix([(addr, value) for addr, _w, value
+                                      in ops], start, out)
+    return node.run_plan_prefix(ops, start, out)
+
+
+def assert_lane_matches_scalar(system, make_ops, prepare=lambda m: None,
+                               lane="plan"):
+    """Run ``lane`` on one machine and the scalar path on a twin."""
     runs = []
-    for lane in (True, False):
+    for batched in (True, False):
         machine, node, base = warmed(system)
         prepare(machine)
-        ops = make_ops(base)
-        if lane:
+        ops = shaped(lane, make_ops(base))
+        if batched:
             out = []
-            index = node.run_plan_prefix(ops, 0, out)
+            index = lane_prefix(node, lane, ops, 0, out)
         else:
             index, out = scalar_prefix(node, ops, 0)
         runs.append((index, out, effects(machine, node)))
@@ -97,50 +125,74 @@ def reads(addrs):
 # ----------------------------------------------------------------------
 # The engine window
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("lane", ["reads", "writes"])
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_queued_event_bounds_the_prefix(system):
+def test_queued_event_bounds_the_prefix(system, lane):
     machine, node, base = warmed(system)
     engine = machine.engine
     now = engine.now
     cost = node._hit_cycles  # private references pay the bare hit
     engine.schedule_at(now + 6 * cost, lambda: None)
-    addrs = [PRIVATE + 8 * k for k in range(12)]
+    ops = shaped(lane, reads(PRIVATE + 8 * k for k in range(12)))
     out = []
-    index = node.run_read_prefix(addrs, 0, out)
+    index = lane_prefix(node, lane, ops, 0, out)
     # Elements completing at now+1..now+5 (times cost) commit; the sixth
     # would complete exactly when the queued event fires.
     assert index == 5
     assert engine.now == now + 5 * cost
-    assert out == [0] * 5
+    assert out == [0 if lane == "reads" else None] * 5
 
 
+@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_queued_event_prefix_matches_scalar(system):
+def test_queued_event_prefix_matches_scalar(system, lane):
     def prepare(machine):
         engine = machine.engine
         engine.schedule_at(engine.now + 23, lambda: None)
 
-    index, out, _ = assert_plan_matches_scalar(
+    index, out, _ = assert_lane_matches_scalar(
         system, lambda base: reads(base + 8 * k for k in range(40)),
-        prepare)
+        prepare, lane)
     assert 0 < index < 40
 
 
+@pytest.mark.parametrize("lane,room,committed", [
+    ("reads", 5, 3), ("writes", 9, 4), ("plan", 5, 3)])
+def test_a_cheaper_page_fits_where_a_dearer_one_would_not(lane, room,
+                                                          committed):
+    """Blizzard's shared references cost more than private ones (reads
+    2 cycles, writes 5, against 1).  The window has room for one shared
+    reference, then for private ones after it: they commit, as on the
+    scalar path, though another shared one would not have fit."""
+    def prepare(machine):
+        engine = machine.engine
+        engine.schedule_at(engine.now + room, lambda: None)
+
+    index, _, _ = assert_lane_matches_scalar(
+        "blizzard:stache",
+        lambda base: reads([PRIVATE, base, PRIVATE + 8, PRIVATE + 16,
+                            base + 16, PRIVATE + 24]),
+        prepare, lane)
+    assert index == committed
+
+
 @pytest.mark.parametrize("bound", [7, 7.5])
+@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_run_until_stops_where_scalar_does(system, bound):
+def test_run_until_stops_where_scalar_does(system, lane, bound):
     results = []
-    for lane in (True, False):
+    for batched in (True, False):
         machine, node, base = warmed(system)
         engine = machine.engine
         start_time = engine.now
-        ops = [(base + 8 * k, k % 3 == 1, -k) for k in range(24)]
+        ops = shaped(lane, [(base + 8 * k, k % 3 == 1, -k)
+                            for k in range(24)])
         seen = {}
 
-        def probe(ops=ops, node=node, lane=lane, seen=seen):
-            if lane:
+        def probe(ops=ops, node=node, batched=batched, seen=seen):
+            if batched:
                 out = []
-                seen["index"] = node.run_plan_prefix(ops, 0, out)
+                seen["index"] = lane_prefix(node, lane, ops, 0, out)
                 seen["out"] = out
             else:
                 seen["index"], seen["out"] = scalar_prefix(node, ops, 0)
@@ -152,8 +204,9 @@ def test_run_until_stops_where_scalar_does(system, bound):
     assert 0 < results[0][0] < 24
 
 
+@pytest.mark.parametrize("lane", LANES)
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_float_clock_accounting_matches_scalar(system):
+def test_float_clock_accounting_matches_scalar(system, lane):
     """After ``run(until=<float>)`` the clock is a float; the lane must
     still charge the exact sum of the per-element costs, as scalar
     commits do.  A run starting just below 2**14 crosses the power of
@@ -162,12 +215,31 @@ def test_float_clock_accounting_matches_scalar(system):
         assert machine.engine.now < 16383.9
         machine.engine.run(until=16383.9)
 
-    index, _, _ = assert_plan_matches_scalar(
+    index, _, _ = assert_lane_matches_scalar(
         system,
         lambda base: [(base + 8 * k, k % 2 == 0, k) for k in range(10)]
         + reads(PRIVATE + 8 * k for k in range(10)),
-        prepare)
+        prepare, lane)
     assert index == 20
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_a_float_clock_steps_like_scalar_commits(lane):
+    """On a float clock, four one-cycle steps can end above ``now + 4``;
+    the lane must stop where stepping, as scalar commits do, stops.  The
+    clock is set near zero, where the two round differently."""
+    clock = 0.123456789
+    stepped = clock + 1 + 1 + 1 + 1
+    assert stepped > clock + 4
+
+    def prepare(machine):
+        machine.engine.now = clock
+        machine.engine.schedule_at(stepped, lambda: None)
+
+    index, _, _ = assert_lane_matches_scalar(
+        "typhoon:stache",
+        lambda base: reads(PRIVATE + 8 * k for k in range(8)), prepare, lane)
+    assert index == 3
 
 
 # ----------------------------------------------------------------------
@@ -204,22 +276,37 @@ def test_rejected_call_changes_nothing(system, reject):
     before = effects(machine, node)
     ops = [(base + 8 * k, k % 2 == 1, k) for k in range(8)]
     out = ["sentinel"]
-    assert node.run_plan_prefix(ops, 0, out) == 0
-    assert node.run_read_prefix([addr for addr, _w, _v in ops], 0, out) == 0
+    for lane in LANES:
+        assert lane_prefix(node, lane, shaped(lane, ops), 0, out) == 0
     assert out == ["sentinel"]
     assert effects(machine, node) == before
 
 
-def test_blizzard_inbox_deopts_the_lane():
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_a_write_to_a_shared_line_stops_the_write_lanes(system):
+    """A SHARED line reads as a hit but a write to it is an upgrade
+    miss: the write and plan lanes refuse it, as the scalar path does."""
+    machine, node, base = warmed(system)
+    node.cache.downgrade(base)
+    before = effects(machine, node)
+    ops = shaped("writes", reads(base + 8 * k for k in range(8)))
+    assert node.access_inline(base, True, 0) is None
+    assert node.run_write_prefix([(a, v) for a, _w, v in ops], 0, []) == 0
+    assert node.run_plan_prefix(ops, 0, []) == 0
+    assert effects(machine, node) == before
+    assert node.run_read_prefix([a for a, _w, _v in ops], 0, []) == 8
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_blizzard_inbox_deopts_the_lane(lane):
     machine, node, base = warmed("blizzard:stache")
     node._inbox.append(Message(src=0, dst=0, handler="noop"))
     before = effects(machine, node)
-    addrs = [base + 8 * k for k in range(8)]
-    assert node.run_read_prefix(addrs, 0, []) == 0
-    assert node.run_plan_prefix(reads(addrs), 0, []) == 0
+    ops = shaped(lane, reads(base + 8 * k for k in range(8)))
+    assert lane_prefix(node, lane, ops, 0, []) == 0
     assert effects(machine, node) == before
     node._inbox.clear()
-    assert node.run_read_prefix(addrs, 0, []) == 8
+    assert lane_prefix(node, lane, ops, 0, []) == 8
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +358,96 @@ def test_first_write_to_unheld_block_creates_its_words():
         assert block in node.written_blocks
 
 
+def test_write_lane_creates_the_words_of_an_unheld_block():
+    runs = []
+    for lane in (True, False):
+        machine, node, base = warmed("typhoon:stache")
+        block = base + 96
+        node.image._blocks.pop(block)
+        ops = [(block + 8, True, "x"), (block, True, "y"),
+               (block + 32, True, "z")]
+        if lane:
+            out = []
+            index = node.run_write_prefix([(a, v) for a, _w, v in ops], 0,
+                                          out)
+        else:
+            index, out = scalar_prefix(node, ops, 0)
+        assert index == 3 and out == [None] * 3
+        assert node.image._blocks[block] == {8: "x", 0: "y"}
+        assert block in node.written_blocks
+        runs.append(effects(machine, node))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_write_lane_marks_shared_blocks_written(system):
+    """Only a write to the shared segment marks its block written."""
+    def make_ops(base):
+        return [(PRIVATE, True, 1), (base, True, 2), (PRIVATE + 64, True, 3),
+                (base + 8, True, 4), (base + 64, True, 5),
+                (PRIVATE + 72, True, 6)]
+
+    index, _, (*_, written) = assert_lane_matches_scalar(
+        system, make_ops, lane="writes")
+    assert index == 6
+    machine, node, base = warmed(system)
+    assert set(written) == {base, base + 64}
+
+
+# ----------------------------------------------------------------------
+# Lookahead
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("system", ["blizzard:stache", "decoupled:stache"])
+def test_write_lane_run_ahead_skips_the_scalar_yields(system):
+    """A write lane that opens a lookahead run records the delays scalar
+    commits inside the same run would: the bare hit for a private page,
+    poll, check and hit for a shared one (zeros dropped)."""
+    seen = []
+    outcomes = []
+    for batched in (True, False):
+        machine, protocol = compose(system, MachineConfig(nodes=2, seed=5))
+        region = machine.heap.allocate(PAGE, home=0, label="lane")
+        protocol.setup_region(region)
+        engine = machine.engine
+        node = machine.nodes[0]
+        base = region.base
+        pairs = [(PRIVATE, 1), (base, 2), (PRIVATE + 8, 3), (base + 8, 4),
+                 (PRIVATE + 64, 5), (base + 64, 6), (PRIVATE + 72, 7)]
+
+        def worker(node_id, batched=batched, engine=engine, node=node,
+                   machine=machine, pairs=pairs):
+            ctx = AppContext(machine, node_id)
+            if node_id == 1:
+                # One-cycle charges keep an event in every window.
+                for _ in range(200):
+                    yield from ctx.compute(overhead=1)
+                return
+            for addr, _value in pairs:
+                yield from ctx.write(addr, 0)
+            engine.horizon(0)  # starts the fence bookkeeping
+            yield 1
+            if batched:
+                index = node.run_write_prefix(pairs, 0, [])
+            else:
+                # The scalar twin opens the run the lane opened.
+                engine.run_ahead(0, seen[0][-1])
+                index, _ = scalar_prefix(
+                    node, [(addr, True, value) for addr, value in pairs], 0)
+            seen.append((index, engine.ahead, engine.now,
+                         list(engine.skipped), effects(machine, node),
+                         engine.edge))
+            yield SYNC
+
+        finish = machine.run_workers(worker)
+        outcomes.append((finish, engine.events_fired, engine._seq))
+    (index, ahead, _now, skipped, _effects, _bound), scalar = seen
+    assert seen[0] == scalar
+    assert outcomes[0] == outcomes[1]
+    assert ahead == 0 and index > 2
+    # A shared write skips more than one delay.
+    assert len(skipped) > index
+
+
 # ----------------------------------------------------------------------
 # Every access context runs the node's one lane
 # ----------------------------------------------------------------------
@@ -280,4 +457,22 @@ def test_app_context_binds_the_node_lanes(system):
     for node in machine.nodes:
         context = AppContext(machine, node.node_id)
         assert context._run_reads == node.run_read_prefix
+        assert context._run_writes == node.run_write_prefix
         assert context._run_plan == node.run_plan_prefix
+
+
+@pytest.mark.parametrize("system", ["typhoon:stache", "dirnnb"])
+def test_scalar_mode_and_dirnnb_decompose_write_runs(system):
+    """With lanes off, and on DirNNB (no lanes), a write run is one
+    ``write()`` per pair; the batched lanes are never called."""
+    machine, _ = compose(system, MachineConfig(nodes=2, seed=7))
+    if system == "dirnnb":
+        context = AppContext(machine, 0)
+        assert context._run_writes is _no_run
+        assert context._run_plan is _no_run
+        return
+    machine.batch_lanes = False
+    context = AppContext(machine, 0)
+    assert context._run_writes is _no_run
+    assert context.write_run == context._write_run_scalar
+    assert context.read_run == context._read_run_scalar
