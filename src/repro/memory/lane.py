@@ -12,12 +12,14 @@ then repeats.  ``charge_inline(cycles)`` commits a compute charge the
 same way, or returns False when the worker must yield it.
 
 ``AppContext.read_run``/``write_run``/``access_plan`` hand whole runs of
-references to a node's ``run_read_prefix``/``run_plan_prefix``.  Those
-two callables commit the longest prefix of the run that would hit, in
-one step, with effects identical to that many scalar inline hits: the
-same clock, counters, data image, ``written_blocks`` and history.  They
-return the index of the first element *not* committed; the caller
-services it through the scalar path and retries from there.
+references to a node's three lanes: ``run_read_prefix`` (addresses to
+read), ``run_write_prefix`` (``(addr, value)`` pairs to write) and
+``run_plan_prefix`` (mixed ``(addr, is_write, value)`` plans).  Each
+commits the longest prefix of the run that would hit, in one step, with
+effects identical to that many scalar inline hits: the same clock,
+counters, data image, ``written_blocks`` and history.  They return the
+index of the first element *not* committed; the caller services it
+through the scalar path and retries from there.
 
 Every Tempest backend runs these callables.  :func:`build_access_lanes`
 binds them to a node once, from the delays the backend's ``access``
@@ -34,13 +36,19 @@ single reference and for a run of them:
   the batch.  Backends without one pass ``()``, which costs a truth
   test.
 
-The lane works per cache block rather than per word.  It probes the
+The lanes work per cache block rather than per word.  They probe the
 :class:`~repro.memory.mirror.AccessMirror` page flags only when the page
-changes and the block's flags byte only when the block changes, fetches
+changes and the block's flags byte only when the block changes, fetch
 the block's word dict from the :class:`~repro.memory.data.MemoryImage`
-once per block, and adds a written block to ``written_blocks`` once.
-The engine-window bound is read once per call; each element's
-completion time is compared against it.
+once per block, and add a written block to ``written_blocks`` once.
+The window's bound is read once per call.  Every element of a page
+segment costs the same, so the read and write lanes turn the bound into
+an index limit once per segment and step no clock per element; the
+limit is exactly the count per-element stepping commits (a floored
+estimate corrected by exact comparisons, and stepping itself on a float
+clock, which ``run(until=<float>)`` leaves).  The plan lane, whose
+elements mix read and write costs, compares each element's completion
+time against the bound.
 
 **Lookahead.**  Where the engine's window (:attr:`Engine.edge
 <repro.sim.engine.Engine.edge>`) is too small for a batched run, a
@@ -97,8 +105,8 @@ _READS, _WRITES, _PLAN = "reads", "writes", "plan"
 
 def build_access_lanes(node, private_yields, shared_read_yields,
                        shared_write_yields, inbox=()):
-    """Return ``(access_inline, run_read_prefix, run_plan_prefix,
-    charge_inline)`` bound to ``node``.
+    """Return ``(access_inline, run_read_prefix, run_write_prefix,
+    run_plan_prefix, charge_inline)`` bound to ``node``.
 
     ``node`` supplies the engine, machine, TLB, page table, cache,
     mirror, image, counters and layout shifts; every container it hands
@@ -285,7 +293,8 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     def fit(target, cost, bound, most):
         """How many of ``most`` elements costing ``cost`` each, the
         first starting at ``target``, complete before ``bound``: exactly
-        the count stepping the clock one element at a time commits."""
+        the count stepping the clock one element at a time commits.  On
+        an int clock the caller has found that not all of them do."""
         if type(target) is not int:
             # A float clock: only stepping rounds as scalar commits do.
             n = 0
@@ -295,10 +304,8 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                     break
                 n += 1
             return n
-        if target + most * cost < bound:
-            return most
-        # ``bound`` is finite here.  Correct the floored estimate with
-        # exact comparisons (an int against an int or float bound).
+        # ``bound`` is finite.  Correct the floored estimate with exact
+        # comparisons (an int against an int or float bound).
         n = int((bound - target) // cost)
         while n and target + n * cost >= bound:
             n -= 1
