@@ -164,12 +164,6 @@ _REGISTRY = {
                                           seed=args.seed)
         ],
     ),
-    "bench": (
-        "Dispatch throughput on the protocol hot path",
-        lambda args: [
-            experiments.run_bench(nodes=args.nodes, seed=args.seed)
-        ],
-    ),
     "differential": (
         "Batched-vs-scalar lane differential over the matrix",
         lambda args: [

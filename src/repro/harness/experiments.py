@@ -1022,61 +1022,8 @@ def run_system_matrix(nodes: int = 2, cache_bytes: int = 1024,
 
 
 # ----------------------------------------------------------------------
-# Dispatch throughput benchmark and the lane differential check
+# The lane differential check
 # ----------------------------------------------------------------------
-def run_bench(nodes: int = 8, seed: int = 42, cache_bytes: int = 2048,
-              cells: tuple[tuple[str, str, str], ...] = (
-                  ("typhoon:stache", "mp3d", "small"),
-                  ("typhoon:stache", "ocean", "small"),
-                  ("blizzard:stache", "mp3d", "small"),
-                  ("typhoon:em3d-update", "em3d", "small"),
-                  ("dirnnb", "ocean", "small"),
-              ),
-              repeats: int = 3) -> ExperimentResult:
-    """Time the protocol hot path (dispatch, handlers, network).
-
-    One row per ``(system, app, dataset)`` cell: best-of-``repeats``
-    wall time, engine events per second, and simulated cycles — a quick
-    look; the committed trajectory lives in ``BENCH_kernel.json`` (see
-    ``benchmarks/test_perf_kernel.py``) and the spread-aware ledger in
-    ``bench/``.
-    """
-    import time
-
-    result = ExperimentResult(
-        "bench",
-        f"Dispatch throughput ({nodes} nodes, best of {repeats})",
-        ["system", "app", "wall_s", "events", "events_per_s", "cycles"],
-    )
-    for system, app_name, dataset in cells:
-        best = None
-        for _ in range(repeats):
-            app = workload(app_name, dataset).build()
-            start = time.perf_counter()
-            outcome = run_application(
-                system, app, _config(nodes, cache_bytes, seed),
-            )
-            elapsed = time.perf_counter() - start
-            if best is None or elapsed < best[0]:
-                best = (elapsed, outcome)
-        elapsed, outcome = best
-        events = outcome["machine"].engine.events_fired
-        result.add_row(
-            system=system,
-            app=f"{app_name}/{dataset}",
-            wall_s=round(elapsed, 4),
-            events=events,
-            events_per_s=round(events / elapsed) if elapsed > 0 else 0,
-            cycles=round(outcome["execution_time"]),
-        )
-    result.notes.append(
-        "inline handler dispatch and lane commits advance the clock "
-        "without firing engine events, so events is bookkeeping; "
-        "cycles is the simulated outcome"
-    )
-    return result
-
-
 def run_differential(nodes: int = 4, seed: int = 42,
                      cache_bytes: int = 2048, app: str = "mp3d",
                      dataset: str = "small") -> ExperimentResult:

@@ -75,8 +75,8 @@ class MachineBase:
         #: Online conformance monitor (see repro.protocols.conformance);
         #: None unless :meth:`enable_conformance` was called.
         self.conformance = None
-        #: Batched access lanes (see repro.memory.mirror and the node
-        #: models' run_*_prefix methods): on by default; False makes
+        #: Batched access lanes (see repro.memory.lane and the nodes'
+        #: run_*_prefix callables): on by default; False makes
         #: every AppContext run decompose to scalar accesses — the
         #: differential oracle for the vectorised reference engine.
         self.batch_lanes = True

@@ -62,9 +62,6 @@ class AddressLayout:
         """Page-aligned base address containing ``addr``."""
         return addr & ~(self.page_size - 1)
 
-    def page_offset(self, addr: int) -> int:
-        return addr & (self.page_size - 1)
-
     def page_number(self, addr: int) -> int:
         return addr >> (self.page_size.bit_length() - 1)
 

@@ -36,11 +36,13 @@ single reference and for a run of them:
   the batch.  Backends without one pass ``()``, which costs a truth
   test.
 
-The lanes work per cache block rather than per word.  They probe the
-:class:`~repro.memory.mirror.AccessMirror` page flags only when the page
-changes and the block's flags byte only when the block changes, fetch
-the block's word dict from the :class:`~repro.memory.data.MemoryImage`
-once per block, and add a written block to ``written_blocks`` once.
+The lanes work per cache block rather than per word, and ask the same
+state ``access_inline`` asks.  Once per page segment they test the CPU
+TLB (and, on a shared page, the page table); once per block they look
+the line up in its cache set — a read needs it resident, a write
+resident and not SHARED — fetch the block's word dict from the
+:class:`~repro.memory.data.MemoryImage`, and add a written block to
+``written_blocks`` once.
 The window's bound is read once per call.  Every element of a page
 segment costs the same, so the read and write lanes turn the bound into
 an index limit once per segment and step no clock per element; the
@@ -81,7 +83,6 @@ from types import MappingProxyType
 
 from repro.memory.address import SHARED_BASE
 from repro.memory.cache import LineState
-from repro.memory.mirror import PAGE_MAPPED, READ_HIT, TLB_PRESENT, WRITE_HIT
 
 #: Stand-in word dict for a block the image has never held: every word
 #: reads as the image's default, 0.  Read-only, so a missed "first write
@@ -91,10 +92,6 @@ _NO_WORDS = MappingProxyType({})
 #: No bound (as a lane's ``edge``, ``-_NEVER`` puts every commit in the
 #: open lookahead run).
 _NEVER = float("inf")
-
-#: Page-flag bits a hit needs on shared and on private pages.
-_SHARED_NEED = TLB_PRESENT | PAGE_MAPPED
-_PRIVATE_NEED = TLB_PRESENT
 
 _SHARED_LINE = LineState.SHARED
 
@@ -109,7 +106,7 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     run_plan_prefix, charge_inline)`` bound to ``node``.
 
     ``node`` supplies the engine, machine, TLB, page table, cache,
-    mirror, image, counters and layout shifts; every container it hands
+    image, counters and layout shifts; every container it hands
     over is a stable object (cleared in place, never reassigned), so
     binding them once is safe.  The machine's fault plan, conformance
     monitor, history and lane mode are read per call, so a mid-run mode
@@ -118,8 +115,6 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     engine = node.engine
     machine = node.machine
     skipped = engine.skipped
-    page_flags_get = node.mirror.page_flags.get
-    block_flags_get = node.mirror.block_flags.get
     words_of = node.image._blocks
     words_get = words_of.get
     written_add = node.written_blocks.add
@@ -129,6 +124,9 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     cpu_tlb = node.cpu_tlb
     cache = node.cache
     cache_lookup = cache.lookup
+    cache_sets = cache._sets
+    set_mask = cache._set_mask
+    line_shift = cache._block_shift
     tlb_entries = cpu_tlb._entries
     pt_entries = node.page_table._entries
     image_read = node.image.read
@@ -137,10 +135,8 @@ def build_access_lanes(node, private_yields, shared_read_yields,
     layout = node.layout
     page_shift = layout.page_size.bit_length() - 1
     page_mask = ~(layout.page_size - 1)
-    block_shift = layout.block_size.bit_length() - 1
     block_mask = ~(layout.block_size - 1)
     block_low = layout.block_size - 1
-    bpp_mask = layout.blocks_per_page - 1
     private_cost = sum(private_yields)
     shared_read_cost = sum(shared_read_yields)
     shared_write_cost = sum(shared_write_yields)
@@ -349,18 +345,17 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         index = start
         addr = addrs[index]
         while True:
-            # One page segment: its flags, its cost and the window's
-            # index limit, each found once.
+            # One page segment: its TLB and page-table probes, its cost
+            # and the window's index limit, each found once.
             page = addr >> page_shift
+            if page not in tlb_entries:
+                break
             if addr >= SHARED_BASE:
-                need, cost = _SHARED_NEED, shared_read_cost
+                if addr & page_mask not in pt_entries:
+                    break
+                cost = shared_read_cost
             else:
-                need, cost = _PRIVATE_NEED, private_cost
-            if page_flags_get(page, 0) & need != need:
-                break
-            blocks = block_flags_get(page)
-            if blocks is None:
-                break
+                cost = private_cost
             first = index
             if int_clock and target + (total - index) * cost < bound:
                 limit = total
@@ -373,7 +368,7 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                     if addr >> page_shift != page:
                         break
                     base = addr & block_mask
-                    if not blocks[(addr >> block_shift) & bpp_mask] & READ_HIT:
+                    if base not in cache_sets[base >> line_shift & set_mask]:
                         break
                     word = words_get(base, _NO_WORDS).get
                 out_append(word(addr & block_low, 0))
@@ -402,9 +397,9 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         """:func:`run_read_prefix` for the writes ``pairs[start:]``, each
         an ``(addr, value)`` pair; appends None per committed write.
 
-        A write needs the block resident EXCLUSIVE (the mirror's
-        WRITE_HIT bit): a write to a SHARED line is an upgrade miss and
-        stops the prefix, exactly as the scalar path rejects it.
+        A write needs the block resident EXCLUSIVE: a write to a SHARED
+        line is an upgrade miss and stops the prefix, exactly as the
+        scalar path rejects it.
         """
         if (inbox or machine.fault_plan is not None
                 or machine.conformance is not None):
@@ -424,16 +419,15 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         addr = pairs[index][0]
         while True:
             page = addr >> page_shift
+            if page not in tlb_entries:
+                break
             shared = addr >= SHARED_BASE
             if shared:
-                need, cost = _SHARED_NEED, shared_write_cost
+                if addr & page_mask not in pt_entries:
+                    break
+                cost = shared_write_cost
             else:
-                need, cost = _PRIVATE_NEED, private_cost
-            if page_flags_get(page, 0) & need != need:
-                break
-            blocks = block_flags_get(page)
-            if blocks is None:
-                break
+                cost = private_cost
             first = index
             if int_clock and target + (total - index) * cost < bound:
                 limit = total
@@ -446,8 +440,8 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                     if addr >> page_shift != page:
                         break
                     base = addr & block_mask
-                    flags = blocks[(addr >> block_shift) & bpp_mask]
-                    if not flags & WRITE_HIT:
+                    line = cache_sets[base >> line_shift & set_mask].get(base)
+                    if line is None or line.state is _SHARED_LINE:
                         break
                     words = words_get(base)
                     if words is None:
@@ -481,9 +475,9 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         """:func:`run_read_prefix` for ``(addr, is_write, value)`` ops.
 
         A committed read appends its value to ``out``, a write None.  A
-        write needs the block resident EXCLUSIVE (the mirror's WRITE_HIT
-        bit): a write to a SHARED line is an upgrade miss and stops the
-        prefix, exactly as the scalar path rejects it.
+        write needs the block resident EXCLUSIVE: a write to a SHARED
+        line is an upgrade miss and stops the prefix, exactly as the
+        scalar path rejects it.
         """
         if (inbox or machine.fault_plan is not None
                 or machine.conformance is not None):
@@ -505,24 +499,21 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                 base = addr & block_mask
                 if addr >> page_shift != page:
                     page = addr >> page_shift
+                    if page not in tlb_entries:
+                        break
                     shared = addr >= SHARED_BASE
                     if shared:
-                        need = _SHARED_NEED
+                        if addr & page_mask not in pt_entries:
+                            break
                         read_cost = shared_read_cost
                         write_cost = shared_write_cost
                     else:
-                        need = _PRIVATE_NEED
                         read_cost = write_cost = private_cost
-                    if page_flags_get(page, 0) & need != need:
-                        break
-                    blocks = block_flags_get(page)
-                    if blocks is None:
-                        break
-                flags = blocks[(addr >> block_shift) & bpp_mask]
+                line = cache_sets[base >> line_shift & set_mask].get(base)
                 words = words_get(base, _NO_WORDS)
                 unmarked = shared
             if is_write:
-                if not flags & WRITE_HIT:
+                if line is None or line.state is _SHARED_LINE:
                     break
                 step = target + write_cost
                 if step >= bound:
@@ -537,7 +528,7 @@ def build_access_lanes(node, private_yields, shared_read_yields,
                     unmarked = False
                 out_append(None)
             else:
-                if not flags & READ_HIT:
+                if line is None:
                     break
                 step = target + read_cost
                 if step >= bound:

@@ -50,9 +50,6 @@ class PageTable:
         self.node = node
         self._entries: dict[int, PageEntry] = {}
         self._map_counter = 0
-        #: Optional :class:`repro.memory.mirror.AccessMirror`; map/unmap
-        #: keep its page-mapped bit coherent.
-        self.mirror = None
         self.maps = 0
         self.unmaps = 0
 
@@ -81,8 +78,6 @@ class PageTable:
         )
         self._entries[vpage] = entry
         self.tags.register_page(vpage, initial_tag)
-        if self.mirror is not None:
-            self.mirror.page_map(vpage)
         self.maps += 1
         return entry
 
@@ -93,8 +88,6 @@ class PageTable:
         if entry is None:
             raise PageTableError(f"page {vpage:#x} not mapped on node {self.node}")
         self.tags.drop_page(vpage)
-        if self.mirror is not None:
-            self.mirror.page_unmap(vpage)
         self.unmaps += 1
         return entry
 

@@ -7,10 +7,8 @@ one, and the NP additionally has a *reverse* TLB (see
 
 Entries live in a plain insertion-ordered dict (the FIFO order is the
 insertion order; hits never refresh position), so a probe is a single
-dict membership test.  When a :class:`~repro.memory.mirror.AccessMirror`
-is attached (the CPU TLB of a node with batched lanes), every install,
-evict, and flush updates the mirror's TLB-present bit; the attribute is
-None for the NP TLB and the RTLB.
+dict membership test; the CPU's hit path and its batched lanes
+(:mod:`repro.memory.lane`) test that dict directly.
 """
 
 from __future__ import annotations
@@ -26,9 +24,6 @@ class Tlb:
         self.name = name
         # Node models alias this dict (cleared in place, never reassigned).
         self._entries: dict[int, None] = {}
-        #: Optional :class:`repro.memory.mirror.AccessMirror`; the node
-        #: attaches one to its CPU TLB only.
-        self.mirror = None
         self.hits = 0
         self.misses = 0
 
@@ -46,23 +41,15 @@ class Tlb:
         if len(entries) >= self.config.entries:
             oldest = next(iter(entries))
             del entries[oldest]
-            if self.mirror is not None:
-                self.mirror.tlb_evict(oldest)
         entries[page_number] = None
-        if self.mirror is not None:
-            self.mirror.tlb_install(page_number)
         return False
 
     def evict(self, page_number: int) -> bool:
         """Shoot down one entry (page remap/unmap)."""
-        if self.mirror is not None:
-            self.mirror.tlb_evict(page_number)
         return self._entries.pop(page_number, "absent") is None
 
     def flush(self) -> None:
         self._entries.clear()
-        if self.mirror is not None:
-            self.mirror.tlb_flush()
 
     def __contains__(self, page_number: int) -> bool:
         return page_number in self._entries

@@ -72,11 +72,6 @@ class Message:
             )
         return self
 
-    @property
-    def is_local(self) -> bool:
-        """Local sends short-circuit the network (Section 5.1)."""
-        return self.src == self.dst
-
     def __repr__(self) -> str:
         return (
             f"Message(#{self.msg_id} {self.src}->{self.dst} "

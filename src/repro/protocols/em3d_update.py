@@ -361,11 +361,6 @@ class Em3dUpdateProtocol(StacheProtocol):
         state.received[key] += 1
         tempest.stats.incr("em3d.updates_received")
 
-    def _apply_deferred(self, tempest: Tempest, state: _NodeUpdateState,
-                        key: tuple[str, int]) -> None:
-        for payload in state.deferred.pop(key, []):
-            self._apply_update(tempest, state, key, payload)
-
     def _maybe_release_waiter(self, tempest: Tempest, state: _NodeUpdateState,
                               key: tuple[str, int]) -> None:
         if state.waiter is None or key != state.wait_key:

@@ -218,10 +218,6 @@ class Tempest:
         the access it just enabled."""
         self._backend.after_access.append(callback)
 
-    @property
-    def thread_suspended(self) -> bool:
-        return self._backend.thread.suspended
-
     # ------------------------------------------------------------------
     # Handler-side cost accounting
     # ------------------------------------------------------------------

@@ -39,7 +39,6 @@ from repro.memory.address import SHARED_BASE, AddressLayout
 from repro.memory.cache import Cache, LineState
 from repro.memory.data import MemoryImage
 from repro.memory.lane import build_access_lanes
-from repro.memory.mirror import AccessMirror
 from repro.memory.page_table import PageTable
 from repro.memory.tags import AccessFault, Tag, TagStore
 from repro.memory.tlb import Tlb
@@ -82,13 +81,6 @@ class TempestNode:
             name=f"{self._prefix}.cache",
         )
         self.cpu_tlb = Tlb(machine.config.tlb, name=f"{self._prefix}.tlb")
-        # Dense hit-probe mirror for the batched access lanes: the CPU
-        # TLB, page table, and cache keep it coherent from their own
-        # mutation paths (all miss-path or coherence-path events).
-        self.mirror = AccessMirror(self.layout)
-        self.cpu_tlb.mirror = self.mirror
-        self.page_table.mirror = self.mirror
-        self.cache.mirror = self.mirror
         self.thread = ComputationThread(self.engine, node_id)
         self.registry = HandlerRegistry(node_id)
         self.page_fault_handler: PageFaultHandler | None = None

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.apps.base import AppContext, Application, SharedArray, run_app
 from repro.harness.differential import compare_runs
 from repro.harness.runner import run_application
-from repro.memory.mirror import PAGE_MAPPED, TLB_PRESENT
 from repro.network.faults import FaultSpec
 from repro.protocols.stache import StacheProtocol
 from repro.sim.config import MachineConfig
@@ -231,10 +230,9 @@ def test_run_straddling_page_boundary_splits(monkeypatch):
     addrs = [boundary - 32 + 8 * k for k in range(8)]
     page0, page1 = addrs[0] >> 12, addrs[-1] >> 12
     assert page0 != page1
-    flags = node.mirror.page_flags
-    assert flags.get(page0, 0) & TLB_PRESENT
-    assert flags.get(page0, 0) & PAGE_MAPPED
-    assert not flags.get(page1, 0) & TLB_PRESENT
+    assert page0 in node.cpu_tlb
+    assert node.page_table.is_mapped(addrs[0])
+    assert page1 not in node.cpu_tlb
 
     out: list = []
     index = node.run_read_prefix(addrs, 0, out)

@@ -12,6 +12,7 @@ import pytest
 
 from repro.apps.base import AppContext, _no_run
 from repro.backends import compose
+from repro.memory.cache import LineState
 from repro.network.message import Message
 from repro.sim.config import MachineConfig
 from repro.sim.process import SYNC
@@ -19,6 +20,9 @@ from repro.sim.process import SYNC
 PAGE = 4096
 #: A private-segment page (below SHARED_BASE): hits cost the bare hit.
 PRIVATE = 0x4000
+
+#: A cache block: four 8-byte words.
+BLOCK = 32
 
 SYSTEMS = ["typhoon:stache", "blizzard:stache", "decoupled:stache"]
 
@@ -244,6 +248,118 @@ def test_a_float_clock_steps_like_scalar_commits(lane):
         "typhoon:stache",
         lambda base: reads(PRIVATE + 8 * k for k in range(8)), prepare, lane)
     assert index == 3
+
+
+# ----------------------------------------------------------------------
+# The hit test reads the live TLB, page table and cache
+# ----------------------------------------------------------------------
+# Each mutation below changes one node after its warm run and returns
+# ``refuses(addr, is_write)``: whether a hit is now refused there.
+
+#: The block in the middle of a block-level run (words 8..11).
+K = 2
+
+
+def _invalidate_block_k(node, base):
+    node.cache.invalidate(base + K * BLOCK)
+    return lambda addr, is_write: addr & -BLOCK == base + K * BLOCK
+
+
+def _downgrade_block_k(node, base):
+    """A SHARED line still serves reads; only writes stop."""
+    node.cache.downgrade(base + K * BLOCK)
+    return lambda addr, is_write: (is_write
+                                   and addr & -BLOCK == base + K * BLOCK)
+
+
+def _flush_the_cache(node, base):
+    """Flush, then refill the blocks before block k."""
+    node.cache.flush()
+    for block in range(K):
+        node.cache.insert(base + block * BLOCK, LineState.EXCLUSIVE)
+    return lambda addr, is_write: addr >= base + K * BLOCK
+
+
+def _replace_block_k(node, base):
+    """Fill block k's set with other blocks until one evicts it."""
+    conflict = node.cache.config.num_sets * BLOCK
+    other = base + K * BLOCK
+    while node.cache.contains(base + K * BLOCK):
+        other += conflict
+        node.cache.insert(other, LineState.EXCLUSIVE)
+    return lambda addr, is_write: addr & -BLOCK == base + K * BLOCK
+
+
+def _evict_the_shared_page_from_the_tlb(node, base):
+    assert node.cpu_tlb.evict(base // PAGE)
+    return lambda addr, is_write: addr >= base
+
+
+def _push_the_shared_page_out_of_the_tlb(node, base):
+    """FIFO replacement: the shared page was installed first."""
+    page = base // PAGE
+    while base // PAGE in node.cpu_tlb:
+        page += 1
+        node.cpu_tlb.access(page)
+    return lambda addr, is_write: addr >= base
+
+
+def _flush_the_tlb(node, base):
+    """Flush, then refill the private page."""
+    node.cpu_tlb.flush()
+    node.cpu_tlb.access(PRIVATE // PAGE)
+    return lambda addr, is_write: addr >= base
+
+
+def _unmap_the_shared_page(node, base):
+    """The TLB still holds the page; only the page table refuses it."""
+    node.page_table.unmap_page(base)
+    return lambda addr, is_write: addr >= base
+
+
+def _block_run(base):
+    """Four blocks of the shared page, word by word, reads and writes
+    alternating (a read first in every block)."""
+    return [(base + 8 * k, k % 2 == 1, k) for k in range(16)]
+
+
+def _page_run(base):
+    """Eight words of the private page, then eight of the shared one."""
+    return ([(PRIVATE + 8 * k, k % 2 == 1, k) for k in range(8)]
+            + [(base + 8 * k, k % 2 == 1, k) for k in range(8)])
+
+
+@pytest.mark.parametrize("mutate,make_ops", [
+    pytest.param(_invalidate_block_k, _block_run, id="cache-invalidate"),
+    pytest.param(_downgrade_block_k, _block_run, id="cache-downgrade"),
+    pytest.param(_flush_the_cache, _block_run, id="cache-flush"),
+    pytest.param(_replace_block_k, _block_run, id="cache-replacement"),
+    pytest.param(_evict_the_shared_page_from_the_tlb, _page_run,
+                 id="tlb-evict"),
+    pytest.param(_push_the_shared_page_out_of_the_tlb, _page_run,
+                 id="tlb-replacement"),
+    pytest.param(_flush_the_tlb, _page_run, id="tlb-flush"),
+    pytest.param(_unmap_the_shared_page, _page_run, id="page-unmap"),
+])
+@pytest.mark.parametrize("system,lane", lane_cases(None))
+def test_a_lane_stops_where_the_live_state_stops_a_hit(system, lane, mutate,
+                                                       make_ops):
+    """Each mutation of the TLB, page table or cache made after the warm
+    run must stop every lane at the first reference it refuses, exactly
+    where ``access_inline`` stops, with identical effects."""
+    mutated = []
+
+    def prepare(machine):
+        base = machine.heap.regions[0].base
+        mutated.append((base, mutate(machine.nodes[0], base)))
+
+    index, _, _ = assert_lane_matches_scalar(system, make_ops, prepare,
+                                             lane)
+    base, refuses = mutated[0]
+    ops = shaped(lane, make_ops(base))
+    stops = [k for k, (addr, is_write, _value) in enumerate(ops)
+             if refuses(addr, is_write)]
+    assert index == (stops[0] if stops else len(ops)) > 0
 
 
 # ----------------------------------------------------------------------
