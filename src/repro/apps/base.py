@@ -50,52 +50,22 @@ def _no_charge(cycles):
     return False
 
 
-class _InlineDone:
-    """A ``yield from``-able that returns a value without ever yielding.
-
-    ``yield from`` on this object resolves in a single ``__next__`` call
-    — the delegating generator never suspends — which is what lets an
-    inline-serviced access skip generator creation entirely.  One
-    instance is reused per context: it is always consumed synchronously
-    before the next access can start.
-    """
-
-    __slots__ = ("value",)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        raise StopIteration(self.value)
-
-
-class _InlineCharge:
-    """A ``yield from``-able that yields one delay, then returns None.
-
-    Reused per context for :meth:`AppContext.compute`, saving a generator
-    allocation per compute charge.
-    """
-
-    __slots__ = ("cycles", "_spent")
-
-    def __iter__(self):
-        self._spent = False
-        return self
-
-    def __next__(self):
-        if self._spent:
-            raise StopIteration(None)
-        self._spent = True
-        return self.cycles
+def _value(value):
+    """A generator that returns ``value`` without yielding: the
+    ``yield from``-able of a completion that never suspends."""
+    return value
+    yield
 
 
 class AppContext:
     """Per-node access handle given to application workers.
 
     ``read``/``write``/``compute`` are plain calls returning an iterable
-    the worker drives with ``yield from``: either the node's ``access``
-    generator (the general path) or a reusable inline-completion object
-    when the access was serviced without touching the event queue.
+    the worker drives with ``yield from``: the node's ``access``
+    generator (the general path), or — when the access was serviced
+    without touching the event queue — ``()`` for a write, a
+    non-yielding value generator for a read, and ``(cycles,)`` for a
+    compute charge the worker must yield.
 
     Hits and compute charges may commit inside the node's lookahead
     window, ahead of the engine's clock (see :mod:`repro.memory.lane`).
@@ -118,8 +88,6 @@ class AppContext:
         # the simulator only on a miss, fault, or sync op.
         self._inline = getattr(self._node, "access_inline", _no_inline)
         self._access = self._node.access
-        self._done = _InlineDone()
-        self._charge = _InlineCharge()
         # The vectorised run lanes: a node-model method that commits the
         # longest all-hit prefix of a run in one step.  With lanes off
         # (machine.batch_lanes False — the scalar differential oracle)
@@ -153,16 +121,12 @@ class AppContext:
     def read(self, addr: int):
         hit = self._inline(addr, False)
         if hit is not None:
-            done = self._done
-            done.value = hit[0]
-            return done
+            return _value(hit[0])
         return self._access(addr, False)
 
     def write(self, addr: int, value: Any):
         if self._inline(addr, True, value) is not None:
-            done = self._done
-            done.value = None
-            return done
+            return ()
         return self._access(addr, True, value)
 
     def read_run(self, addrs):
@@ -180,9 +144,7 @@ class AppContext:
         # runs go straight to the per-element tail.
         index = self._run_reads(addrs, 0, out) if len(addrs) >= 3 else 0
         if index >= len(addrs):
-            done = self._done
-            done.value = out
-            return done
+            return _value(out)
         return self._read_run_tail(addrs, index, out)
 
     def _read_run_tail(self, addrs, index: int, out: list) -> Generator:
@@ -234,9 +196,7 @@ class AppContext:
         out: list = []
         index = self._run_writes(pairs, 0, out) if len(pairs) >= 3 else 0
         if index >= len(pairs):
-            done = self._done
-            done.value = out
-            return done
+            return _value(out)
         return self._write_run_tail(pairs, index, out)
 
     def _write_run_tail(self, pairs, index: int, out: list) -> Generator:
@@ -278,9 +238,7 @@ class AppContext:
         out: list = []
         index = self._run_plan(ops, 0, out) if len(ops) >= 3 else 0
         if index >= len(ops):
-            done = self._done
-            done.value = out
-            return done
+            return _value(out)
         return self._plan_tail(ops, index, out)
 
     def _plan_tail(self, ops, index: int, out: list) -> Generator:
@@ -322,12 +280,8 @@ class AppContext:
     def compute(self, flops: int = 0, overhead: int = 0):
         cycles = flops * FLOP_CYCLES + overhead * OVERHEAD_CYCLES
         if cycles and not self._charge_inline(cycles):
-            charge = self._charge
-            charge.cycles = cycles
-            return charge
-        done = self._done
-        done.value = None
-        return done
+            return (cycles,)
+        return ()
 
     def barrier(self) -> Generator:
         if self._engine.ahead is not None:

@@ -158,6 +158,20 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         due = node.np.due
         return due if due < bound else bound
 
+    def hits(addr, is_write):
+        """Whether a reference to ``addr`` finds its TLB entry, page and
+        line: a lane probes its first element before it asks for the
+        lookahead horizon, since a miss there commits nothing whatever
+        the window (and the first query starts the fence bookkeeping)."""
+        if addr >> page_shift not in tlb_entries:
+            return False
+        if addr >= SHARED_BASE and addr & page_mask not in pt_entries:
+            return False
+        base = addr & block_mask
+        line = cache_sets[base >> line_shift & set_mask].get(base)
+        return line is not None and not (is_write
+                                         and line.state is _SHARED_LINE)
+
     def access_inline(addr, is_write, value=None):
         """Commit one reference that hits, or return None unchanged."""
         if inbox:
@@ -327,13 +341,16 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         # The window, read once: an element completing before ``bound``
         # commits, and completing at or past ``edge`` makes it part of a
         # lookahead run.  The node's lookahead window is consulted only
-        # when the run does not fit the engine's.
+        # when the run does not fit the engine's and its first element
+        # would hit.
         total = len(addrs)
         now = engine.now
         bound = edge = engine.edge
         if engine.ahead is not None:
             edge = -_NEVER
         elif edge < now + (total - start) * shared_read_cost:
+            if start >= total or not hits(addrs[start], False):
+                return start
             bound = lookahead(edge)
         # Reject before anything else: in lock-step phases another
         # node's event usually sits inside the first hit window.
@@ -410,6 +427,8 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         if engine.ahead is not None:
             edge = -_NEVER
         elif edge < now + (total - start) * shared_write_cost:
+            if start >= total or not hits(pairs[start][0], True):
+                return start
             bound = lookahead(edge)
         if bound <= now + min_room or start >= total:
             return start
@@ -487,6 +506,8 @@ def build_access_lanes(node, private_yields, shared_read_yields,
         if engine.ahead is not None:
             edge = -_NEVER
         elif edge < now + (len(ops) - start) * shared_write_cost:
+            if start >= len(ops) or not hits(*ops[start][:2]):
+                return start
             bound = lookahead(edge)
         if bound <= now + min_room:
             return start

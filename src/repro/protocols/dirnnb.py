@@ -33,7 +33,7 @@ from collections import deque
 from typing import Any, Generator
 
 from repro.machine import MachineBase
-from repro.memory.address import AddressLayout
+from repro.memory.address import SHARED_BASE, AddressLayout
 from repro.memory.cache import Cache, LineState
 from repro.memory.data import MemoryImage
 from repro.memory.tlb import Tlb
@@ -168,7 +168,7 @@ class DirectoryController:
         counters = self._counters
         counters[self._occupancy_key] += cost
         counters[self._ops_key] += 1
-        self.engine.schedule(
+        self.engine.schedule_anon(
             cost, self._emit, self._out_messages, self._out_grants
         )
 
@@ -464,7 +464,7 @@ class DirNNBNode:
         block = message.payload["addr"]
         self.cache.invalidate(block)
         self.stats.incr(f"{self._prefix}.cache.coherence_invalidations")
-        self.engine.schedule(
+        self.engine.schedule_anon(
             self.config.dirnnb.invalidate_base,
             self._send_ack,
             message.payload["home"],
@@ -492,7 +492,7 @@ class DirNNBNode:
                 self.cache.downgrade(block)
             else:
                 self.cache.invalidate(block)
-        self.engine.schedule(
+        self.engine.schedule_anon(
             self.config.dirnnb.invalidate_base,
             self._send_wb_data,
             message.payload["home"],
@@ -568,7 +568,7 @@ class DirNNBNode:
             counters[self._tlb_misses_key] += 1
             yield self.config.tlb.miss_cycles
 
-        shared = AddressLayout.is_shared(addr)
+        shared = addr >= SHARED_BASE
         block = addr & self._block_mask
         if self.cache.access(block, is_write):
             yield self._hit_cycles
@@ -630,7 +630,7 @@ class DirNNBNode:
         costs = self.config.dirnnb
         dirty = victim.state is LineState.EXCLUSIVE
         victim_addr = victim.block_addr
-        if not AddressLayout.is_shared(victim_addr):
+        if victim_addr < SHARED_BASE:
             return
         self.stats.incr(f"{self._prefix}.cache.protocol_replacements")
         home = self.machine.home_of(victim_addr)

@@ -23,7 +23,7 @@ from repro.sim.config import (
     TyphoonCosts,
 )
 from repro.sim.engine import Engine
-from repro.sim.process import Future, Process, ProcessKilled
+from repro.sim.process import Future, Process
 from repro.sim.rng import RngStreams
 from repro.sim.stats import Stats
 
@@ -35,7 +35,6 @@ __all__ = [
     "MachineConfig",
     "NetworkConfig",
     "Process",
-    "ProcessKilled",
     "RngStreams",
     "ScaleModel",
     "Stats",

@@ -88,32 +88,17 @@ class SimulationError(RuntimeError):
 
 
 class _Event:
-    """A scheduled callback.  Cancellation is a flag check at fire time."""
+    """A cancellable scheduled callback (built by :meth:`Engine._event`).
+    Cancellation is a flag check at fire time."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "engine")
-
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
-                 args: tuple, engine: "Engine | None" = None):
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self.fired = False
-        self.engine = engine
-
-    def __lt__(self, other: "_Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
+    __slots__ = ("time", "fn", "args", "cancelled", "fired", "engine")
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Safe to call more than once."""
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        if self.engine is not None:
-            self.engine._cancelled += 1
+        self.engine._cancelled += 1
 
 
 class Engine:
@@ -143,9 +128,8 @@ class Engine:
         #: Events cancelled before they fired (``pending`` is drawn
         #: sequence numbers minus fired minus cancelled).
         self._cancelled = 0
-        #: Active ``run(until=...)`` bound, and the exclusive horizon cap
-        #: it sets (just past ``until``; inf when unbounded).
-        self._until: float | None = None
+        #: The exclusive horizon cap an active ``run(until=...)`` sets
+        #: (just past ``until``; inf when unbounded).
         self._cap: float = inf
         #: The exclusive bound on inline clock moves (:meth:`horizon`):
         #: the earliest queued cycle, capped just past ``until``; while
@@ -197,11 +181,8 @@ class Engine:
 
     def _event(self, time: float, fn: Callable[..., Any],
                args: tuple) -> _Event:
-        # _Event built without the __init__ call: handles are the one
-        # schedule that allocates.
-        event = _Event.__new__(_Event)
+        event = _Event()
         event.time = time
-        event.seq = self._seq
         event.fn = fn
         event.args = args
         event.cancelled = False
@@ -427,153 +408,70 @@ class Engine:
         self.now = now
         done()
 
-    def try_advance(self, delay: float) -> bool:
-        """Advance the clock ``delay`` cycles inline if provably safe.
-
-        Safe means ``now + delay < horizon()``.  Returns False (taking no
-        action) when the caller must schedule normally.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot advance {delay} cycles into the past")
-        target = self.now + delay
-        if target < self.edge:
-            self.now = target
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _pop(self) -> Any:
-        """Remove and return the next entry (live or husk), or None.
+    def run(self, until: float | None = None) -> None:
+        """Run until the queue drains or the next event lies past ``until``.
 
-        A bucket leaves the queue with
-        its last entry, before that entry fires, so what it schedules
-        for this cycle opens a fresh bucket behind it.
-        """
-        times = self._times
-        if not times:
-            return None
-        time = times[0]
-        held = self._buckets[time]
-        if type(held) is deque:
-            entry = held.popleft()
-            if held:
-                return entry
-        else:
-            entry = held
-        heappop(times)
-        del self._buckets[time]
-        self._set_edge()
-        return entry
+        ``until`` is an absolute cycle count: events at ``until`` fire,
+        and the clock is left there (or where it already was, if later).
+        Without it the clock is left at the last event's time.
 
-    def _fire(self, entry: Any) -> bool:
-        """Fire a popped entry; False for a cancelled husk."""
-        if type(entry) is tuple:
-            self.now = entry[2]
-            self._events_fired += 1
-            entry[0](*entry[1])
-            return True
-        if entry.cancelled:
-            return False
-        self.now = entry.time
-        self._events_fired += 1
-        entry.fired = True
-        entry.fn(*entry.args)
-        return True
-
-    def _next_live(self) -> float | None:
-        """Drop husks at the head; return the next live event's cycle."""
-        times = self._times
-        buckets = self._buckets
-        while times:
-            time = times[0]
-            held = buckets[time]
-            head = held[0] if type(held) is deque else held
-            if type(head) is tuple or not head.cancelled:
-                return time
-            self._pop()
-        return None
-
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False if the queue is empty."""
-        if self._next_live() is None:
-            return False
-        self._fire(self._pop())
-        return True
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Run until the queue drains, ``until`` cycles pass, or ``max_events`` fire.
-
-        ``until`` is an absolute cycle count; the clock is left at
-        ``min(until, last event time)``.  ``max_events`` is a safety valve
-        for tests that want to bound runaway simulations.
+        One bucket fires at a time.  Each entry is taken off before it
+        fires, and a bucket leaves the queue with its last entry, so
+        what that entry schedules for this cycle opens a fresh bucket
+        behind it; until then the bucket's own deque takes them.
         """
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
-        self._until = until
-        if until is not None:
+        if until is None:
+            until = inf
+        else:
             self._cap = nextafter(until, inf)
             self._set_edge()
+        cap = self._cap
         times = self._times
         buckets = self._buckets
         try:
-            if until is None and max_events is None:
-                # The hot loop: one bucket at a time, each entry popped
-                # before it fires (see _pop), the bucket's own deque
-                # reused until it empties.
-                while times:
-                    time = times[0]
-                    held = buckets[time]
-                    if type(held) is deque:
-                        popleft = held.popleft
-                    else:
-                        # A lone entry: fire it below as the bucket's
-                        # last.
-                        popleft = None
-                    while True:
-                        if popleft is None:
-                            entry = held
-                            last = True
-                        else:
-                            entry = popleft()
-                            last = not held
-                        if last:
-                            heappop(times)
-                            del buckets[time]
-                            # Engine._set_edge with no cap: this loop
-                            # runs only without ``until``.
-                            self.edge = times[0] if times else inf
-                        if type(entry) is tuple:
-                            self.now = entry[2]
-                            self._events_fired += 1
-                            entry[0](*entry[1])
-                        elif not entry.cancelled:
-                            self.now = entry.time
-                            self._events_fired += 1
-                            entry.fired = True
-                            entry.fn(*entry.args)
-                        if last:
-                            break
-                return
-            fired = 0
-            while True:
-                time = self._next_live()
-                if time is None:
+            while times:
+                time = times[0]
+                if time > until:
                     break
-                if until is not None and time > until:
-                    self.now = until
-                    return
-                if max_events is not None and fired >= max_events:
-                    return
-                fired += 1
-                self._fire(self._pop())
-            if until is not None and until > self.now:
+                held = buckets[time]
+                if type(held) is deque:
+                    popleft = held.popleft
+                else:
+                    # A lone entry: fire it below as the bucket's last.
+                    popleft = None
+                while True:
+                    if popleft is None:
+                        entry = held
+                        last = True
+                    else:
+                        entry = popleft()
+                        last = not held
+                    if last:
+                        heappop(times)
+                        del buckets[time]
+                        edge = times[0] if times else inf
+                        self.edge = edge if edge < cap else cap
+                    if type(entry) is tuple:
+                        self.now = entry[2]
+                        self._events_fired += 1
+                        entry[0](*entry[1])
+                    elif not entry.cancelled:
+                        self.now = entry.time
+                        self._events_fired += 1
+                        entry.fired = True
+                        entry.fn(*entry.args)
+                    if last:
+                        break
+            if self.now < until < inf:
                 self.now = until
         finally:
             self._running = False
-            self._until = None
             self._cap = inf
             if self.ahead is not None:
                 # A generator raised while its node was ahead: leave the

@@ -7,10 +7,10 @@ yields one of:
   that many cycles (a compute charge or a fixed hardware latency);
 * a :class:`Future` — suspend until the future resolves; the resolved value
   is sent back into the generator;
-* another generator — run it as a sub-routine inline (same process, shared
-  suspension), its return value is sent back.
-
 * :data:`SYNC` — a sync point: end any lookahead run first (below).
+
+A process drives exactly one generator; sub-routines compose with
+``yield from``, so the process never sees them.
 
 This is the mechanism by which application kernels "execute": the CPU model
 in :mod:`repro.tempest.node` wraps an application generator in a process,
@@ -32,13 +32,9 @@ before its first yield yields :data:`SYNC` first.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Generator, Iterable
+from typing import Any, Callable, Generator
 
 from repro.sim.engine import Engine, SimulationError
-
-
-class ProcessKilled(Exception):
-    """Injected into a generator when its process is killed."""
 
 
 class _Marker:
@@ -118,30 +114,6 @@ class Future:
         return future
 
 
-def all_of(engine: Engine, futures: Iterable[Future]) -> Future:
-    """A future that resolves (with a list of values) when all inputs have."""
-    futures = list(futures)
-    result = Future(engine)
-    if not futures:
-        result.resolve([])
-        return result
-    remaining = [len(futures)]
-    values: list[Any] = [None] * len(futures)
-
-    def make_callback(index: int) -> Callable[[Any], None]:
-        def callback(value: Any) -> None:
-            values[index] = value
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                result.resolve(values)
-
-        return callback
-
-    for index, future in enumerate(futures):
-        future.add_callback(make_callback(index))
-    return result
-
-
 class Process:
     """Drives a generator through simulated time.
 
@@ -159,8 +131,7 @@ class Process:
         #: None they bound every node's.
         self.owner = owner
         self.finished = Future(engine)
-        self._stack: list[Generator] = [generator]
-        self._killed = False
+        self._send = generator.send
         #: Delays skipped by a lookahead run, still to replay, and the
         #: yielded value to act on once they are.
         self._replay: deque = deque()
@@ -173,17 +144,8 @@ class Process:
         engine.call_soon(self._advance, None)
 
     # ------------------------------------------------------------------
-    def kill(self) -> None:
-        """Terminate the process by throwing ProcessKilled into it."""
-        self._killed = True
-
-    @property
-    def alive(self) -> bool:
-        return not self.finished.done
-
-    # ------------------------------------------------------------------
     def _advance(self, send_value: Any = None) -> None:
-        """Resume the generator stack and interpret what it yields next.
+        """Resume the generator and interpret what it yields next.
 
         Consecutive numeric yields are the hot path: whenever the engine
         can prove no other event would fire in the skipped window
@@ -196,29 +158,12 @@ class Process:
         ends the lookahead run first (:meth:`_catch_up`).
         """
         engine = self.engine
-        stack = self._stack
-        finished = self.finished
+        send = self._send
         while True:
-            if finished._done:
-                return
-            generator = stack[-1]
             try:
-                if self._killed:
-                    yielded = generator.throw(ProcessKilled())
-                else:
-                    yielded = generator.send(send_value)
+                yielded = send(send_value)
             except StopIteration as stop:
-                stack.pop()
-                if stack:
-                    send_value = stop.value
-                    continue
                 yielded = _Exit(stop.value)
-            except ProcessKilled:
-                stack.pop()
-                if stack:
-                    # Propagate the kill up through nested sub-generators.
-                    continue
-                yielded = _Exit(None)
             if engine.ahead is not None:
                 self._catch_up(yielded)
                 return
@@ -256,9 +201,6 @@ class Process:
                 return yielded.value
             yielded.add_callback(self._advance)
             return _SUSPENDED
-        if hasattr(yielded, "send") and hasattr(yielded, "throw"):
-            self._stack.append(yielded)
-            return None
         if isinstance(yielded, (int, float)):
             # A delay: a numeric subclass (e.g. bool) the exact-type fast
             # path skips, or one held over a lookahead replay.
@@ -277,7 +219,7 @@ class Process:
             return _SUSPENDED
         raise SimulationError(
             f"{self.name} yielded unsupported value {yielded!r}; "
-            "expected a delay, a Future, or a sub-generator"
+            "expected a delay, a Future, or SYNC"
         )
 
     def _catch_up(self, yielded: Any) -> None:

@@ -232,7 +232,7 @@ class HandlerDispatcher:
         if (self._baf_limit is not None
                 and len(self._baf_buffer) >= self._baf_limit):
             self.stats.incr(f"{self._prefix}.baf_overflows")
-            self.engine.schedule(
+            self.engine.schedule_anon(
                 self.costs.overflow_drain_cycles, self._present_fault, fault
             )
             return
@@ -268,7 +268,7 @@ class HandlerDispatcher:
             if wake is not None:
                 self._stall_wake = True
                 self.stats.incr(f"{self._prefix}.stalls")
-                self.engine.schedule_at(wake, self._end_stall)
+                self.engine.schedule_at_anon(wake, self._end_stall)
                 return
         if self._response_queue:
             self._start_message(self._response_queue.popleft())

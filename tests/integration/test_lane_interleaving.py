@@ -248,7 +248,6 @@ def test_run_straddling_page_boundary_splits(monkeypatch):
         yield from node.access(addrs[4], False)
 
     machine.run_workers(service)
-    machine.engine._until = None
     out2: list = []
     index2 = node.run_read_prefix(addrs, 5, out2)
     assert index2 == 8, index2

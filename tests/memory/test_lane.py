@@ -572,6 +572,62 @@ def test_write_lane_run_ahead_skips_the_scalar_yields(system):
     assert len(skipped) > index
 
 
+@pytest.mark.parametrize("cold", [True, False], ids=["cold", "warm"])
+@pytest.mark.parametrize("system,lane", lane_cases("reads"))
+def test_a_cold_first_element_asks_no_horizon(system, lane, cold):
+    """A lane whose first element misses commits nothing whatever the
+    window, so it returns before asking for the lookahead horizon: the
+    fence bookkeeping stays off.  With the element warm, the same call
+    asks and opens a lookahead run (once the bookkeeping has started:
+    the first query counts everything then queued as nobody's)."""
+    machine, protocol = compose(system, MachineConfig(nodes=2, seed=5))
+    region = machine.heap.allocate(PAGE, home=0, label="lane")
+    protocol.setup_region(region)
+    engine = machine.engine
+    node = machine.nodes[0]
+    base = region.base
+    ops = shaped(lane, [(base + 8 * k, k % 2 == 1, k) for k in range(12)])
+    queries = []
+    horizon = engine.horizon
+
+    def counted(node_id=None):
+        if node_id is not None:
+            queries.append(node_id)
+        return horizon(node_id)
+
+    engine.horizon = counted
+    seen = []
+
+    def worker(node_id):
+        ctx = AppContext(machine, node_id)
+        if node_id == 1:
+            # One-cycle charges keep an event in every window.
+            for _ in range(200):
+                yield from ctx.compute(overhead=1)
+            return
+        for k in range(0, 12 * 8, 8):
+            yield from ctx.write(base + k, 0)
+        if cold:
+            node.cache.invalidate(base)
+        else:
+            engine.horizon(0)  # starts the fence bookkeeping
+        yield 1
+        asked = len(queries)
+        index = lane_prefix(node, lane, ops, 0, [])
+        seen.append((index, engine.ahead, engine._fences is None,
+                     len(queries) - asked))
+        yield SYNC
+
+    machine.run_workers(worker)
+    (index, ahead, fences_off, asked), = seen
+    if cold:
+        assert (index, ahead, fences_off, asked) == (0, None, True, 0)
+        assert queries == []
+    else:
+        assert index > 0 and ahead == 0 and not fences_off
+        assert asked == 1
+
+
 # ----------------------------------------------------------------------
 # Every access context runs the node's one lane
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
@@ -63,23 +65,23 @@ def test_run_until_stops_clock_at_bound():
     assert fired == ["early", "late"]
 
 
+def test_run_until_fires_events_at_the_bound():
+    engine = Engine()
+    fired = []
+    engine.schedule(50, fired.append, "at")
+    engine.schedule(51, fired.append, "past")
+    dropped = engine.schedule(52, fired.append, "cancelled")
+    dropped.cancel()
+    engine.run(until=50)
+    assert fired == ["at"]
+    assert engine.now == 50
+    assert engine.pending == 1
+
+
 def test_run_until_advances_clock_even_with_empty_queue():
     engine = Engine()
     engine.run(until=99)
     assert engine.now == 99
-
-
-def test_max_events_bounds_execution():
-    engine = Engine()
-    count = [0]
-
-    def reschedule():
-        count[0] += 1
-        engine.schedule(1, reschedule)
-
-    engine.schedule(0, reschedule)
-    engine.run(max_events=10)
-    assert count[0] == 10
 
 
 def test_cancelled_event_does_not_fire():
@@ -107,14 +109,6 @@ def test_events_fired_counter():
         engine.schedule(1, lambda: None)
     engine.run()
     assert engine.events_fired == 4
-
-
-def test_step_returns_false_when_empty():
-    engine = Engine()
-    assert engine.step() is False
-    engine.schedule(3, lambda: None)
-    assert engine.step() is True
-    assert engine.now == 3
 
 
 def test_engine_not_reentrant():
@@ -213,31 +207,35 @@ def test_schedule_at_current_time_uses_fast_lane_in_order():
 
 
 # ----------------------------------------------------------------------
-# Inline clock advance (try_advance)
+# Inline clock advance: a caller may try to advance the clock to
+# ``target`` inline, and may do so only while ``target < horizon()``.
 # ----------------------------------------------------------------------
 
 def test_try_advance_moves_clock_when_queue_cannot_interfere():
     engine = Engine()
     engine.schedule(100, lambda: None)
-    assert engine.try_advance(50) is True
-    assert engine.now == 50
+    assert engine.horizon() == engine.edge == 100
+    target = engine.now + 50
+    assert target < engine.horizon()   # an inline move is safe
+    engine.now = target
     engine.run()
     assert engine.now == 100
+    assert engine.horizon() == float("inf")
 
 
 def test_try_advance_refuses_when_event_in_window():
     engine = Engine()
     engine.schedule(10, lambda: None)
-    assert engine.try_advance(10) is False   # boundary: event at target
-    assert engine.try_advance(15) is False   # event strictly inside window
+    assert not engine.now + 10 < engine.horizon()   # boundary: event at target
+    assert not engine.now + 15 < engine.horizon()   # event strictly inside window
     assert engine.now == 0
 
 
 def test_try_advance_refuses_when_fifo_nonempty():
     engine = Engine()
     engine.schedule(0, lambda: None)
-    assert engine.try_advance(5) is False
-    assert engine.now == 0
+    assert engine.horizon() == engine.now
+    assert not engine.now + 5 < engine.horizon()
 
 
 def test_try_advance_honours_run_until_bound():
@@ -245,20 +243,17 @@ def test_try_advance_honours_run_until_bound():
     observed = []
 
     def probe():
-        observed.append(engine.try_advance(100))  # would cross until=20
-        observed.append(engine.try_advance(10))   # stays inside the bound
-        observed.append(engine.now)
+        observed.append(engine.horizon())
+        observed.append(engine.now + 100 < engine.horizon())  # crosses until=20
+        observed.append(engine.now + 10 < engine.horizon())   # inside the bound
 
     engine.schedule(5, probe)
     engine.run(until=20)
-    assert observed == [False, True, 15]
+    # The cap sits just past ``until``: a move to 20 itself is allowed.
+    assert observed[0] == math.nextafter(20, math.inf)
+    assert observed[1:] == [False, True]
     assert engine.now == 20
-
-
-def test_try_advance_negative_rejected():
-    engine = Engine()
-    with pytest.raises(SimulationError):
-        engine.try_advance(-1)
+    assert engine.horizon() == float("inf")
 
 
 def test_run_until_with_mixed_lanes_stops_at_bound():

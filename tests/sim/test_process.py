@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
-from repro.sim.process import Future, Process, ProcessKilled, all_of
+from repro.sim.process import Future, Process
 
 
 def test_future_resolve_and_value():
@@ -46,24 +46,6 @@ def test_future_callback_after_resolution():
     future.add_callback(seen.append)
     engine.run()
     assert seen == [5]
-
-
-def test_all_of_collects_values_in_order():
-    engine = Engine()
-    futures = [Future(engine) for _ in range(3)]
-    combined = all_of(engine, futures)
-    futures[2].resolve("c")
-    futures[0].resolve("a")
-    futures[1].resolve("b")
-    engine.run()
-    assert combined.value == ["a", "b", "c"]
-
-
-def test_all_of_empty_resolves_immediately():
-    engine = Engine()
-    combined = all_of(engine, [])
-    assert combined.done
-    assert combined.value == []
 
 
 def test_process_waits_for_delays():
@@ -133,46 +115,6 @@ def test_process_finished_future_carries_return_value():
     process = Process(engine, body())
     engine.run()
     assert process.finished.value == "result"
-    assert not process.alive
-
-
-def test_subgenerator_runs_inline_and_returns():
-    engine = Engine()
-    trace = []
-
-    def sub():
-        yield 3
-        return "from-sub"
-
-    def body():
-        value = yield sub()
-        trace.append((value, engine.now))
-
-    Process(engine, body())
-    engine.run()
-    assert trace == [("from-sub", 3)]
-
-
-def test_nested_subgenerators():
-    engine = Engine()
-
-    def inner():
-        yield 1
-        return 1
-
-    def middle():
-        a = yield inner()
-        yield 1
-        return a + 1
-
-    def body():
-        b = yield middle()
-        return b + 1
-
-    process = Process(engine, body())
-    engine.run()
-    assert process.finished.value == 3
-    assert engine.now == 2
 
 
 def test_negative_yield_rejected():
@@ -187,33 +129,21 @@ def test_negative_yield_rejected():
 
 
 def test_unsupported_yield_rejected():
-    engine = Engine()
+    """A process drives one generator: a yielded sub-generator is an
+    unsupported value like any other (workers compose with yield from)."""
 
-    def body():
-        yield "nonsense"
+    def sub():
+        yield 3
 
-    Process(engine, body())
-    with pytest.raises(SimulationError):
-        engine.run()
+    for value in ("nonsense", sub()):
+        engine = Engine()
 
+        def body():
+            yield value
 
-def test_kill_terminates_process():
-    engine = Engine()
-    cleaned = []
-
-    def body():
-        try:
-            yield 100
-        except ProcessKilled:
-            cleaned.append(True)
-            raise
-
-    process = Process(engine, body())
-    engine.schedule(10, process.kill)
-    # The kill flag is checked at the next resumption.
-    engine.run()
-    assert process.finished.done
-    assert cleaned == [True]
+        Process(engine, body())
+        with pytest.raises(SimulationError, match="unsupported value"):
+            engine.run()
 
 
 def test_two_processes_interleave_deterministically():
