@@ -95,6 +95,7 @@ class BlizzardNode(TempestNode):
         self._recv_limit: int | None = None
         self._messages_sent_key = f"{self._prefix}.sw.messages_sent"
         self._handlers_run_key = f"{self._prefix}.sw.handlers_run"
+        self._nacks_key = f"{self._prefix}.sw.nacks_sent"
         self._connect(SoftwareDispatcher(self), self._receive)
 
     def install_faults(self, plan) -> None:
@@ -122,8 +123,9 @@ class BlizzardNode(TempestNode):
     def _nack(self, message: Message) -> None:
         """Bounce an NI-level NACK; the sender's transport retransmits."""
         message.nacked = True
-        self.stats.incr(f"{self._prefix}.sw.nacks_sent")
-        self.stats.incr("tempest.nacks_sent")
+        counters = self._counters
+        counters[self._nacks_key] += 1
+        counters["tempest.nacks_sent"] += 1
         self.machine.interconnect.send(Message(
             src=self.node_id, dst=message.src, handler=NACK_HANDLER,
             vnet=VirtualNetwork.RESPONSE, size_words=2,

@@ -62,18 +62,11 @@ class Cache:
         self.replacements = 0
 
     # ------------------------------------------------------------------
-    def _set_index(self, block_addr: int) -> int:
-        return (block_addr >> self._block_shift) & self._set_mask
-
-    def _set_for(self, block_addr: int) -> dict[int, CacheLine]:
-        return self._sets[self._set_index(block_addr)]
-
-    # ------------------------------------------------------------------
-    # Lookup
+    # Lookup.  Every method finds the block's set inline, in one
+    # indexing step: they run on every fill, downgrade and invalidation.
     # ------------------------------------------------------------------
     def lookup(self, block_addr: int) -> CacheLine | None:
         """Return the resident line for ``block_addr`` or None."""
-        # _set_for inlined: this runs once or twice per CPU reference.
         return self._sets[
             (block_addr >> self._block_shift) & self._set_mask
         ].get(block_addr)
@@ -85,7 +78,9 @@ class Cache:
         a SHARED line is a miss (an upgrade): the caller must obtain
         ownership through the protocol.
         """
-        line = self.lookup(block_addr)
+        line = self._sets[
+            (block_addr >> self._block_shift) & self._set_mask
+        ].get(block_addr)
         if line is None:
             self.misses += 1
             return False
@@ -109,7 +104,8 @@ class Cache:
         (e.g. SHARED -> EXCLUSIVE on an upgrade fill) and no victim is
         produced.
         """
-        cache_set = self._set_for(block_addr)
+        cache_set = self._sets[
+            (block_addr >> self._block_shift) & self._set_mask]
         existing = cache_set.get(block_addr)
         if existing is not None:
             existing.state = state
@@ -138,11 +134,15 @@ class Cache:
 
     def invalidate(self, block_addr: int) -> CacheLine | None:
         """Drop a block (coherence invalidation); returns the line if present."""
-        return self._set_for(block_addr).pop(block_addr, None)
+        return self._sets[
+            (block_addr >> self._block_shift) & self._set_mask
+        ].pop(block_addr, None)
 
     def downgrade(self, block_addr: int) -> bool:
         """EXCLUSIVE -> SHARED (remote read of an owned block)."""
-        line = self.lookup(block_addr)
+        line = self._sets[
+            (block_addr >> self._block_shift) & self._set_mask
+        ].get(block_addr)
         if line is None:
             return False
         line.state = LineState.SHARED

@@ -49,6 +49,8 @@ class PageTable:
         self.tags = tags
         self.node = node
         self._entries: dict[int, PageEntry] = {}
+        # ``page_of`` as a mask: handlers look pages up on every message.
+        self._page_mask = ~(layout.page_size - 1)
         self._map_counter = 0
         self.maps = 0
         self.unmaps = 0
@@ -108,10 +110,10 @@ class PageTable:
 
     # ------------------------------------------------------------------
     def lookup(self, vaddr: int) -> PageEntry | None:
-        return self._entries.get(self.layout.page_of(vaddr))
+        return self._entries.get(vaddr & self._page_mask)
 
     def is_mapped(self, vaddr: int) -> bool:
-        return self.layout.page_of(vaddr) in self._entries
+        return vaddr & self._page_mask in self._entries
 
     def mapped_pages(self) -> list[PageEntry]:
         return list(self._entries.values())

@@ -38,6 +38,9 @@ class Tag(enum.Enum):
     INVALID = "Invalid"
     BUSY = "Busy"
 
+    #: The tag's dense code (below), set once per member.
+    code: int
+
     def permits(self, is_write: bool) -> bool:
         if self is Tag.READ_WRITE:
             return True
@@ -53,13 +56,13 @@ TAG_READ_ONLY = 1
 TAG_INVALID = 2
 TAG_BUSY = 3
 
-_TAG_CODE = {
-    Tag.READ_WRITE: TAG_READ_WRITE,
-    Tag.READ_ONLY: TAG_READ_ONLY,
-    Tag.INVALID: TAG_INVALID,
-    Tag.BUSY: TAG_BUSY,
-}
 _CODE_TAG = (Tag.READ_WRITE, Tag.READ_ONLY, Tag.INVALID, Tag.BUSY)
+# Each tag carries its code as a plain attribute: a store reads
+# ``tag.code`` instead of hashing the enum member (``Enum.__hash__`` is
+# Python-level).
+for _code, _tag in enumerate(_CODE_TAG):
+    _tag.code = _code
+del _code, _tag
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class TagStore:
         if page_addr in self._pages:
             raise TagStoreError(f"page {page_addr:#x} already registered")
         self._pages[page_addr] = bytearray(
-            [_TAG_CODE[initial]] * self.layout.blocks_per_page
+            [initial.code] * self.layout.blocks_per_page
         )
 
     def drop_page(self, page_addr: int) -> None:
@@ -162,7 +165,7 @@ class TagStore:
         observer = self.observer
         if observer is not None:
             observer(self.node, addr, _CODE_TAG[tags[index]], tag)
-        tags[index] = _TAG_CODE[tag]
+        tags[index] = tag.code
 
     def set_rw(self, addr: int) -> None:
         self.set_tag(addr, Tag.READ_WRITE)

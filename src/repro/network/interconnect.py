@@ -110,7 +110,7 @@ class Interconnect:
         src = message.src
         if src == dst:
             counters["network.local_packets"] += 1
-            engine.schedule_owned(dst, now + 1, self._deliver, message)
+            engine.post(now + 1, self._deliver, message, owner=dst)
             return
         if self._fault_plan is None and not self.model_contention:
             # Reliable, contention-free: every packet on a channel takes
@@ -126,7 +126,7 @@ class Interconnect:
                     "network.latency")
             dist.add(arrival - now)
             # A delivery is its destination's event.
-            engine.schedule_owned(dst, arrival, self._deliver, message)
+            engine.post(arrival, self._deliver, message, owner=dst)
             return
 
         arrival = now + self._latencies[src][dst]

@@ -10,9 +10,9 @@ repository grows:
 
 * **Directory transitions** — every assignment to a directory entry's
   ``state`` (both :class:`~repro.protocols.directory.HardwareDirectoryEntry`
-  and :class:`~repro.protocols.directory.SoftwareDirectoryEntry` expose a
-  per-instance observer hook) is checked against the protocol's legal
-  single-step relation.
+  and :class:`~repro.protocols.directory.SoftwareDirectoryEntry` have an
+  observing subclass a watched entry is switched to) is checked against
+  the protocol's legal single-step relation.
 * **Tag transitions** — every :meth:`~repro.memory.tags.TagStore.set_tag`
   (the single mutation point all of ``set_rw``/``set_ro``/``invalidate``
   route through) is checked the same way.
@@ -401,13 +401,17 @@ class ConformanceMonitor:
         self._outstanding[key] = self._outstanding.get(key, 0) + 1
 
     def watch_entry(self, home: int, block: int, entry) -> None:
-        """Observe every ``state`` assignment on a directory entry."""
+        """Observe every ``state`` assignment on a directory entry: the
+        entry becomes its class's observing subclass (see
+        :mod:`repro.protocols.directory`), so only watched entries pay
+        for a ``state`` property."""
         if self.spec.directory_transitions is None:
             return
         self._entries[(home, block)] = entry
         self._entry_keys[id(entry)] = (home, block)
         self._block_entries[block] = entry
         entry._observer = self._on_state
+        entry.__class__ = entry.observed
 
     # ------------------------------------------------------------------
     # Observers

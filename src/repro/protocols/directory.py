@@ -32,44 +32,52 @@ class DirectoryState(enum.Enum):
     PENDING_WRITEBACK = "pending-writeback"
     PENDING_INVALIDATE = "pending-invalidate"
 
-    @property
-    def is_transient(self) -> bool:
-        return self in (
-            DirectoryState.PENDING_WRITEBACK,
-            DirectoryState.PENDING_INVALIDATE,
-        )
+    def __init__(self, value: str) -> None:
+        #: A transaction is in flight: a plain attribute, since every
+        #: request at the home tests it.
+        self.is_transient = value.startswith("pending-")
 
 
-class _ObservedState:
-    """``state`` property shared by both entry encodings.
+def _observed(cls):
+    """``cls`` with ``state`` behind a property that notifies the entry's
+    ``_observer`` (the conformance monitor's hook).
 
-    Assignments notify ``_observer`` (the conformance monitor's hook)
-    *before* mutating, so a strict monitor raising on an illegal
-    transition leaves the entry unchanged.  With no observer installed
-    the setter is a plain attribute write behind one None check.
+    The observer runs *before* the assignment, so a strict monitor
+    raising on an illegal transition leaves the entry unchanged.  The
+    subclass adds no slot, so :meth:`ConformanceMonitor.watch_entry
+    <repro.protocols.conformance.ConformanceMonitor.watch_entry>` can
+    switch a live entry to it; unwatched entries keep ``state`` in a
+    plain slot and pay for no property.
     """
+    slot = cls.__dict__["state"]
+    get, put = slot.__get__, slot.__set__
 
-    @property
-    def state(self) -> DirectoryState:
-        return self._state
+    class Observed(cls):
+        __slots__ = ()
 
-    @state.setter
-    def state(self, new: DirectoryState) -> None:
-        observer = self._observer
-        if observer is not None:
-            observer(self, self._state, new)
-        self._state = new
+        @property
+        def state(self) -> DirectoryState:
+            return get(self)
+
+        @state.setter
+        def state(self, new: DirectoryState) -> None:
+            self._observer(self, get(self), new)
+            put(self, new)
+
+    Observed.__name__ = Observed.__qualname__ = f"Observed{cls.__name__}"
+    cls.observed = Observed
+    return cls
 
 
-class HardwareDirectoryEntry(_ObservedState):
+@_observed
+class HardwareDirectoryEntry:
     """Full-map entry: DirNNB's per-block directory state."""
 
-    __slots__ = ("_state", "owner", "sharers", "pending", "acks_outstanding",
+    __slots__ = ("state", "owner", "sharers", "pending", "acks_outstanding",
                  "_observer")
 
     def __init__(self) -> None:
-        self._state = DirectoryState.HOME
-        self._observer = None
+        self.state = DirectoryState.HOME
         self.owner: int | None = None
         self.sharers: set[int] = set()
         #: Requests that arrived while the entry was transient.
@@ -87,12 +95,13 @@ POINTER_SLOTS = 6
 BITVECTOR_LIMIT = 32
 
 
-class SoftwareDirectoryEntry(_ObservedState):
+@_observed
+class SoftwareDirectoryEntry:
     """The 64-bit LimitLESS-style software entry Stache allocates per block."""
 
     __slots__ = (
         "nodes",
-        "_state",
+        "state",
         "owner",
         "pending",
         "acks_outstanding",
@@ -104,8 +113,7 @@ class SoftwareDirectoryEntry(_ObservedState):
 
     def __init__(self, nodes: int):
         self.nodes = nodes
-        self._state = DirectoryState.HOME
-        self._observer = None
+        self.state = DirectoryState.HOME
         self.owner: int | None = None
         self.pending: deque = deque()
         self.acks_outstanding = 0

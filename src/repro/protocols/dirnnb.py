@@ -105,6 +105,7 @@ class DirectoryController:
         self._occupancy_key = f"{self._prefix}.occupancy_cycles"
         self._ops_key = f"{self._prefix}.ops"
         self._replays_key = f"{self._prefix}.replays"
+        self._invalidations_key = f"{self._prefix}.invalidations"
         self._queue: deque[Message] = deque()
         self._busy = False
         self._entries: dict[int, HardwareDirectoryEntry] = {}
@@ -301,7 +302,7 @@ class DirectoryController:
             entry.state = DirectoryState.PENDING_INVALIDATE
             entry.acks_outstanding = len(targets)
             for sharer in sorted(targets):
-                self.stats.incr(f"{self._prefix}.invalidations")
+                self._counters[self._invalidations_key] += 1
                 self._send(
                     sharer, "dir.inval", VirtualNetwork.REQUEST,
                     REQUEST_WORDS, addr=block, home=self.node.node_id,
@@ -389,13 +390,17 @@ class DirNNBNode:
         self.cpu_tlb = Tlb(machine.config.tlb, name=f"{self._prefix}.tlb")
         self.directory = DirectoryController(self)
         self._miss_grant: Future | None = None
-        # Hot-path stat keys, precomputed so the per-reference path does
-        # no string formatting.
+        # Hot-path stat keys, precomputed so the per-reference and
+        # per-message paths do no string formatting.
         self._refs_key = f"{self._prefix}.cpu.refs"
         self._access_cycles_key = f"{self._prefix}.cpu.access_cycles"
         self._tlb_misses_key = f"{self._prefix}.cpu.tlb_misses"
         self._local_misses_key = f"{self._prefix}.cpu.local_misses"
         self._remote_misses_key = f"{self._prefix}.cpu.remote_misses"
+        self._coherence_invalidations_key = (
+            f"{self._prefix}.cache.coherence_invalidations")
+        self._protocol_replacements_key = (
+            f"{self._prefix}.cache.protocol_replacements")
         # Address arithmetic and container handles for the per-reference
         # path.  The TLB dict is a stable object (cleared in place, never
         # reassigned), so caching it here is safe.
@@ -463,7 +468,7 @@ class DirNNBNode:
         """
         block = message.payload["addr"]
         self.cache.invalidate(block)
-        self.stats.incr(f"{self._prefix}.cache.coherence_invalidations")
+        self._counters[self._coherence_invalidations_key] += 1
         self.engine.schedule_anon(
             self.config.dirnnb.invalidate_base,
             self._send_ack,
@@ -632,7 +637,7 @@ class DirNNBNode:
         victim_addr = victim.block_addr
         if victim_addr < SHARED_BASE:
             return
-        self.stats.incr(f"{self._prefix}.cache.protocol_replacements")
+        self._counters[self._protocol_replacements_key] += 1
         home = self.machine.home_of(victim_addr)
         if home == self.node_id:
             # Local victim: the integrated directory notes the drop within

@@ -117,6 +117,8 @@ class Em3dUpdateProtocol(StacheProtocol):
 
     # ------------------------------------------------------------------
     def install(self, machine) -> None:
+        # Stache's install binds the costs, page mask and counters this
+        # protocol's handlers read too.
         super().install(machine)
         costs = machine.costs
         self._states = [_NodeUpdateState() for _ in machine.nodes]
@@ -171,8 +173,7 @@ class Em3dUpdateProtocol(StacheProtocol):
     def register_value_word(self, addr: int) -> None:
         """Declare ``addr`` a graph-node value field (shipped on flush)."""
         machine = self._machine()
-        page_addr = machine.layout.page_of(addr)
-        kind = self._custom_pages.get(page_addr)
+        kind = self._custom_pages.get(addr & self._page_mask)
         if kind is None:
             raise SimulationError(f"{addr:#x} is not in a custom region")
         home = machine.heap.home_of(addr)
@@ -184,19 +185,18 @@ class Em3dUpdateProtocol(StacheProtocol):
     # Page faults: custom regions get custom stache pages
     # ------------------------------------------------------------------
     def _page_fault(self, tempest: Tempest, addr: int, is_write: bool) -> int:
-        machine = self._machine()
-        page_addr = machine.layout.page_of(addr)
+        page_addr = addr & self._page_mask
         kind = self._custom_pages.get(page_addr)
         if kind is None:
             return super()._page_fault(tempest, addr, is_write)
         tempest.map_page(
             page_addr,
             mode=PAGE_MODE_CUSTOM_STACHE,
-            home=machine.heap.home_of(addr),
+            home=self.machine.heap.home_of(addr),
             initial_tag=Tag.INVALID,
             user_word=kind,
         )
-        tempest.stats.incr("em3d.custom_pages_allocated")
+        self._counters["em3d.custom_pages_allocated"] += 1
         return 0
 
     # ------------------------------------------------------------------
@@ -229,9 +229,8 @@ class Em3dUpdateProtocol(StacheProtocol):
             raise SimulationError(f"custom get for non-custom block {block:#x}")
         home_page: _CustomHomePage = page.user_word
         home_page.copies[block].add(requester)
-        costs = self._machine().costs
-        tempest.charge(costs.block_copy)
-        tempest.stats.incr("em3d.copies_granted")
+        tempest.charge(self._block_copy)
+        self._counters["em3d.copies_granted"] += 1
         home_state = self._states[tempest.node_id]
         tempest.send(
             requester,
@@ -249,8 +248,7 @@ class Em3dUpdateProtocol(StacheProtocol):
     def _h_data_custom(self, tempest: Tempest, message: Message) -> None:
         block = message.payload["addr"]
         kind = message.payload["kind"]
-        costs = self._machine().costs
-        tempest.charge(costs.block_copy)
+        tempest.charge(self._block_copy)
         tempest.import_block(block, message.payload["data"])
         tempest.set_ro(block)
         state = self._states[tempest.node_id]
@@ -260,7 +258,7 @@ class Em3dUpdateProtocol(StacheProtocol):
         # not send them).
         for step in range(state.next_wait[kind], message.payload["valid_from"]):
             state.received[(kind, step)] += 1
-        tempest.stats.incr("em3d.blocks_stached")
+        self._counters["em3d.blocks_stached"] += 1
         tempest.resume()
 
     # ------------------------------------------------------------------
@@ -316,7 +314,7 @@ class Em3dUpdateProtocol(StacheProtocol):
         # get requests see a consistent flush step.
         state.flush_next[kind] = step + 1
         if messages_sent:
-            tempest.stats.incr("em3d.updates_sent", messages_sent)
+            self._counters["em3d.updates_sent"] += messages_sent
             yield messages_sent * UPDATE_SEND_CYCLES
 
         # --- fuzzy barrier: count arrivals for (kind, step) -------------
@@ -349,7 +347,7 @@ class Em3dUpdateProtocol(StacheProtocol):
             # Early update (sender raced ahead): buffer it; the handler
             # IS the fuzzy barrier.
             state.deferred[key].append(message.payload)
-            tempest.stats.incr("em3d.updates_deferred")
+            self._counters["em3d.updates_deferred"] += 1
             return
         self._apply_update(tempest, state, key, message.payload)
         self._maybe_release_waiter(tempest, state, key)
@@ -359,7 +357,7 @@ class Em3dUpdateProtocol(StacheProtocol):
         for addr, value in payload["values"].items():
             tempest.force_write(addr, value)
         state.received[key] += 1
-        tempest.stats.incr("em3d.updates_received")
+        self._counters["em3d.updates_received"] += 1
 
     def _maybe_release_waiter(self, tempest: Tempest, state: _NodeUpdateState,
                               key: tuple[str, int]) -> None:

@@ -117,6 +117,13 @@ class StacheProtocol:
         self.machine = machine
         costs = machine.costs
         stats = machine.stats
+        # Bound once, so a handler reads each in one step: the resolved
+        # costs, the page mask and the shared counters.
+        self._block_copy = costs.block_copy
+        self._home_response = costs.home_response
+        self._per_message = costs.per_message
+        self._page_mask = ~(machine.layout.page_size - 1)
+        self._counters = stats._counters
         for node in machine.nodes:
             tempest = node.tempest
             # Redelivery protection (see repro.network.faults): each
@@ -240,7 +247,7 @@ class StacheProtocol:
         entry = directory.get(block)
         if entry is None:
             entry = directory[block] = SoftwareDirectoryEntry(tempest.num_nodes)
-            monitor = self._machine().conformance
+            monitor = self.machine.conformance
             if monitor is not None:
                 monitor.watch_entry(tempest.node_id, block, entry)
         return entry
@@ -263,13 +270,13 @@ class StacheProtocol:
             # duplicate request, just note that the thread now waits on it
             # (the Busy tag exists exactly to mark this case, Section 5.4).
             self._pending_fault[tempest.node_id] = block
-            tempest.stats.incr("stache.prefetch_hits_in_flight")
+            self._counters["stache.prefetch_hits_in_flight"] += 1
             return
         tempest.set_busy(block)
         self._pending_fault[tempest.node_id] = block
-        tempest.stats.incr(
+        self._counters[
             "stache.rw_requests" if want_write else "stache.ro_requests"
-        )
+        ] += 1
         seq = self._next_fetch_seq(tempest.node_id, block)
         tempest.send(
             entry.home,
@@ -311,12 +318,11 @@ class StacheProtocol:
     def _handle_request(self, tempest: Tempest, block: int, requester: int,
                         want_write: bool, fetch_seq: int | None = None) -> None:
         """The directory state machine, run atomically at the home."""
-        page_addr = self._machine().layout.page_of(block)
-        forward = self._migrated_pages.get(page_addr)
+        forward = self._migrated_pages.get(block & self._page_mask)
         if forward is not None and forward != tempest.node_id:
             # This page's home moved; bounce the request to the new home
             # (the reply will refresh the requester's cached home id).
-            tempest.stats.incr("stache.requests_forwarded")
+            self._counters["stache.requests_forwarded"] += 1
             tempest.send(
                 forward,
                 self.GET_RW if want_write else self.GET_RO,
@@ -340,7 +346,6 @@ class StacheProtocol:
     def _start_request(self, tempest: Tempest, block: int,
                        entry: SoftwareDirectoryEntry, requester: int,
                        want_write: bool) -> None:
-        costs = self._machine().costs
         if not want_write:
             if entry.state is DirectoryState.EXCLUSIVE:
                 # Demote the owner to ReadOnly and wait for its data.
@@ -375,8 +380,8 @@ class StacheProtocol:
             if requester != tempest.node_id:
                 tempest.invalidate(block)  # home copy goes too
             for sharer in sorted(targets):
-                tempest.charge(costs.per_message)
-                tempest.stats.incr("stache.invalidations_sent")
+                tempest.charge(self._per_message)
+                self._counters["stache.invalidations_sent"] += 1
                 tempest.send(
                     sharer,
                     self.INVAL,
@@ -396,7 +401,7 @@ class StacheProtocol:
 
     def _send_writeback_request(self, tempest: Tempest, block: int,
                                 owner: int, demote: str) -> None:
-        tempest.stats.incr("stache.writeback_requests")
+        self._counters["stache.writeback_requests"] += 1
         tempest.send(
             owner,
             self.WRITEBACK,
@@ -428,7 +433,6 @@ class StacheProtocol:
     def _grant(self, tempest: Tempest, block: int,
                entry: SoftwareDirectoryEntry, requester: int, rw: bool) -> None:
         """Deliver the block (or the local tag upgrade) to the requester."""
-        costs = self._machine().costs
         if requester == tempest.node_id:
             # Home's own fault: upgrade the home tag and restart the CPU.
             if rw:
@@ -437,8 +441,8 @@ class StacheProtocol:
                 tempest.set_ro(block)
             tempest.resume()
         else:
-            tempest.charge(costs.block_copy)
-            tempest.stats.incr("stache.data_replies")
+            tempest.charge(self._block_copy)
+            self._counters["stache.data_replies"] += 1
             tempest.send(
                 requester,
                 self.DATA,
@@ -460,7 +464,7 @@ class StacheProtocol:
             return
         requester, want_write = entry.pending.popleft()
         # A second directory pass costs another occupancy slice.
-        tempest.charge(self._machine().costs.home_response)
+        tempest.charge(self._home_response)
         self._start_request(tempest, block, entry, requester, want_write)
 
     # ------------------------------------------------------------------
@@ -480,7 +484,7 @@ class StacheProtocol:
             and tempest.read_tag(block) in (Tag.READ_ONLY, Tag.READ_WRITE)
         ):
             tempest.invalidate(block)
-            tempest.stats.incr("stache.blocks_invalidated")
+            self._counters["stache.blocks_invalidated"] += 1
         elif (
             page is not None
             and page.mode == PAGE_MODE_STACHE
@@ -498,7 +502,7 @@ class StacheProtocol:
             grant_seq = message.payload.get("grant_seq")
             if grant_seq is not None and grant_seq == self._fetch_seq.get(key):
                 self._poisoned_seq[key] = grant_seq
-                tempest.stats.incr("stache.grants_poisoned")
+                self._counters["stache.grants_poisoned"] += 1
         tempest.send(
             message.payload["home"],
             self.ACK,
@@ -521,8 +525,7 @@ class StacheProtocol:
         data = None
         wrote = False
         if holds:
-            costs = self._machine().costs
-            tempest.charge(costs.block_copy)
+            tempest.charge(self._block_copy)
             data = tempest.export_block(block)
             wrote = tempest.was_written(block)
             if demote == "ro":
@@ -546,7 +549,7 @@ class StacheProtocol:
             grant_seq = message.payload.get("grant_seq")
             if grant_seq is not None and grant_seq == self._fetch_seq.get(key):
                 self._poisoned_seq[key] = grant_seq
-                tempest.stats.incr("stache.grants_poisoned")
+                self._counters["stache.grants_poisoned"] += 1
         # If we no longer hold the block, our replacement writeback is
         # already ahead of this reply on the same FIFO response channel.
         tempest.send(
@@ -573,9 +576,8 @@ class StacheProtocol:
             raise SimulationError(
                 f"unexpected writeback data for {block:#x} in {entry.state}"
             )
-        costs = self._machine().costs
         if message.payload["data"] is not None:
-            tempest.charge(costs.block_copy)
+            tempest.charge(self._block_copy)
             tempest.import_block(block, message.payload["data"])
         requester, want_write = entry.pending.popleft()
         old_owner = message.payload["owner"]
@@ -630,10 +632,9 @@ class StacheProtocol:
         """A replaced stache page sent a modified block home."""
         block = message.payload["addr"]
         entry = self._dir_entry(tempest, block)
-        costs = self._machine().costs
-        tempest.charge(costs.block_copy)
+        tempest.charge(self._block_copy)
         tempest.import_block(block, message.payload["data"])
-        tempest.stats.incr("stache.replacement_writebacks")
+        self._counters["stache.replacement_writebacks"] += 1
         entry.owner = None
         if entry.state is DirectoryState.EXCLUSIVE:
             entry.state = DirectoryState.HOME
@@ -656,7 +657,7 @@ class StacheProtocol:
                 # A grant from a superseded fetch (we already poisoned
                 # and reissued under a newer sequence): the current
                 # fetch's own grant is still coming, so just drop this.
-                tempest.stats.incr("stache.stale_grants_dropped")
+                self._counters["stache.stale_grants_dropped"] += 1
                 return
             if self._poisoned_seq.get(key) == seq:
                 # This grant was overtaken by an invalidation or recall
@@ -666,7 +667,7 @@ class StacheProtocol:
                 # fetch under a fresh sequence; the tag is still Busy
                 # and the faulting thread (if any) stays suspended.
                 del self._poisoned_seq[key]
-                tempest.stats.incr("stache.poisoned_grants_refetched")
+                self._counters["stache.poisoned_grants_refetched"] += 1
                 page = tempest.page_entry(block)
                 home = message.payload.get("home")
                 if home is None:
@@ -683,8 +684,7 @@ class StacheProtocol:
                     fetch_seq=self._next_fetch_seq(tempest.node_id, block),
                 )
                 return
-        costs = self._machine().costs
-        tempest.charge(costs.block_copy)
+        tempest.charge(self._block_copy)
         tempest.import_block(block, message.payload["data"])
         if message.payload["rw"]:
             tempest.set_rw(block)
@@ -695,13 +695,13 @@ class StacheProtocol:
             # Refresh the cached home id: the reply may come from a new
             # home after a page migration.
             page.home = message.payload.get("home", page.home)
-        tempest.stats.incr("stache.blocks_fetched")
+        self._counters["stache.blocks_fetched"] += 1
         if self._pending_fault.get(tempest.node_id) == block:
             # A demand fetch (or a prefetch the thread caught up with).
             self._pending_fault[tempest.node_id] = None
             tempest.resume()
         else:
-            tempest.stats.incr("stache.prefetches_completed")
+            self._counters["stache.prefetches_completed"] += 1
 
     # ------------------------------------------------------------------
     # Page fault handler (runs on the primary CPU)
@@ -722,7 +722,7 @@ class StacheProtocol:
             home=home,
             initial_tag=Tag.INVALID,
         )
-        tempest.stats.incr("stache.pages_allocated")
+        self._counters["stache.pages_allocated"] += 1
         return extra_cycles
 
     # ------------------------------------------------------------------
@@ -760,7 +760,7 @@ class StacheProtocol:
         if tempest.read_tag(block) is not Tag.INVALID:
             return  # already present or already being fetched
         tempest.set_busy(block)
-        tempest.stats.incr("stache.prefetches_issued")
+        self._counters["stache.prefetches_issued"] += 1
         tempest.send(
             page.home,
             self.GET_RO,
@@ -794,7 +794,7 @@ class StacheProtocol:
         data = tempest.export_block(block) if tag is Tag.READ_WRITE else None
         tempest.invalidate(block)
         yield 3  # the launch
-        tempest.stats.incr("stache.checkins")
+        self._counters["stache.checkins"] += 1
         # The response network keeps this FIFO with any writeback reply we
         # might owe the home (same discipline as replacement writebacks).
         tempest.send(
@@ -813,9 +813,8 @@ class StacheProtocol:
         sharer = message.payload["sharer"]
         data = message.payload["data"]
         entry = self._dir_entry(tempest, block)
-        costs = self._machine().costs
         if data is not None:
-            tempest.charge(costs.block_copy)
+            tempest.charge(self._block_copy)
             tempest.import_block(block, data)
             entry.owner = None
             if entry.state is DirectoryState.EXCLUSIVE:
@@ -881,7 +880,7 @@ class StacheProtocol:
         tempest.image.clear_page(page_addr)
         self._migrated_pages[page_addr] = new_home
         machine.heap.rehome(page_addr, new_home)
-        tempest.stats.incr("stache.pages_migrated")
+        self._counters["stache.pages_migrated"] += 1
 
     def _h_migrate_begin(self, tempest: Tempest, message: Message) -> None:
         """New home: materialize the page, then tell the origin to ship."""
@@ -945,5 +944,5 @@ class StacheProtocol:
         # The recycled frame serves a (possibly) different home now.
         entry = tempest.page_entry(new_page_addr)
         entry.home = machine.heap.home_of(new_page_addr)
-        tempest.stats.incr("stache.pages_replaced")
+        self._counters["stache.pages_replaced"] += 1
         return extra

@@ -28,9 +28,10 @@ Structural fast paths keep the common cases cheap (see
 * **Anonymous events.**  Most schedules never use the returned handle:
   the caller discards it and nothing ever cancels the event.
   :meth:`Engine.call_soon` (zero delay), :meth:`Engine.schedule_anon` /
-  :meth:`Engine.schedule_at_anon` (timed) and the owned forms queue a
+  :meth:`Engine.schedule_at_anon` (timed) and :meth:`Engine.post` queue a
   bare ``(fn, args, time)`` tuple instead of allocating an :class:`_Event`,
-  skipping the hottest allocation in the simulator.  A cancelled
+  skipping the hottest allocation in the simulator.  Every schedule
+  ends in one call, :meth:`Engine.post`, the push itself.  A cancelled
   :class:`_Event` stays in its bucket as a husk and is skipped there.
 
 * **Inline clock advance.**  :meth:`Engine.horizon` is the one window
@@ -49,14 +50,14 @@ Structural fast paths keep the common cases cheap (see
   queue head plus ``lookahead``, the earliest queued event that is the
   node's own or nobody's, and ``run(until=...)``, and never less than
   the engine's own window.  Every timed event records its time as a
-  *fence*: in its node's fence list when it has an owner
-  (:meth:`schedule_owned`: a delivery belongs to its destination), in
-  the shared list otherwise; a zero-delay event with no owner only marks
-  its cycle, which closes every window until the clock moves on.  Events
-  whose owner tracks them itself record none (:meth:`post`): a worker
-  CPU's own resume — the only thread it can affect is waiting for it —
-  and a handler processor's next item, whose time the processor keeps in
-  ``due`` for its node's hit path.  Fence lists are heaps of times
+  *fence*: in its node's fence list when it has an owner (:meth:`post`
+  with ``owner``: a delivery belongs to its destination), in the shared
+  list otherwise; a zero-delay event with no owner only marks its cycle,
+  which closes every window until the clock moves on.  Events whose
+  owner tracks them itself record none (:meth:`post` without ``owner``):
+  a worker CPU's own resume — the only thread it can affect is waiting
+  for it — and a handler processor's next item, whose time the processor
+  keeps in ``due`` for its node's hit path.  Fence lists are heaps of times
   pruned lazily once the clock passes them (an entry at the current
   cycle may already have fired; keeping it is only conservative).  The
   bookkeeping starts at the first lookahead query, with everything then
@@ -115,9 +116,9 @@ class Engine:
     def __init__(self) -> None:
         #: Pending events by cycle: one entry, or a deque of entries in
         #: ``seq`` order.  Entries are ``(fn, args, time)`` tuples and
-        #: :class:`_Event` objects (each
-        #: keeps its own time: an int and a float cycle share a bucket,
-        #: and the clock takes the firing event's value).
+        #: :class:`_Event` objects (each keeps its own time: an int and
+        #: a float cycle share a bucket, and the clock takes the firing
+        #: event's value).
         self._buckets: dict[float, deque] = {}
         #: Heap of the cycles that have a bucket.
         self._times: list[float] = []
@@ -159,14 +160,35 @@ class Engine:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _push(self, time: float, entry: Any) -> None:
-        """Add ``entry`` to ``time``'s bucket (its ``seq`` is drawn).
+    def post(self, time: float, fn: Callable[..., Any], *args: Any,
+             owner: int | None = None) -> None:
+        """Queue ``fn(*args)`` at ``time`` >= now: the one push every
+        schedule ends in.
+
+        Without ``owner`` the event records no fence: for events whose
+        owner bounds its own node's lookahead itself — a waiting CPU
+        thread's resume (the thread cannot be ahead while it waits) and a
+        handler processor's next item (the node's hit path reads the
+        processor's ``due``).  With ``owner`` the event belongs to that
+        node (a message delivery): only its state may change when the
+        event fires, so it bounds ``owner``'s lookahead and no other
+        node's (see the module doc).
 
         A bucket is the lone entry itself until a second one joins it;
         then it becomes a deque.  Most cycles of a spread-out run hold
         one event, and they pay no deque.
         """
+        if owner is not None:
+            if time < self.now:
+                raise SimulationError(
+                    f"cannot schedule at cycle {time}; clock is already at "
+                    f"{self.now}"
+                )
+            fences = self._fences
+            if fences is not None:
+                self._fence(fences[owner], time)
         self._seq += 1
+        entry = (fn, args, time)
         buckets = self._buckets
         held = buckets.get(time)
         if held is None:
@@ -188,7 +210,15 @@ class Engine:
         event.cancelled = False
         event.fired = False
         event.engine = self
-        self._push(time, event)
+        # Queue a placeholder, then put the handle in its place: the last
+        # entry of the time's bucket (the lone entry, or the deque's tail).
+        self.post(time, None)
+        buckets = self._buckets
+        held = buckets[time]
+        if type(held) is deque:
+            held[-1] = event
+        else:
+            buckets[time] = event
         fences = self._fence_all
         if fences is not None:
             self._fence(fences, time)
@@ -221,7 +251,7 @@ class Engine:
         kick-off) that drop the handle on the floor anyway.
         """
         now = self.now
-        self._push(now, (fn, args, now))
+        self.post(now, fn, *args)
         if self._fence_all is not None:
             self._soon = now
 
@@ -236,7 +266,7 @@ class Engine:
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         time = self.now + delay
-        self._push(time, (fn, args, time))
+        self.post(time, fn, *args)
         fences = self._fence_all
         if fences is not None:
             self._fence(fences, time)
@@ -249,38 +279,10 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule at cycle {time}; clock is already at {now}"
             )
-        self._push(time, (fn, args, time))
+        self.post(time, fn, *args)
         fences = self._fence_all
         if fences is not None:
             self._fence(fences, time)
-
-    def schedule_owned(self, owner: int, time: float,
-                       fn: Callable[..., Any], *args: Any) -> None:
-        """``schedule_at_anon`` for an event that belongs to node ``owner``
-        (a message delivery).
-
-        Only ``owner``'s state may change when it fires: it bounds
-        ``owner``'s lookahead and no other node's (see the module doc).
-        """
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at cycle {time}; clock is already at "
-                f"{self.now}"
-            )
-        self._push(time, (fn, args, time))
-        fences = self._fences
-        if fences is not None:
-            self._fence(fences[owner], time)
-
-    def post(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule ``fn(*args)`` at ``time`` >= now, recording no fence.
-
-        For events whose owner bounds its own node's lookahead itself: a
-        waiting CPU thread's resume (the thread cannot be ahead while it
-        waits) and a handler processor's next item (the node's hit path
-        reads the processor's ``due``).
-        """
-        self._push(time, (fn, args, time))
 
     def _fence(self, fences: list, time: float) -> None:
         """Record ``time`` in a fence heap; passed entries are dropped
@@ -399,8 +401,7 @@ class Engine:
             target = now + delays.popleft()
             if target >= horizon:
                 self.now = now
-                self._push(target, (self.replay, (delays, done, fenced),
-                                    target))
+                self.post(target, self.replay, delays, done, fenced)
                 if fenced and self._fence_all is not None:
                     self._fence(self._fence_all, target)
                 return

@@ -13,7 +13,7 @@ Each dispatched handler is charged its registered instruction count (one
 cycle per instruction, Section 6) plus its dispatch overhead; its
 externally visible effects (sends, tag updates, ``resume``) take place
 when that charge has elapsed.  Handlers may extend their own charge for
-data-dependent work via :meth:`~repro.tempest.interface.Tempest.charge`.
+data-dependent work via ``Tempest.charge`` (bound to :meth:`charge`).
 
 :class:`HandlerDispatcher` is that loop.  Typhoon's NP
 (:class:`~repro.typhoon.np.NetworkProcessor`) and the decoupled design
@@ -123,6 +123,9 @@ class HandlerDispatcher:
         self._block_faults_key = f"{self._prefix}.block_faults"
         self._handlers_run_key = (f"{self._prefix}.handlers_run"
                                   if count_handlers else None)
+        self._nacks_key = f"{self._prefix}.nacks_sent"
+        self._baf_overflows_key = f"{self._prefix}.baf_overflows"
+        self._stalls_key = f"{self._prefix}.stalls"
         self._counters = node.stats._counters
         self._rows = DispatchRows(node.registry,
                                   costs.cycles_per_instruction,
@@ -181,8 +184,9 @@ class HandlerDispatcher:
         not constitute receipt.
         """
         message.nacked = True
-        self.stats.incr(f"{self._prefix}.nacks_sent")
-        self.stats.incr("tempest.nacks_sent")
+        counters = self._counters
+        counters[self._nacks_key] += 1
+        counters["tempest.nacks_sent"] += 1
         self._machine.interconnect.send(Message(
             src=self._node_id, dst=message.src, handler=NACK_HANDLER,
             vnet=RESPONSE, size_words=2,
@@ -208,7 +212,8 @@ class HandlerDispatcher:
                 self._response_queue.append(message)
             else:
                 self._request_queue.append(message)
-            self._pump()
+            if not self._busy:  # a busy processor drains it in _execute
+                self._pump()
             return
         # Idle with no stall windows: every queue is empty, so this
         # message is the next work item.
@@ -231,13 +236,14 @@ class HandlerDispatcher:
         """
         if (self._baf_limit is not None
                 and len(self._baf_buffer) >= self._baf_limit):
-            self.stats.incr(f"{self._prefix}.baf_overflows")
+            self._counters[self._baf_overflows_key] += 1
             self.engine.schedule_anon(
                 self.costs.overflow_drain_cycles, self._present_fault, fault
             )
             return
         self._baf_buffer.append(fault)
-        self._pump()
+        if not self._busy:  # a busy processor drains it in _execute
+            self._pump()
 
     def set_fault_handler(self, mode: int, is_write: bool, handler: str) -> None:
         """Bind a block-access-fault handler for a page mode + access type."""
@@ -267,7 +273,7 @@ class HandlerDispatcher:
             wake = plan.stall_until(self._node_id, self.engine.now)
             if wake is not None:
                 self._stall_wake = True
-                self.stats.incr(f"{self._prefix}.stalls")
+                self._counters[self._stalls_key] += 1
                 self.engine.schedule_at_anon(wake, self._end_stall)
                 return
         if self._response_queue:

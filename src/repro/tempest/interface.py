@@ -60,7 +60,27 @@ class TempestBackend(Protocol):
 
 
 class Tempest:
-    """User-level interface to one node's communication and memory system."""
+    """User-level interface to one node's communication and memory system.
+
+    The pass-through Table 1 operations are bound once, at construction,
+    to the node's own containers, so a handler reaches node state in one
+    call (these backend objects are fixed for the machine's lifetime):
+
+    * ``page_entry(vaddr)`` — the node's :meth:`PageTable.lookup
+      <repro.memory.page_table.PageTable.lookup>` (None if unmapped);
+    * ``read_tag(addr)`` and ``set_rw(addr)`` — the node's
+      :class:`~repro.memory.tags.TagStore`;
+    * ``force_read(addr)`` / ``force_write(addr, value)`` — a load or
+      store without tag check (NP accesses bypass the RTLB check), and
+      ``export_block(block_addr)`` / ``import_block(block_addr,
+      payload)`` — a whole block force-read into a snapshot or
+      force-written from one (data-carrying messages): the node's
+      :class:`~repro.memory.data.MemoryImage`;
+    * ``charge(cycles)`` — extend the running handler's occupancy by
+      ``cycles`` for data-dependent work (e.g. one pointer update per
+      sharer) beyond the registered fixed path length: the handler
+      processor's ``charge``.
+    """
 
     def __init__(self, backend: TempestBackend):
         from repro.tempest.bulk import BulkTransferEngine
@@ -75,9 +95,20 @@ class Tempest:
         self.engine: Engine = backend.engine
         self.stats: Stats = backend.stats
         self.image: MemoryImage = backend.image
-        self._tags = backend.tags
+        tags: TagStore = backend.tags
+        image = self.image
+        # The pass-through Table 1 operations (see the class doc).
+        self.page_entry = backend.page_table.lookup
+        self.read_tag = tags.read_tag
+        self.set_rw = tags.set_rw
+        self.force_read = image.read
+        self.force_write = image.write
+        self.export_block = image.export_block
+        self.import_block = image.import_block
+        self.charge = backend.np_charge
+        self._set_tag = tags.set_tag
+        self._block_mask = ~(self.layout.block_size - 1)
         self._send_message = backend.send_message
-        self._np_charge = backend.np_charge
         # Eager: every node must have the bulk receive handlers installed
         # before any peer can target it with a transfer.
         self._bulk_engine = BulkTransferEngine(backend)
@@ -147,9 +178,6 @@ class Tempest:
         self._backend.shoot_down_page(old_vaddr)
         return entry
 
-    def page_entry(self, vaddr: int) -> PageEntry | None:
-        return self._backend.page_table.lookup(vaddr)
-
     def oldest_page_with_mode(self, mode: int) -> PageEntry | None:
         return self._backend.page_table.oldest_page_with_mode(mode)
 
@@ -163,40 +191,18 @@ class Tempest:
     # ------------------------------------------------------------------
     # Mechanism 4: fine-grain access control (Section 2.4 / Table 1)
     # ------------------------------------------------------------------
-    def read_tag(self, addr: int) -> Tag:
-        return self._tags.read_tag(addr)
-
-    def set_rw(self, addr: int) -> None:
-        self._tags.set_rw(addr)
-
     def set_ro(self, addr: int) -> None:
         """Downgrade to ReadOnly; the CPU's cached copy loses ownership."""
-        self._tags.set_ro(addr)
-        self._backend.downgrade_cpu_copy(self.layout.block_of(addr))
+        self._set_tag(addr, Tag.READ_ONLY)
+        self._backend.downgrade_cpu_copy(addr & self._block_mask)
 
     def set_busy(self, addr: int) -> None:
-        self._tags.set_tag(addr, Tag.BUSY)
+        self._set_tag(addr, Tag.BUSY)
 
     def invalidate(self, addr: int) -> None:
         """Table 1 ``invalidate``: set Invalid *and* invalidate local copies."""
-        self._tags.invalidate(addr)
-        self._backend.invalidate_cpu_copy(self.layout.block_of(addr))
-
-    def force_read(self, addr: int) -> Any:
-        """Load without tag check (NP accesses bypass the RTLB check)."""
-        return self.image.read(addr)
-
-    def force_write(self, addr: int, value: Any) -> None:
-        """Store without tag check."""
-        self.image.write(addr, value)
-
-    def export_block(self, block_addr: int) -> dict[int, Any]:
-        """Force-read a whole block (for building data-carrying messages)."""
-        return self.image.export_block(block_addr)
-
-    def import_block(self, block_addr: int, payload: dict[int, Any]) -> None:
-        """Force-write a whole block (message handlers filling stache pages)."""
-        self.image.import_block(block_addr, payload)
+        self._set_tag(addr, Tag.INVALID)
+        self._backend.invalidate_cpu_copy(addr & self._block_mask)
 
     def was_written(self, addr: int) -> bool:
         """Has this node stored to the block since it last gained it?
@@ -204,8 +210,7 @@ class Tempest:
         The M-vs-E distinction of an ownership bus, exposed to protocol
         handlers (migratory-detection probes use it).
         """
-        block = self._backend.layout.block_of(addr)
-        return block in self._backend.written_blocks
+        return addr & self._block_mask in self._backend.written_blocks
 
     def resume(self, value: Any = None) -> None:
         """Table 1 ``resume``: restart this node's suspended thread."""
@@ -217,17 +222,6 @@ class Tempest:
         retry.  A handler defers work with it that must not pre-empt
         the access it just enabled."""
         self._backend.after_access.append(callback)
-
-    # ------------------------------------------------------------------
-    # Handler-side cost accounting
-    # ------------------------------------------------------------------
-    def charge(self, cycles: int) -> None:
-        """Extend the running handler's NP occupancy by ``cycles``.
-
-        For data-dependent handler work (e.g. one pointer update per
-        sharer) beyond the registered fixed path length.
-        """
-        self._np_charge(cycles)
 
     def __repr__(self) -> str:
         return f"Tempest(node={self.node_id}/{self.num_nodes})"

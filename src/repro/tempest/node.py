@@ -53,6 +53,9 @@ from repro.tempest.threads import ComputationThread
 PageFaultHandler = Callable[[Tempest, int, bool], int | None]
 
 
+_SHARED_LINE = LineState.SHARED
+
+
 def _nonzero(*delays: int) -> tuple:
     return tuple(delay for delay in delays if delay)
 
@@ -100,6 +103,7 @@ class TempestNode:
         self._block_faults_key = f"{self._prefix}.cpu.block_faults"
         self._local_misses_key = f"{self._prefix}.cpu.local_misses"
         self._fills_killed_key = f"{self._prefix}.cpu.fills_killed"
+        self._page_faults_key = f"{self._prefix}.cpu.page_faults"
         # Address arithmetic and container handles for the per-reference
         # path.  The TLB / page-table dicts are stable objects (cleared in
         # place, never reassigned), so caching them here is safe.
@@ -107,11 +111,15 @@ class TempestNode:
         self._page_shift = layout.page_size.bit_length() - 1
         self._page_mask = ~(layout.page_size - 1)
         self._block_mask = ~(layout.block_size - 1)
+        self._block_low = layout.block_size - 1
         self._hit_cycles = hit = self.config.cache_hit_cycles
         self._pt_entries = self.page_table._entries
+        self._tlb_entries = self.cpu_tlb._entries
+        self._cache_sets = self.cache._sets
+        self._set_mask = self.cache._set_mask
+        self._line_shift = self.cache._block_shift
+        self._words_of = self.image._blocks
         self._counters = machine.stats._counters
-        self._image_read = self.image.read
-        self._image_write = self.image.write
         # The backend's access-path data: inserted check costs, and
         # whether a shared reference polls first.
         self._check_read_cycles = check_read_cycles
@@ -185,11 +193,21 @@ class TempestNode:
         shared = addr >= SHARED_BASE
         if shared and self._polls:
             yield from self._poll()
-        if not self.cpu_tlb.access(addr >> self._page_shift):
+        # The TLB, cache and image are probed through their containers,
+        # as the lanes probe them (repro.memory.lane), with the same
+        # hit/miss/upgrade counts their methods keep.
+        cpu_tlb = self.cpu_tlb
+        if addr >> self._page_shift in self._tlb_entries:
+            cpu_tlb.hits += 1
+        else:
+            cpu_tlb.access(addr >> self._page_shift)  # counts, installs
             counters[self._tlb_misses_key] += 1
             yield self.config.tlb.miss_cycles
 
         block = addr & self._block_mask
+        cache = self.cache
+        cache_set = self._cache_sets[block >> self._line_shift
+                                     & self._set_mask]
         while True:
             if shared and (addr & self._page_mask) not in self._pt_entries:
                 yield from self._handle_page_fault(addr, is_write)
@@ -201,13 +219,15 @@ class TempestNode:
                          else self._check_read_cycles)
                 if check:
                     yield check
-            if self.cache.access(block, is_write):
-                # MBus order: the access is performed when the cache
-                # grants it, so a store that hits before a handler's
-                # downgrade in the same cycle is in the exported data.
-                value = self._perform(addr, is_write, value)
-                yield self._hit_cycles
-                return self._complete(addr, is_write, value, start)
+            line = cache_set.get(block)
+            hit = line is not None and not (is_write
+                                            and line.state is _SHARED_LINE)
+            if hit:
+                cache.hits += 1
+                break
+            cache.misses += 1
+            if line is not None:
+                cache.upgrades += 1  # a store to a SHARED line
             # Miss: a bus transaction, checked against the block's tag
             # for shared pages.
             if shared:
@@ -230,12 +250,28 @@ class TempestNode:
                 state = LineState.SHARED  # the "shared" line is asserted
             else:
                 state = LineState.EXCLUSIVE
-            self.cache.insert(block, state)
+            cache.insert(block, state)
             # Victim writeback to local DRAM costs 0 (perfect write buffer,
             # Table 2); the image already holds every store, so no data
             # movement is needed either.
-            value = self._perform(addr, is_write, value)
-            return self._complete(addr, is_write, value, start)
+            break
+        # Perform the access on the image's word dict of the block (as
+        # MemoryImage does).  MBus order: a hit is performed when the
+        # cache grants it, before its hit cycles, so a store that hits
+        # before a handler's downgrade in the same cycle is in the
+        # exported data.
+        words = self._words_of.get(block)
+        if is_write:
+            if words is None:
+                words = self._words_of[block] = {}
+            words[addr & self._block_low] = value
+            if shared:
+                self.written_blocks.add(block)
+        else:
+            value = 0 if words is None else words.get(addr & self._block_low, 0)
+        if hit:
+            yield self._hit_cycles
+        return self._complete(addr, is_write, value, start)
 
     def _handle_block_fault(self, fault: AccessFault) -> Generator:
         """Hand a block access fault to the handler engine and wait.
@@ -248,15 +284,6 @@ class TempestNode:
         suspension = self.thread.suspend()
         self.np.enqueue_fault(fault)
         yield suspension
-
-    def _perform(self, addr: int, is_write: bool, value: Any) -> Any:
-        """Store to or load from the memory image; returns the value."""
-        if is_write:
-            self._image_write(addr, value)
-            if addr >= SHARED_BASE:
-                self.written_blocks.add(addr & self._block_mask)
-            return value
-        return self._image_read(addr)
 
     def _complete(self, addr: int, is_write: bool, value: Any,
                   start: float) -> Any:
@@ -273,7 +300,7 @@ class TempestNode:
         return None if is_write else value
 
     def _handle_page_fault(self, addr: int, is_write: bool) -> Generator:
-        self.stats.incr(f"{self._prefix}.cpu.page_faults")
+        self._counters[self._page_faults_key] += 1
         if self.page_fault_handler is None:
             raise SimulationError(
                 f"page fault at {addr:#x} on node {self.node_id} "

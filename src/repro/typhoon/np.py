@@ -48,6 +48,8 @@ class NetworkProcessor(HandlerDispatcher):
         # Section 5.1 send-side plumbing: finite per-vnet send queues with
         # a transparent overflow buffer so handlers never block on space.
         self._messages_sent_key = f"{self._prefix}.messages_sent"
+        self._overflowed_key = f"{self._prefix}.sends_overflowed"
+        self._overflow_peak_key = f"{self._prefix}.overflow_peak"
         self._in_flight: dict[int, int] = {0: 0, 1: 0}
         self._overflow: deque[Message] = deque()
         self._send_depth = costs.send_queue_depth
@@ -79,10 +81,8 @@ class NetworkProcessor(HandlerDispatcher):
         vnet = message.vnet
         if self._in_flight[vnet] >= self._send_depth:
             self._overflow.append(message)
-            self.stats.incr(f"{self._prefix}.sends_overflowed")
-            self.stats.set_max(
-                f"{self._prefix}.overflow_peak", len(self._overflow)
-            )
+            self._counters[self._overflowed_key] += 1
+            self.stats.set_max(self._overflow_peak_key, len(self._overflow))
             return
         self._in_flight[vnet] += 1
         message.on_delivered = self._credit

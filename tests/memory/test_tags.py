@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory.address import SHARED_BASE, AddressLayout
-from repro.memory.tags import Tag, TagStore, TagStoreError
+from repro.memory.tags import (
+    TAG_BUSY,
+    TAG_INVALID,
+    TAG_READ_ONLY,
+    TAG_READ_WRITE,
+    Tag,
+    TagStore,
+    TagStoreError,
+)
 
 PAGE = SHARED_BASE  # a page-aligned shared address
 
@@ -87,6 +95,47 @@ class TestTagOperations:
         assert store.read_tag(PAGE) is Tag.BUSY
         fault = store.check(PAGE, is_write=False)
         assert fault.tag is Tag.BUSY
+
+    @pytest.mark.parametrize("tag", list(Tag))
+    def test_every_tag_round_trips_with_its_dense_code(self, store, tag):
+        """A store writes ``tag.code`` (no enum hashing): the code is the
+        tag's dense encoding, and reading it back gives the same member."""
+        assert tag.code == (TAG_READ_WRITE, TAG_READ_ONLY, TAG_INVALID,
+                            TAG_BUSY)[list(Tag).index(tag)]
+        store.set_tag(PAGE + 64, tag)
+        assert store.read_tag(PAGE + 64) is tag
+        assert store._pages[PAGE][2] == tag.code
+        # The neighbours keep the page's initial tag.
+        assert store.read_tag(PAGE + 32) is Tag.INVALID
+        assert store.read_tag(PAGE + 96) is Tag.INVALID
+        assert ((store.check(PAGE + 64, is_write=False) is None)
+                == tag.permits(is_write=False))
+
+    @pytest.mark.parametrize("tag", list(Tag))
+    def test_every_tag_registers_a_page_with_its_code(self, tag):
+        store = TagStore(AddressLayout(), node=0)
+        store.register_page(PAGE, tag)
+        assert store.page_tags(PAGE) == [tag] * 128
+
+    def test_observer_fires_on_every_set(self, store):
+        seen = []
+        store.observer = lambda *args: seen.append(args)
+        store.set_rw(PAGE)
+        store.set_ro(PAGE + 32)
+        store.set_tag(PAGE + 32, Tag.BUSY)
+        store.invalidate(PAGE)
+        assert seen == [
+            (3, PAGE, Tag.INVALID, Tag.READ_WRITE),
+            (3, PAGE + 32, Tag.INVALID, Tag.READ_ONLY),
+            (3, PAGE + 32, Tag.READ_ONLY, Tag.BUSY),
+            (3, PAGE, Tag.READ_WRITE, Tag.INVALID),
+        ]
+        # The observer runs before the store: one that raises leaves
+        # the tag unchanged.
+        store.observer = lambda *args: (_ for _ in ()).throw(ValueError())
+        with pytest.raises(ValueError):
+            store.set_rw(PAGE)
+        assert store.read_tag(PAGE) is Tag.INVALID
 
 
 class TestPageRegistration:

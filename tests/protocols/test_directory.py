@@ -124,3 +124,97 @@ def test_property_software_entry_tracks_exact_set(nodes, ops):
             reference.discard(node)
     assert entry.sharers() == reference
     assert entry.sharer_count == len(reference)
+
+
+# ----------------------------------------------------------------------
+# Watched entries: the conformance monitor switches an entry to its
+# class's observing subclass; unwatched entries keep a plain slot.
+# ----------------------------------------------------------------------
+ENCODINGS = {"hardware": HardwareDirectoryEntry,
+             "software": SoftwareDirectoryEntry}
+
+
+def _machine_and_entry(encoding):
+    """A 2-node machine of ``encoding``'s protocol, a shared block, and
+    ``entry(block)``, which materializes the block's home entry as the
+    protocol does."""
+    from tests.protocols.conftest import (
+        make_dirnnb_machine,
+        make_stache_machine,
+    )
+
+    if encoding == "hardware":
+        machine, region = make_dirnnb_machine(nodes=2)
+        home = machine.home_of(region.base)
+        return machine, region.base, machine.nodes[home].directory.entry
+    machine, protocol, region = make_stache_machine(nodes=2)
+    tempest = machine.nodes[machine.heap.home_of(region.base)].tempest
+    return (machine, region.base,
+            lambda block: protocol._dir_entry(tempest, block))
+
+
+def _seen_states(monitor, block):
+    return [event.what for event in monitor.recorder.events(block)
+            if event.kind == "state"]
+
+
+#: Assigned in order; legality does not matter to a non-strict monitor.
+WALK = (DirectoryState.SHARED, DirectoryState.PENDING_INVALIDATE,
+        DirectoryState.HOME, DirectoryState.EXCLUSIVE)
+WALK_SEEN = ["home -> shared", "shared -> pending-invalidate",
+             "pending-invalidate -> home", "home -> exclusive"]
+
+
+@pytest.mark.parametrize("encoding", sorted(ENCODINGS))
+class TestWatchedEntries:
+    def test_unwatched_entry_is_the_plain_class(self, encoding,
+                                                monkeypatch):
+        monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
+        machine, block, entry_of = _machine_and_entry(encoding)
+        assert machine.conformance is None
+        entry = entry_of(block)
+        assert type(entry) is ENCODINGS[encoding]
+        entry.state = DirectoryState.SHARED
+        assert entry.state is DirectoryState.SHARED
+
+    def test_monitor_attached_before_the_entry_sees_every_assignment(
+            self, encoding, monkeypatch):
+        monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
+        machine, block, entry_of = _machine_and_entry(encoding)
+        monitor = machine.enable_conformance(strict=False)
+        entry = entry_of(block)
+        assert type(entry) is ENCODINGS[encoding].observed
+        assert isinstance(entry, ENCODINGS[encoding])
+        for state in WALK:
+            entry.state = state
+            assert entry.state is state
+        assert _seen_states(monitor, block) == WALK_SEEN
+
+    def test_monitor_attached_later_watches_existing_entries(
+            self, encoding, monkeypatch):
+        monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
+        machine, block, entry_of = _machine_and_entry(encoding)
+        entry = entry_of(block)
+        entry.state = DirectoryState.SHARED  # before the monitor: unseen
+        entry.state = DirectoryState.HOME
+        monitor = machine.enable_conformance(strict=False)
+        assert type(entry) is ENCODINGS[encoding].observed
+        assert entry_of(block) is entry
+        for state in WALK:
+            entry.state = state
+        assert _seen_states(monitor, block) == WALK_SEEN
+
+    def test_strict_monitor_that_raises_leaves_state_unchanged(
+            self, encoding, monkeypatch):
+        from repro.protocols.verify import CoherenceViolation
+
+        monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
+        machine, block, entry_of = _machine_and_entry(encoding)
+        monitor = machine.enable_conformance(strict=True)
+        entry = entry_of(block)
+        legal = monitor.spec.directory_transitions
+        illegal = next(new for new in DirectoryState
+                       if (DirectoryState.HOME, new) not in legal)
+        with pytest.raises(CoherenceViolation):
+            entry.state = illegal
+        assert entry.state is DirectoryState.HOME

@@ -31,6 +31,31 @@ def test_same_cycle_events_fire_fifo():
     assert fired == [0, 1, 2, 3, 4]
 
 
+def test_handles_and_posts_share_a_cycle_in_fifo_order():
+    """A handle takes the place ``post`` queued for it: a lone bucket's
+    entry or a deque's tail, in scheduling order either way."""
+    engine = Engine()
+    fired = []
+    engine.schedule(7, fired.append, "handle-first")
+    engine.post(7, fired.append, "post")
+    engine.schedule_at(7, fired.append, "handle-tail")
+    dropped = engine.schedule(7, fired.append, "cancelled")
+    engine.post(7, fired.append, "owned", owner=0)
+    dropped.cancel()
+    engine.run()
+    assert fired == ["handle-first", "post", "handle-tail", "owned"]
+    assert engine.events_fired == 4 and engine.now == 7
+
+
+def test_owned_post_in_the_past_rejected():
+    engine = Engine()
+    engine.schedule(10, lambda: None)
+    engine.run()
+    with pytest.raises(SimulationError):
+        engine.post(5, lambda: None, owner=1)
+    assert engine.pending == 0
+
+
 def test_zero_delay_event_fires_at_current_time():
     engine = Engine()
     times = []

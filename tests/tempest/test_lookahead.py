@@ -70,10 +70,10 @@ def test_events_queued_before_the_first_query_count_as_nobodys():
 
     def probe():
         seen.append(engine.horizon(0))
-        engine.schedule_owned(1, 3, lambda: None)
+        engine.post(3, lambda: None, owner=1)
         seen.append((engine.edge, engine.horizon(0), engine.horizon(1)))
 
-    engine.schedule_owned(1, 6, lambda: None)
+    engine.post(6, lambda: None, owner=1)
     engine.schedule_at_anon(1, probe)
     engine.run()
     # Node 1's event at 6 bounds node 0 too; the one at 3, queued after
