@@ -30,9 +30,9 @@ class LineState(enum.Enum):
     EXCLUSIVE = "exclusive"
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
-    """One resident block."""
+    """One resident block (slotted: one per resident line of every cache)."""
 
     block_addr: int
     state: LineState

@@ -4,7 +4,9 @@ Two encodings:
 
 * :class:`HardwareDirectoryEntry` — DirNNB's full-map directory: no
   structural limit on sharers (Dir\\ :sub:`N`\\ NB = N pointers, no
-  broadcast).
+  broadcast).  The map is one int, bit ``n`` set while node ``n`` may
+  hold a read-only copy, as in hardware; the DirNNB controller works on
+  the bits directly.
 * :class:`SoftwareDirectoryEntry` — Stache's software directory
   (Section 3): 64 bits per block, laid out as two state bytes plus six
   one-byte node pointers "to minimize bitfield operations".  When more
@@ -14,12 +16,22 @@ Two encodings:
   representation changes faithfully (and reports which one is active) so
   the encoding's capacity behaviour can be tested, while exposing a plain
   sharer-set API to the protocol.
+
+Both expose the same surface to tests, verifiers and the protocol
+explorer: ``state``, ``owner``, ``acks_outstanding``, ``add_sharer``,
+``remove_sharer``, the ``sharers()`` view (a fresh set) and ``pending``,
+a plain list of ``(requester, want_write)`` requests that arrived while
+the entry was transient.  The request in flight sits at the front
+(``insert(0, …)``) and leaves first (``pop(0)``); the list is rarely
+longer than a few requests, and an empty one costs 56 bytes where an
+empty ``deque`` costs 760.  A run materializes one entry per block it
+shares, so these sizes are the simulator's per-block memory
+(docs/performance.md, "Per-block state").
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
 
 
 class DirectoryState(enum.Enum):
@@ -73,22 +85,41 @@ def _observed(cls):
 class HardwareDirectoryEntry:
     """Full-map entry: DirNNB's per-block directory state."""
 
-    __slots__ = ("state", "owner", "sharers", "pending", "acks_outstanding",
-                 "_observer")
+    __slots__ = ("state", "owner", "sharer_bits", "pending",
+                 "acks_outstanding", "_observer")
 
     def __init__(self) -> None:
         self.state = DirectoryState.HOME
         self.owner: int | None = None
-        self.sharers: set[int] = set()
+        #: The full map: bit ``n`` is set while node ``n`` may hold a
+        #: read-only copy.
+        self.sharer_bits = 0
         #: Requests that arrived while the entry was transient.
-        self.pending: deque = deque()
+        self.pending: list[tuple[int, bool]] = []
         self.acks_outstanding = 0
+
+    def add_sharer(self, node: int) -> None:
+        self.sharer_bits |= 1 << node
+
+    def remove_sharer(self, node: int) -> None:
+        self.sharer_bits &= ~(1 << node)
+
+    def sharers(self) -> set[int]:
+        return set(nodes_in(self.sharer_bits))
 
     def __repr__(self) -> str:
         return (
             f"HardwareDirectoryEntry({self.state.value}, owner={self.owner}, "
-            f"sharers={sorted(self.sharers)})"
+            f"sharers={list(nodes_in(self.sharer_bits))})"
         )
+
+
+def nodes_in(bits: int):
+    """The nodes whose bits are set in ``bits``, in ascending order."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield low.bit_length() - 1
 
 
 POINTER_SLOTS = 6
@@ -115,7 +146,7 @@ class SoftwareDirectoryEntry:
         self.nodes = nodes
         self.state = DirectoryState.HOME
         self.owner: int | None = None
-        self.pending: deque = deque()
+        self.pending: list[tuple[int, bool]] = []
         self.acks_outstanding = 0
         self._pointers: list[int] = []
         self._bitvector: int | None = None
@@ -175,10 +206,7 @@ class SoftwareDirectoryEntry:
         if self._aux is not None:
             return set(self._aux)
         if self._bitvector is not None:
-            return {
-                node for node in range(self.nodes)
-                if self._bitvector & (1 << node)
-            }
+            return set(nodes_in(self._bitvector))
         return set(self._pointers)
 
     def clear_sharers(self) -> None:
@@ -192,7 +220,7 @@ class SoftwareDirectoryEntry:
         if self._aux is not None:
             return len(self._aux)
         if self._bitvector is not None:
-            return bin(self._bitvector).count("1")
+            return self._bitvector.bit_count()
         return len(self._pointers)
 
     def __repr__(self) -> str:

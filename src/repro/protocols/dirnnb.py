@@ -218,7 +218,7 @@ class DirectoryController:
                           entry: HardwareDirectoryEntry) -> None:
         if entry.state.is_transient or not entry.pending:
             return
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         # Each replayed request is another directory op's worth of work.
         self._counters[self._replays_key] += 1
         self._start_request(block, entry, requester, want_write)
@@ -264,7 +264,7 @@ class DirectoryController:
                        requester: int, want_write: bool) -> None:
         if not want_write:
             if entry.state is DirectoryState.EXCLUSIVE:
-                entry.pending.appendleft((requester, want_write))
+                entry.pending.insert(0, (requester, want_write))
                 entry.state = DirectoryState.PENDING_WRITEBACK
                 self._send(
                     entry.owner, "dir.wb", VirtualNetwork.REQUEST,
@@ -279,7 +279,7 @@ class DirectoryController:
                 entry.owner = requester
                 self._grant(block, entry, requester, rw=True)
                 return
-            entry.sharers.add(requester)
+            entry.sharer_bits |= 1 << requester
             entry.state = DirectoryState.SHARED
             self._grant(block, entry, requester, rw=False)
             return
@@ -288,7 +288,7 @@ class DirectoryController:
             if entry.owner == requester:
                 self._grant(block, entry, requester, rw=True)
                 return
-            entry.pending.appendleft((requester, want_write))
+            entry.pending.insert(0, (requester, want_write))
             entry.state = DirectoryState.PENDING_WRITEBACK
             self._send(
                 entry.owner, "dir.wb", VirtualNetwork.REQUEST,
@@ -296,12 +296,17 @@ class DirectoryController:
                 demote="inv",
             )
             return
-        targets = entry.sharers - {requester}
+        targets = entry.sharer_bits & ~(1 << requester)
         if targets:
-            entry.pending.appendleft((requester, want_write))
+            entry.pending.insert(0, (requester, want_write))
             entry.state = DirectoryState.PENDING_INVALIDATE
-            entry.acks_outstanding = len(targets)
-            for sharer in sorted(targets):
+            entry.acks_outstanding = targets.bit_count()
+            # Ascending node order, lowest set bit first: ``nodes_in``
+            # inlined, as a generator would add a call per sharer.
+            while targets:
+                low = targets & -targets
+                targets ^= low
+                sharer = low.bit_length() - 1
                 self._counters[self._invalidations_key] += 1
                 self._send(
                     sharer, "dir.inval", VirtualNetwork.REQUEST,
@@ -312,7 +317,7 @@ class DirectoryController:
 
     def _finish_write(self, block: int, entry: HardwareDirectoryEntry,
                       requester: int) -> None:
-        entry.sharers.clear()
+        entry.sharer_bits = 0
         entry.acks_outstanding = 0
         entry.state = DirectoryState.EXCLUSIVE
         entry.owner = requester
@@ -320,7 +325,7 @@ class DirectoryController:
 
     def _handle_ack(self, block: int, sharer: int) -> None:
         entry = self.entry(block)
-        entry.sharers.discard(sharer)
+        entry.sharer_bits &= ~(1 << sharer)
         entry.acks_outstanding -= 1
         if entry.acks_outstanding < 0:
             raise SimulationError(f"surplus ack for {block:#x}")
@@ -328,7 +333,7 @@ class DirectoryController:
             return
         if entry.state is not DirectoryState.PENDING_INVALIDATE:
             raise SimulationError(f"ack completion in state {entry.state}")
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         if not want_write:
             raise SimulationError("invalidations pending for a read")
         entry.state = DirectoryState.HOME
@@ -340,17 +345,14 @@ class DirectoryController:
             raise SimulationError(
                 f"writeback data for {block:#x} in state {entry.state}"
             )
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         entry.owner = None
         if want_write:
             entry.state = DirectoryState.HOME
-            entry.sharers.clear()
+            entry.sharer_bits = 0
             self._finish_write(block, entry, requester)
             return
-        entry.sharers.clear()
-        if held:
-            entry.sharers.add(owner)
-        entry.sharers.add(requester)
+        entry.sharer_bits = (1 << owner if held else 0) | 1 << requester
         entry.state = DirectoryState.SHARED
         self._grant(block, entry, requester, rw=False)
 
@@ -361,12 +363,12 @@ class DirectoryController:
             if entry.state is DirectoryState.EXCLUSIVE and entry.owner == sharer:
                 entry.state = DirectoryState.HOME
                 entry.owner = None
-                entry.sharers.clear()
+                entry.sharer_bits = 0
             # If transient, the in-flight writeback reply completes the
             # transaction; the data is already linearized in the image.
             return
-        entry.sharers.discard(sharer)
-        if entry.state is DirectoryState.SHARED and not entry.sharers:
+        entry.sharer_bits &= ~(1 << sharer)
+        if entry.state is DirectoryState.SHARED and not entry.sharer_bits:
             entry.state = DirectoryState.HOME
 
 

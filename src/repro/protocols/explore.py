@@ -376,12 +376,9 @@ def _frozen_record(record, perm: tuple) -> tuple:
                 tuple(sorted(perm[n] for n in record.copyset)),
                 record.busy, record.acks_outstanding,
                 tuple((perm[r], w) for r, w in requests))
-    sharers = record.sharers
-    if callable(sharers):
-        sharers = sharers()
     return (record.state.value,
             -1 if record.owner is None else perm[record.owner],
-            tuple(sorted(perm[n] for n in sharers)),
+            tuple(sorted(perm[n] for n in record.sharers())),
             record.acks_outstanding,
             tuple((perm[r], w) for r, w in record.pending))
 

@@ -349,7 +349,7 @@ class StacheProtocol:
         if not want_write:
             if entry.state is DirectoryState.EXCLUSIVE:
                 # Demote the owner to ReadOnly and wait for its data.
-                entry.pending.appendleft((requester, want_write))
+                entry.pending.insert(0, (requester, want_write))
                 entry.state = DirectoryState.PENDING_WRITEBACK
                 self._send_writeback_request(tempest, block, entry.owner, "ro")
                 return
@@ -368,13 +368,13 @@ class StacheProtocol:
                 # Stale retry: the owner already has it; grant again.
                 self._grant(tempest, block, entry, requester, rw=True)
                 return
-            entry.pending.appendleft((requester, want_write))
+            entry.pending.insert(0, (requester, want_write))
             entry.state = DirectoryState.PENDING_WRITEBACK
             self._send_writeback_request(tempest, block, entry.owner, "inv")
             return
         targets = entry.sharers() - {requester}
         if entry.state is DirectoryState.SHARED and targets:
-            entry.pending.appendleft((requester, want_write))
+            entry.pending.insert(0, (requester, want_write))
             entry.state = DirectoryState.PENDING_INVALIDATE
             entry.acks_outstanding = len(targets)
             if requester != tempest.node_id:
@@ -462,7 +462,7 @@ class StacheProtocol:
         """Service the next queued request for this block, if any."""
         if entry.state.is_transient or not entry.pending:
             return
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         # A second directory pass costs another occupancy slice.
         tempest.charge(self._home_response)
         self._start_request(tempest, block, entry, requester, want_write)
@@ -579,7 +579,7 @@ class StacheProtocol:
         if message.payload["data"] is not None:
             tempest.charge(self._block_copy)
             tempest.import_block(block, message.payload["data"])
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         old_owner = message.payload["owner"]
         entry.owner = None
         if want_write:
@@ -622,7 +622,7 @@ class StacheProtocol:
             raise SimulationError(
                 f"acks complete for {block:#x} in state {entry.state}"
             )
-        requester, want_write = entry.pending.popleft()
+        requester, want_write = entry.pending.pop(0)
         if not want_write:
             raise SimulationError("invalidations pending for a read request")
         entry.state = DirectoryState.HOME  # transient exit; fixed below

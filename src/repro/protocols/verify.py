@@ -166,8 +166,9 @@ def _check_dirnnb_block(machine, block: int) -> None:
             raise CoherenceViolation(
                 f"block {block:#x}: owners {owners} in state {entry.state}"
             )
-        if not sharers_actual <= entry.sharers:
+        sharers = entry.sharers()
+        if not sharers_actual <= sharers:
             raise CoherenceViolation(
                 f"block {block:#x}: cached sharers {sorted(sharers_actual)} "
-                f"not in directory {sorted(entry.sharers)}"
+                f"not in directory {sorted(sharers)}"
             )

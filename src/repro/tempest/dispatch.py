@@ -296,7 +296,9 @@ class HandlerDispatcher:
                 f"block access fault for unmapped page {fault.addr:#x} "
                 f"on node {self._node_id}"
             )
-        name = self.fault_handler_for(entry.mode, fault.is_write)
+        # One dict probe; ``fault_handler_for`` runs only to raise.
+        name = (self._fault_dispatch.get((entry.mode, fault.is_write))
+                or self.fault_handler_for(entry.mode, fault.is_write))
         fn, _seen, cost = self._rows[name]
         cost += self._fault_overhead
         if self._rtlb_probe is not None:

@@ -79,7 +79,11 @@ class Tempest:
     * ``charge(cycles)`` — extend the running handler's occupancy by
       ``cycles`` for data-dependent work (e.g. one pointer update per
       sharer) beyond the registered fixed path length: the handler
-      processor's ``charge``.
+      processor's ``charge``;
+    * ``resume(value=None)`` — restart this node's suspended thread (the
+      stalled access retries): the node's
+      :meth:`ComputationThread.resume
+      <repro.tempest.threads.ComputationThread.resume>`.
     """
 
     def __init__(self, backend: TempestBackend):
@@ -106,6 +110,7 @@ class Tempest:
         self.export_block = image.export_block
         self.import_block = image.import_block
         self.charge = backend.np_charge
+        self.resume = backend.thread.resume
         self._set_tag = tags.set_tag
         self._block_mask = ~(self.layout.block_size - 1)
         self._send_message = backend.send_message
@@ -211,10 +216,6 @@ class Tempest:
         handlers (migratory-detection probes use it).
         """
         return addr & self._block_mask in self._backend.written_blocks
-
-    def resume(self, value: Any = None) -> None:
-        """Table 1 ``resume``: restart this node's suspended thread."""
-        self._backend.thread.resume(value)
 
     def after_access(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` once the computation thread's current access

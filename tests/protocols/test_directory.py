@@ -11,6 +11,7 @@ from repro.protocols.directory import (
     DirectoryState,
     HardwareDirectoryEntry,
     SoftwareDirectoryEntry,
+    nodes_in,
 )
 
 
@@ -28,8 +29,177 @@ class TestHardwareEntry:
         entry = HardwareDirectoryEntry()
         assert entry.state is DirectoryState.HOME
         assert entry.owner is None
-        assert entry.sharers == set()
+        assert entry.sharers() == set()
         assert not entry.pending
+
+    def test_bit_vector_round_trips_the_end_nodes_of_32(self):
+        entry = HardwareDirectoryEntry()
+        entry.add_sharer(0)
+        entry.add_sharer(31)
+        assert entry.sharer_bits == 1 | 1 << 31
+        assert entry.sharers() == {0, 31}
+        entry.remove_sharer(0)
+        assert entry.sharers() == {31}
+        entry.remove_sharer(31)
+        assert entry.sharer_bits == 0
+        assert entry.sharers() == set()
+
+    def test_sharers_view_lists_nodes_in_ascending_order(self):
+        entry = HardwareDirectoryEntry()
+        for node in (31, 4, 17, 0):
+            entry.add_sharer(node)
+        assert list(nodes_in(entry.sharer_bits)) == [0, 4, 17, 31]
+        assert "sharers=[0, 4, 17, 31]" in repr(entry)
+
+
+@given(ops=st.lists(
+    st.tuples(st.booleans(), st.integers(min_value=0, max_value=63)),
+    max_size=100,
+))
+@settings(max_examples=60, deadline=None)
+def test_property_hardware_entry_tracks_exact_set(ops):
+    """The full map holds exactly the sharers added and not removed."""
+    entry = HardwareDirectoryEntry()
+    reference = set()
+    for add, node in ops:
+        if add:
+            entry.add_sharer(node)
+            reference.add(node)
+        else:
+            entry.remove_sharer(node)
+            reference.discard(node)
+    assert entry.sharers() == reference
+    assert entry.sharer_bits == sum(1 << node for node in reference)
+
+
+# ----------------------------------------------------------------------
+# The DirNNB controller works on the full map's bits directly.
+# ----------------------------------------------------------------------
+BLOCK = 0x1000_0000
+
+
+def _dirnnb_home(nodes, monkeypatch):
+    """A ``nodes``-node DirNNB machine's home controller for BLOCK, with
+    every message it sends captured instead of delivered."""
+    from repro.protocols.dirnnb import DirNNBMachine
+    from repro.sim.config import MachineConfig
+
+    machine = DirNNBMachine(MachineConfig(nodes=nodes, seed=1))
+    machine.heap.allocate(4096)
+    home = machine.home_of(BLOCK)
+    sent = []
+    monkeypatch.setattr(machine.interconnect, "send", sent.append)
+    return machine, machine.nodes[home].directory, sent
+
+
+def _deliver(machine, controller, handler, **payload):
+    from repro.network.message import Message, VirtualNetwork
+
+    controller.receive(Message(
+        src=payload.get("requester", payload.get("sharer", 0)),
+        dst=controller.node.node_id, handler=handler,
+        vnet=VirtualNetwork.REQUEST, payload={"addr": BLOCK, **payload},
+    ))
+    machine.engine.run()
+
+
+def _request(machine, controller, requester, want_write):
+    _deliver(machine, controller, "dir.get", requester=requester,
+             want_write=want_write, local=False)
+
+
+class TestFullMapController:
+    def test_invalidations_go_out_in_ascending_node_order(
+            self, monkeypatch):
+        machine, controller, sent = _dirnnb_home(32, monkeypatch)
+        entry = controller.entry(BLOCK)
+        for node in (31, 17, 0, 5):  # joined out of order
+            entry.add_sharer(node)
+        entry.state = DirectoryState.SHARED
+        _request(machine, controller, 9, True)
+        assert [m.dst for m in sent if m.handler == "dir.inval"] == [
+            0, 5, 17, 31]
+        assert entry.state is DirectoryState.PENDING_INVALIDATE
+        assert entry.acks_outstanding == 4
+        for sharer in (31, 0, 17, 5):
+            _deliver(machine, controller, "dir.ack", sharer=sharer)
+        assert entry.state is DirectoryState.EXCLUSIVE
+        assert entry.owner == 9
+        assert entry.sharer_bits == 0
+        assert sent[-1].handler == "dir.data" and sent[-1].dst == 9
+
+    def test_requester_is_not_invalidated_by_its_own_upgrade(
+            self, monkeypatch):
+        machine, controller, sent = _dirnnb_home(32, monkeypatch)
+        entry = controller.entry(BLOCK)
+        entry.add_sharer(0)
+        entry.add_sharer(31)
+        entry.state = DirectoryState.SHARED
+        _request(machine, controller, 31, True)
+        assert [m.dst for m in sent if m.handler == "dir.inval"] == [0]
+
+    def test_pending_is_fifo_with_the_request_in_flight_first(
+            self, monkeypatch):
+        machine, controller, sent = _dirnnb_home(8, monkeypatch)
+        entry = controller.entry(BLOCK)
+        entry.add_sharer(1)
+        entry.add_sharer(2)
+        entry.state = DirectoryState.SHARED
+        _request(machine, controller, 3, True)
+        assert type(entry.pending) is list
+        assert entry.pending == [(3, True)]
+        _request(machine, controller, 4, False)
+        _request(machine, controller, 5, True)
+        assert entry.pending == [(3, True), (4, False), (5, True)]
+        _deliver(machine, controller, "dir.ack", sharer=1)
+        _deliver(machine, controller, "dir.ack", sharer=2)
+        # 3 now owns the block; 4's read recalls it and goes in flight
+        # ahead of 5, still waiting.
+        assert entry.state is DirectoryState.PENDING_WRITEBACK
+        assert entry.owner == 3
+        assert entry.pending == [(4, False), (5, True)]
+        _deliver(machine, controller, "dir.wb_data", owner=3, held=True)
+        assert entry.sharers() == {3, 4}
+        # 5's write then invalidates both readers, in node order.
+        assert entry.pending == [(5, True)]
+        assert [m.dst for m in sent if m.handler == "dir.inval"][-2:] == [
+            3, 4]
+
+
+# ----------------------------------------------------------------------
+# Both encodings expose one surface to the monitor, the verifiers and
+# the explorer.
+# ----------------------------------------------------------------------
+def _fresh(encoding):
+    if encoding == "hardware":
+        return HardwareDirectoryEntry()
+    return SoftwareDirectoryEntry(nodes=32)
+
+
+@pytest.mark.parametrize("encoding", ["hardware", "software"])
+class TestSharedSurface:
+    def test_sharer_api(self, encoding):
+        entry = _fresh(encoding)
+        for node in (31, 0, 7):
+            entry.add_sharer(node)
+        assert entry.sharers() == {0, 7, 31}
+        view = entry.sharers()
+        view.add(12)  # a fresh set: the entry is unchanged
+        assert entry.sharers() == {0, 7, 31}
+        entry.remove_sharer(7)
+        entry.remove_sharer(7)  # absent: a no-op
+        assert entry.sharers() == {0, 31}
+
+    def test_pending_is_a_plain_fifo_list(self, encoding):
+        entry = _fresh(encoding)
+        assert entry.pending == []
+        assert type(entry.pending) is list
+        entry.pending.append((1, False))
+        entry.pending.append((2, True))
+        entry.pending.insert(0, (3, True))  # the request in flight
+        assert entry.pending.pop(0) == (3, True)
+        assert entry.pending.pop(0) == (1, False)
+        assert entry.pending == [(2, True)]
 
 
 class TestSoftwareEntryPointers:

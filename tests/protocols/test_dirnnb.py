@@ -84,7 +84,7 @@ class TestRemoteMiss:
         block = machine.layout.block_of(addr)
         entry = machine.nodes[0].directory.entries()[block]
         assert entry.state is DirectoryState.SHARED
-        assert entry.sharers == {1, 2}
+        assert entry.sharers() == {1, 2}
         assert machine.nodes[1].cache.lookup(block).state is LineState.SHARED
         check_dirnnb_coherence(machine, region)
 
@@ -134,7 +134,7 @@ class TestCoherenceActions:
         block = machine.layout.block_of(addr)
         entry = machine.nodes[0].directory.entries()[block]
         assert entry.state is DirectoryState.SHARED
-        assert entry.sharers == {1, 2}
+        assert entry.sharers() == {1, 2}
         assert machine.nodes[1].cache.lookup(block).state is LineState.SHARED
         check_dirnnb_coherence(machine, region)
 
@@ -222,7 +222,7 @@ class TestContention:
         assert all(reads[n] == [6] for n in range(4))
         entry = machine.nodes[0].directory.entries()[
             machine.layout.block_of(addr)]
-        assert entry.sharers == {0, 1, 2, 3}
+        assert entry.sharers() == {0, 1, 2, 3}
         check_dirnnb_coherence(machine, region)
 
 

@@ -60,7 +60,7 @@ class TestEntryLifecycle:
         drain(machine)
         entry = machine.nodes[0].directory.entry(BLOCK)
         assert entry.state is DirectoryState.SHARED
-        assert entry.sharers == {1, 2}
+        assert entry.sharers() == {1, 2}
 
 
 class TestTransients:
@@ -181,7 +181,7 @@ class TestReplacementHints:
         ))
         drain(machine)
         entry = machine.nodes[0].directory.entry(BLOCK)
-        assert entry.sharers == {2}
+        assert entry.sharers() == {2}
 
     def test_last_clean_hint_restores_home_state(self, machine):
         machine.nodes[1]._miss_grant = _fake_future(machine)

@@ -108,7 +108,7 @@ class TestDirNNBVerifier:
         machine, region, addr = self.healthy()
         block = machine.layout.block_of(addr)
         entry = machine.nodes[0].directory.entries()[block]
-        entry.sharers.discard(1)
+        entry.remove_sharer(1)
         with pytest.raises(CoherenceViolation):
             check_dirnnb_coherence(machine, region)
 

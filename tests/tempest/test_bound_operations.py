@@ -1,9 +1,9 @@
 """The Tempest facade's bound Table 1 operations.
 
 ``page_entry``, ``read_tag``, ``set_rw``, ``charge``, ``force_read``/
-``force_write`` and ``export_block``/``import_block`` are bound once, at
-construction, to the node's page table, tag store, memory image and
-handler processor.  These tests pin that every change made to those
+``force_write``, ``export_block``/``import_block`` and ``resume`` are
+bound once, at construction, to the node's page table, tag store, memory
+image, handler processor and computation thread.  These tests pin that every change made to those
 containers after binding — by the facade or behind its back — shows
 through the bound operations, on every Tempest backend.
 """
@@ -23,7 +23,7 @@ ADDR = SHARED_BASE + 3 * PAGE
 OTHER = SHARED_BASE + 7 * PAGE
 
 BOUND = ("page_entry", "read_tag", "set_rw", "charge", "force_read",
-         "force_write", "export_block", "import_block")
+         "force_write", "export_block", "import_block", "resume")
 
 
 @pytest.fixture(params=["typhoon", "blizzard", "decoupled"])
@@ -45,6 +45,7 @@ def test_operations_are_bound_not_forwarded(machine):
     assert tempest.force_read.__self__ is node.image
     assert tempest.import_block.__self__ is node.image
     assert tempest.charge == node.np.charge
+    assert tempest.resume.__self__ is node.thread
 
 
 def test_page_entry_sees_map_unmap_and_remap(machine):

@@ -144,3 +144,17 @@ def test_unmapped_page_fault_raises_the_dispatch_error(backend):
     with pytest.raises(DispatchError, match="unmapped page"):
         dispatcher.enqueue_fault(fault)
     assert NpDispatchError is DispatchError
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fault_with_no_registered_handler_raises_the_dispatch_error(
+        backend):
+    machine, dispatcher, _log, _cost = build(backend)
+    addr = SHARED_BASE + 64 * machine.layout.page_size
+    machine.tempests[1].map_page(addr, mode=9, home=1,
+                                 initial_tag=Tag.INVALID)
+    fault = AccessFault(addr=addr, block_addr=machine.layout.block_of(addr),
+                        is_write=True, tag=Tag.INVALID, node=1)
+    with pytest.raises(DispatchError,
+                       match="no fault handler for mode=9 is_write=True"):
+        dispatcher.enqueue_fault(fault)
