@@ -26,6 +26,8 @@ The same application object runs under three systems:
 
 from __future__ import annotations
 
+from array import array
+
 from repro.apps.base import Application, AppContext, SharedArray
 from repro.protocols.em3d_update import KIND_E, KIND_H, Em3dUpdateProtocol
 from repro.sim.rng import RngStreams
@@ -172,48 +174,66 @@ class Em3dApplication(Application):
             for neighbour in self.h_edges[index]:
                 touched.add(self.e_nodes.addr(neighbour, VALUE_OFFSET))
         yield from ctx.read_run(sorted(touched))
+        del touched  # kept alive by this frame otherwise
         yield from ctx.barrier()
 
+        # Each phase's addresses, built once for every iteration.
+        e_plan = self._phase_plan(my_e, self.e_nodes, self.h_nodes,
+                                  self.e_edges, self.e_weights)
+        h_plan = self._phase_plan(my_h, self.h_nodes, self.e_nodes,
+                                  self.h_edges, self.h_weights)
         for step in range(self.iterations):
             # Phase 1: new E values from neighbouring H values.
-            yield from self._phase(ctx, my_e, self.e_nodes, self.h_nodes,
-                                   self.e_edges, self.e_weights)
+            yield from self._phase(ctx, e_plan)
             if update is not None:
                 yield from update.flush_and_wait(node_id, KIND_E, step)
             else:
                 yield from ctx.barrier()
             # Phase 2: new H values from the new E values.
-            yield from self._phase(ctx, my_h, self.h_nodes, self.e_nodes,
-                                   self.h_edges, self.h_weights)
+            yield from self._phase(ctx, h_plan)
             if update is not None:
                 yield from update.flush_and_wait(node_id, KIND_H, step)
             else:
                 yield from ctx.barrier()
 
-    def _phase(self, ctx: AppContext, my_indices, out_array, in_array,
-               edges, weights):
-        """One half-iteration: value -= sum(neighbour.value * weight)."""
-        weight_base = my_indices[0] * self.degree if my_indices else 0
+    def _phase_plan(self, my_indices, out_array, in_array, edges, weights):
+        """One phase's addresses, as machine words (a plan keeps no int
+        objects alive): my graph nodes' values, and each node's edges as
+        flattened (neighbour value, weight) pairs."""
+        first = my_indices[0] * self.degree if my_indices else 0
+        pairs = array("q")
         for slot, index in enumerate(my_indices):
-            if self._stache_protocol is not None and slot + 1 < len(my_indices):
+            for weight, neighbour in enumerate(edges[index],
+                                               first + slot * self.degree):
+                pairs.extend((in_array.addr(neighbour, VALUE_OFFSET),
+                              weights.addr(weight)))
+        return (array("q", [out_array.addr(index, VALUE_OFFSET)
+                            for index in my_indices]), pairs)
+
+    def _phase(self, ctx: AppContext, plan):
+        """One half-iteration: value -= sum(neighbour.value * weight)."""
+        addrs, pairs = plan
+        span = 2 * self.degree
+        read = ctx.read
+        for slot, addr in enumerate(addrs):
+            edges = pairs[slot * span:(slot + 1) * span]
+            if self._stache_protocol is not None and slot + 1 < len(addrs):
                 # Software-pipelined prefetch of the *next* graph node's
                 # neighbours, overlapping their fetch with this node's
                 # arithmetic.
-                for neighbour in edges[my_indices[slot + 1]]:
+                for neighbour_addr in pairs[(slot + 1) * span:
+                                            (slot + 2) * span:2]:
                     yield from self._stache_protocol.prefetch(
-                        ctx.node_id,
-                        in_array.addr(neighbour, VALUE_OFFSET),
-                    )
-            value = yield from ctx.read(out_array.addr(index, VALUE_OFFSET))
-            for edge, neighbour in enumerate(edges[index]):
-                n_value, weight = yield from ctx.read_run([
-                    in_array.addr(neighbour, VALUE_OFFSET),
-                    weights.addr(weight_base + slot * self.degree + edge),
-                ])
+                        ctx.node_id, neighbour_addr)
+            value = yield from read(addr)
+            for edge in range(0, span, 2):
+                # Two scalar reads: the references a two-element run
+                # makes, without the run's bookkeeping.
+                n_value = yield from read(edges[edge])
+                weight = yield from read(edges[edge + 1])
                 value -= n_value * weight
                 yield from ctx.compute(flops=2, overhead=2)
-            yield from ctx.write(out_array.addr(index, VALUE_OFFSET),
-                                 round(value, 9))
+            yield from ctx.write(addr, round(value, 9))
 
     # ------------------------------------------------------------------
     # Reference model for correctness checks

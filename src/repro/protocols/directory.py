@@ -20,11 +20,11 @@ Two encodings:
 Both expose the same surface to tests, verifiers and the protocol
 explorer: ``state``, ``owner``, ``acks_outstanding``, ``add_sharer``,
 ``remove_sharer``, the ``sharers()`` view (a fresh set) and ``pending``,
-a plain list of ``(requester, want_write)`` requests that arrived while
-the entry was transient.  The request in flight sits at the front
-(``insert(0, …)``) and leaves first (``pop(0)``); the list is rarely
-longer than a few requests, and an empty one costs 56 bytes where an
-empty ``deque`` costs 760.  A run materializes one entry per block it
+the ``(requester, want_write)`` requests that arrived while the entry
+was transient: the shared empty tuple until a site queues one by
+rebinding it to a list (``[*pending, request]``, or ``[request,
+*pending]`` for the request in flight, which leaves first by ``pop(0)``).
+Most entries never queue one.  A run materializes one entry per block it
 shares, so these sizes are the simulator's per-block memory
 (docs/performance.md, "Per-block state").
 """
@@ -95,7 +95,7 @@ class HardwareDirectoryEntry:
         #: read-only copy.
         self.sharer_bits = 0
         #: Requests that arrived while the entry was transient.
-        self.pending: list[tuple[int, bool]] = []
+        self.pending: list[tuple[int, bool]] | tuple = ()
         self.acks_outstanding = 0
 
     def add_sharer(self, node: int) -> None:
@@ -146,7 +146,7 @@ class SoftwareDirectoryEntry:
         self.nodes = nodes
         self.state = DirectoryState.HOME
         self.owner: int | None = None
-        self.pending: list[tuple[int, bool]] = []
+        self.pending: list[tuple[int, bool]] | tuple = ()
         self.acks_outstanding = 0
         self._pointers: list[int] = []
         self._bitvector: int | None = None

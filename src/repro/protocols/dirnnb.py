@@ -108,6 +108,7 @@ class DirectoryController:
         self._invalidations_key = f"{self._prefix}.invalidations"
         self._queue: deque[Message] = deque()
         self._busy = False
+        #: Entries are always truthy (``get(block) or self.entry(block)``).
         self._entries: dict[int, HardwareDirectoryEntry] = {}
         # Effects accumulated by the handler currently executing.
         self._out_messages: list[Message] = []
@@ -134,11 +135,11 @@ class DirectoryController:
     # ------------------------------------------------------------------
     def receive(self, message: Message) -> None:
         self._queue.append(message)
-        self._pump()
+        if not self._busy:
+            self._pump()
 
     def _pump(self) -> None:
-        if self._busy or not self._queue:
-            return
+        """Start the next queued operation (only while idle with work)."""
         message = self._queue.popleft()
         self._busy = True
         self._out_messages = []
@@ -169,9 +170,11 @@ class DirectoryController:
         counters = self._counters
         counters[self._occupancy_key] += cost
         counters[self._ops_key] += 1
-        self.engine.schedule_anon(
-            cost, self._emit, self._out_messages, self._out_grants
-        )
+        # A plain push: DirNNB never enables lookahead, so the engine
+        # has no fences to record.
+        engine = self.engine
+        engine.post(engine.now + cost, self._emit, self._out_messages,
+                    self._out_grants)
 
     def _emit(self, messages: list[Message], grants: list[tuple[int, dict]]) -> None:
         for message in messages:
@@ -179,7 +182,8 @@ class DirectoryController:
         for node_id, grant in grants:
             self.machine.nodes[node_id].deliver_grant(grant)
         self._busy = False
-        self._pump()
+        if self._queue:
+            self._pump()
 
     # ------------------------------------------------------------------
     # Effect helpers (buffered until occupancy ends)
@@ -254,9 +258,9 @@ class DirectoryController:
         monitor = self.machine.conformance
         if monitor is not None:
             monitor.note_request(block, requester)
-        entry = self.entry(block)
+        entry = self._entries.get(block) or self.entry(block)
         if entry.state.is_transient:
-            entry.pending.append((requester, want_write))
+            entry.pending = [*entry.pending, (requester, want_write)]
             return
         self._start_request(block, entry, requester, want_write)
 
@@ -264,7 +268,7 @@ class DirectoryController:
                        requester: int, want_write: bool) -> None:
         if not want_write:
             if entry.state is DirectoryState.EXCLUSIVE:
-                entry.pending.insert(0, (requester, want_write))
+                entry.pending = [(requester, want_write), *entry.pending]
                 entry.state = DirectoryState.PENDING_WRITEBACK
                 self._send(
                     entry.owner, "dir.wb", VirtualNetwork.REQUEST,
@@ -288,7 +292,7 @@ class DirectoryController:
             if entry.owner == requester:
                 self._grant(block, entry, requester, rw=True)
                 return
-            entry.pending.insert(0, (requester, want_write))
+            entry.pending = [(requester, want_write), *entry.pending]
             entry.state = DirectoryState.PENDING_WRITEBACK
             self._send(
                 entry.owner, "dir.wb", VirtualNetwork.REQUEST,
@@ -298,7 +302,7 @@ class DirectoryController:
             return
         targets = entry.sharer_bits & ~(1 << requester)
         if targets:
-            entry.pending.insert(0, (requester, want_write))
+            entry.pending = [(requester, want_write), *entry.pending]
             entry.state = DirectoryState.PENDING_INVALIDATE
             entry.acks_outstanding = targets.bit_count()
             # Ascending node order, lowest set bit first: ``nodes_in``
@@ -324,7 +328,7 @@ class DirectoryController:
         self._grant(block, entry, requester, rw=True)
 
     def _handle_ack(self, block: int, sharer: int) -> None:
-        entry = self.entry(block)
+        entry = self._entries.get(block) or self.entry(block)
         entry.sharer_bits &= ~(1 << sharer)
         entry.acks_outstanding -= 1
         if entry.acks_outstanding < 0:
@@ -340,7 +344,7 @@ class DirectoryController:
         self._finish_write(block, entry, requester)
 
     def _handle_wb_data(self, block: int, owner: int, held: bool) -> None:
-        entry = self.entry(block)
+        entry = self._entries.get(block) or self.entry(block)
         if entry.state is not DirectoryState.PENDING_WRITEBACK:
             raise SimulationError(
                 f"writeback data for {block:#x} in state {entry.state}"
@@ -358,7 +362,7 @@ class DirectoryController:
 
     def _handle_replacement_hint(self, block: int, sharer: int,
                                  dirty: bool) -> None:
-        entry = self.entry(block)
+        entry = self._entries.get(block) or self.entry(block)
         if dirty:
             if entry.state is DirectoryState.EXCLUSIVE and entry.owner == sharer:
                 entry.state = DirectoryState.HOME
@@ -403,16 +407,22 @@ class DirNNBNode:
             f"{self._prefix}.cache.coherence_invalidations")
         self._protocol_replacements_key = (
             f"{self._prefix}.cache.protocol_replacements")
-        # Address arithmetic and container handles for the per-reference
-        # path.  The TLB dict is a stable object (cleared in place, never
-        # reassigned), so caching it here is safe.
-        self._page_shift = self.layout.page_size.bit_length() - 1
-        self._block_mask = ~(self.layout.block_size - 1)
+        # Container handles for the per-reference path.  Each is changed
+        # in place, never reassigned (so the next miss sees a rehome).
+        layout = self.layout
+        self._page_shift = layout.page_size.bit_length() - 1
+        self._page_mask = ~(layout.page_size - 1)
+        self._block_mask = ~(layout.block_size - 1)
+        self._block_low = layout.block_size - 1
         self._hit_cycles = self.config.cache_hit_cycles
         self._tlb_entries = self.cpu_tlb._entries
+        self._cache_sets = self.cache._sets
+        self._set_mask = self.cache._set_mask
+        self._line_shift = self.cache._block_shift
+        self._words_of = machine.shared_image._blocks
+        self._page_home = machine.heap._page_home
+        self._first_touch = machine.config.page_placement == "first_touch"
         self._counters = machine.stats._counters
-        self._image_read = machine.shared_image.read
-        self._image_write = machine.shared_image.write
         # Redelivery protection (see repro.network.faults): DirNNB's
         # dispatch bypasses the handler registry, so duplicate suppression
         # sits directly in the network sink.  Inert on a reliable network
@@ -420,6 +430,15 @@ class DirNNBNode:
         self._guard = DeliveryGuard(
             machine.stats, f"{self._prefix}.dir.duplicates_dropped"
         )
+        directory = self.directory.receive
+        #: Message handler name -> the sink's callable for it.
+        self._sinks = {
+            "dir.get": directory, "dir.ack": directory,
+            "dir.wb_data": directory, "dir.repl": directory,
+            "dir.data": self._receive_grant_message,
+            "dir.inval": self._receive_invalidate,
+            "dir.wb": self._receive_writeback_request,
+        }
         machine.interconnect.attach(node_id, self._receive)
 
     # ------------------------------------------------------------------
@@ -428,17 +447,10 @@ class DirNNBNode:
     def _receive(self, message: Message) -> None:
         if message.xid is not None and self._guard.seen(message.src, message.xid):
             return  # duplicate delivery of an already-processed message
-        handler = message.handler
-        if handler in ("dir.get", "dir.ack", "dir.wb_data", "dir.repl"):
-            self.directory.receive(message)
-        elif handler == "dir.data":
-            self._receive_grant_message(message)
-        elif handler == "dir.inval":
-            self._receive_invalidate(message)
-        elif handler == "dir.wb":
-            self._receive_writeback_request(message)
-        else:
-            raise SimulationError(f"unknown DirNNB message {handler}")
+        sink = self._sinks.get(message.handler)
+        if sink is None:
+            raise SimulationError(f"unknown DirNNB message {message.handler}")
+        sink(message)
 
     def deliver_grant(self, grant: dict) -> None:
         """A grant arrived: fill the cache *now*, then wake the CPU.
@@ -471,12 +483,9 @@ class DirNNBNode:
         block = message.payload["addr"]
         self.cache.invalidate(block)
         self._counters[self._coherence_invalidations_key] += 1
-        self.engine.schedule_anon(
-            self.config.dirnnb.invalidate_base,
-            self._send_ack,
-            message.payload["home"],
-            block,
-        )
+        engine = self.engine
+        engine.post(engine.now + self.config.dirnnb.invalidate_base,
+                    self._send_ack, message.payload["home"], block)
 
     def _send_ack(self, home: int, block: int) -> None:
         self.machine.interconnect.send(
@@ -499,13 +508,9 @@ class DirNNBNode:
                 self.cache.downgrade(block)
             else:
                 self.cache.invalidate(block)
-        self.engine.schedule_anon(
-            self.config.dirnnb.invalidate_base,
-            self._send_wb_data,
-            message.payload["home"],
-            block,
-            held,
-        )
+        engine = self.engine
+        engine.post(engine.now + self.config.dirnnb.invalidate_base,
+                    self._send_wb_data, message.payload["home"], block, held)
 
     def _send_wb_data(self, home: int, block: int, held: bool) -> None:
         self.machine.interconnect.send(
@@ -542,7 +547,9 @@ class DirNNBNode:
             return None
         if (addr >> self._page_shift) not in self._tlb_entries:
             return None
-        line = self.cache.lookup(addr & self._block_mask)
+        block = addr & self._block_mask
+        line = self._cache_sets[block >> self._line_shift
+                                & self._set_mask].get(block)
         if line is None or (is_write and line.state is LineState.SHARED):
             return None
         # Commit: identical effects to the generator path's hit branch.
@@ -551,43 +558,59 @@ class DirNNBNode:
         engine.now = target
         self.cpu_tlb.hits += 1
         self.cache.hits += 1
-        counters = self._counters
-        counters[self._refs_key] += 1
-        if is_write:
-            self._image_write(addr, value)
-            result = None
-        else:
-            result = value = self._image_read(addr)
-        counters[self._access_cycles_key] += hit_cycles
-        if self.machine.history is not None:
-            self.machine.history.record(
-                self.node_id, addr, is_write, value,
-                engine.now - hit_cycles, engine.now,
-            )
-        return (result,)
+        self._counters[self._refs_key] += 1
+        return (self._complete(addr, is_write, value, engine.now - hit_cycles),)
 
     def access(self, addr: int, is_write: bool, value: Any = None) -> Generator:
-        """One CPU load or store (same surface as TyphoonNode.access)."""
+        """One CPU load or store (same surface as TyphoonNode.access).
+
+        Probes the TLB, cache and image containers, counting as their
+        methods do; a hit completes inline unless history records."""
         counters = self._counters
         counters[self._refs_key] += 1
-        start = self.engine.now
-        if not self.cpu_tlb.access(addr >> self._page_shift):
+        engine = self.engine
+        start = engine.now
+        cpu_tlb = self.cpu_tlb
+        if addr >> self._page_shift in self._tlb_entries:
+            cpu_tlb.hits += 1
+        else:
+            cpu_tlb.access(addr >> self._page_shift)  # counts, installs
             counters[self._tlb_misses_key] += 1
             yield self.config.tlb.miss_cycles
 
-        shared = addr >= SHARED_BASE
         block = addr & self._block_mask
-        if self.cache.access(block, is_write):
+        cache = self.cache
+        line = self._cache_sets[block >> self._line_shift
+                                & self._set_mask].get(block)
+        if line is not None and not (is_write and line.state is LineState.SHARED):
+            cache.hits += 1
             yield self._hit_cycles
-            return self._complete(addr, is_write, value, start)
+            if self.machine.history is not None:
+                return self._complete(addr, is_write, value, start)
+            # _complete's image access and count, inline.
+            counters[self._access_cycles_key] += engine.now - start
+            if is_write:
+                self._words_of.setdefault(block, {})[
+                    addr & self._block_low] = value
+                return None
+            words = self._words_of.get(block)
+            return 0 if words is None else words.get(addr & self._block_low, 0)
+        cache.misses += 1
+        if line is not None:
+            cache.upgrades += 1  # a store to a SHARED line
 
-        if not shared:
+        if addr < SHARED_BASE:
             yield self.config.local_miss_cycles
-            self._fill(block, LineState.EXCLUSIVE)
+            cache.insert(block, LineState.EXCLUSIVE)
             return self._complete(addr, is_write, value, start)
 
-        self.machine.record_first_touch(addr, self.node_id)
-        home = self.machine.home_of(addr)
+        home = (None if self._first_touch
+                else self._page_home.get(addr & self._page_mask))
+        if home is None:
+            # First-touch placement, or an unallocated page (the heap
+            # raises): the machine's policy decides.
+            self.machine.record_first_touch(addr, self.node_id)
+            home = self.machine.home_of(addr)
 
         # Every shared miss is a directory transaction at the home — the
         # directory controller is the single serialization point, so its
@@ -603,7 +626,7 @@ class DirNNBNode:
         else:
             counters[self._local_misses_key] += 1
             yield self.config.local_miss_cycles
-        grant_future = Future(self.engine)
+        grant_future = Future(engine)
         if self._miss_grant is not None:
             raise SimulationError(f"second outstanding miss on {self}")
         self._miss_grant = grant_future
@@ -623,24 +646,26 @@ class DirNNBNode:
             )
         )
         grant = yield grant_future
-        # The line itself was filled at grant delivery; only the victim's
-        # replacement work remains to be charged here.
-        yield from self._handle_victim(grant["victim"])
+        # The line itself was filled at grant delivery; only a shared
+        # victim's replacement work remains to be charged here.
+        victim = grant["victim"]
+        if victim is not None and victim.block_addr >= SHARED_BASE:
+            yield from self._handle_victim(victim)
         if remote:
             yield costs.remote_miss_finish
         return self._complete(addr, is_write, value, start)
 
     # ------------------------------------------------------------------
     def _handle_victim(self, victim) -> Generator:
-        if victim is None:
-            return
+        """Replacement work for an evicted shared line."""
         costs = self.config.dirnnb
         dirty = victim.state is LineState.EXCLUSIVE
         victim_addr = victim.block_addr
-        if victim_addr < SHARED_BASE:
-            return
         self._counters[self._protocol_replacements_key] += 1
-        home = self.machine.home_of(victim_addr)
+        home = (None if self._first_touch
+                else self._page_home.get(victim_addr & self._page_mask))
+        if home is None:
+            home = self.machine.home_of(victim_addr)
         if home == self.node_id:
             # Local victim: the integrated directory notes the drop within
             # the miss; Table 2 charges the 5/16-cycle replacement penalty
@@ -669,11 +694,17 @@ class DirNNBNode:
 
     def _complete(self, addr: int, is_write: bool, value: Any,
                   start: float) -> Any:
+        """Perform the access on the shared image's word dict of the block
+        (as MemoryImage does) and account it over ``[start, now]``."""
+        block = addr & self._block_mask
         if is_write:
-            self._image_write(addr, value)
+            self._words_of.setdefault(block, {})[
+                addr & self._block_low] = value
             result = None
         else:
-            result = value = self._image_read(addr)
+            words = self._words_of.get(block)
+            result = value = (0 if words is None
+                              else words.get(addr & self._block_low, 0))
         self._counters[self._access_cycles_key] += self.engine.now - start
         if self.machine.history is not None:
             self.machine.history.record(

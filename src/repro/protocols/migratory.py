@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.memory.tags import AccessFault
 from repro.network.message import Message
 from repro.protocols.stache import StacheProtocol
 from repro.tempest.interface import Tempest
@@ -66,8 +67,21 @@ class MigratoryProtocol(StacheProtocol):
         return state
 
     # ------------------------------------------------------------------
-    def _handle_request(self, tempest: Tempest, block: int, requester: int,
-                        want_write: bool, fetch_seq: int | None = None) -> None:
+    def _h_get(self, tempest: Tempest, message: Message) -> None:
+        payload = message.payload
+        super()._h_get(tempest, message, self._judge(
+            tempest, payload["addr"], payload["requester"],
+            message.handler == self.GET_RW))
+
+    def _f_home(self, tempest: Tempest, fault: AccessFault) -> None:
+        # The home's own request is never promoted: only judged.
+        self._judge(tempest, fault.block_addr, tempest.node_id, fault.is_write)
+        super()._f_home(tempest, fault)
+
+    def _judge(self, tempest: Tempest, block: int, requester: int,
+               want_write: bool) -> bool:
+        """Run the detector on a request at the home; returns whether to
+        grant it exclusive."""
         state = self._mig_state(tempest.node_id, block)
         if want_write:
             self._note_write_request(tempest, block, requester, state)
@@ -77,8 +91,7 @@ class MigratoryProtocol(StacheProtocol):
             state.probes.add(requester)
             want_write = True
             tempest.stats.incr("migratory.exclusive_read_grants")
-        super()._handle_request(tempest, block, requester, want_write,
-                                fetch_seq=fetch_seq)
+        return want_write
 
     def _note_write_request(self, tempest: Tempest, block: int,
                             requester: int, state: _MigratoryState) -> None:

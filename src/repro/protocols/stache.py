@@ -141,10 +141,10 @@ class StacheProtocol:
 
             # Request handlers (home side).
             register(
-                self.GET_RO, self._h_get_ro, costs.home_response
+                self.GET_RO, self._h_get, costs.home_response
             )
             register(
-                self.GET_RW, self._h_get_rw, costs.home_response
+                self.GET_RW, self._h_get, costs.home_response
             )
             # Response handlers.
             register(
@@ -170,19 +170,19 @@ class StacheProtocol:
             )
             # Block-access-fault handlers, selected by (page mode, access).
             register(
-                self.FAULT_READ, self._f_remote_read,
+                self.FAULT_READ, self._f_remote,
                 costs.miss_request,
             )
             register(
-                self.FAULT_WRITE, self._f_remote_write,
+                self.FAULT_WRITE, self._f_remote,
                 costs.miss_request,
             )
             register(
-                self.HOME_FAULT_READ, self._f_home_read,
+                self.HOME_FAULT_READ, self._f_home,
                 costs.home_response,
             )
             register(
-                self.HOME_FAULT_WRITE, self._f_home_write,
+                self.HOME_FAULT_WRITE, self._f_home,
                 costs.home_response,
             )
             # Extensions: prefetch launch, check-in, page migration.
@@ -253,17 +253,15 @@ class StacheProtocol:
         return entry
 
     # ------------------------------------------------------------------
-    # Block access fault handlers (requester side)
+    # Block access fault handlers (requester side).  A fault handler is
+    # selected by (page mode, access), so ``fault.is_write`` says which
+    # of the pair is running: one handler serves both, and unpacks the
+    # fault itself.
     # ------------------------------------------------------------------
-    def _f_remote_read(self, tempest: Tempest, fault: AccessFault) -> None:
-        self._request_block(tempest, fault.block_addr, want_write=False)
-
-    def _f_remote_write(self, tempest: Tempest, fault: AccessFault) -> None:
-        self._request_block(tempest, fault.block_addr, want_write=True)
-
-    def _request_block(self, tempest: Tempest, block: int,
-                       want_write: bool) -> None:
+    def _f_remote(self, tempest: Tempest, fault: AccessFault) -> None:
         """Send the miss request to the home (14-instruction best case)."""
+        block = fault.block_addr
+        want_write = fault.is_write
         entry = tempest.page_entry(block)
         if tempest.read_tag(block) is Tag.BUSY:
             # A prefetch for this block is already in flight: don't send a
@@ -293,31 +291,27 @@ class StacheProtocol:
         self._fetch_seq[(node_id, block)] = seq
         return seq
 
-    def _f_home_read(self, tempest: Tempest, fault: AccessFault) -> None:
-        """Home faults bypass requests and touch the directory directly."""
-        self._handle_request(tempest, fault.block_addr, tempest.node_id, False)
-
-    def _f_home_write(self, tempest: Tempest, fault: AccessFault) -> None:
-        self._handle_request(tempest, fault.block_addr, tempest.node_id, True)
+    def _f_home(self, tempest: Tempest, fault: AccessFault) -> None:
+        """Home faults bypass requests and touch the directory directly
+        (a page mapped as this node's home has not moved)."""
+        block = fault.block_addr
+        self._start_request(tempest, block, self._dir_entry(tempest, block),
+                            tempest.node_id, fault.is_write)
 
     # ------------------------------------------------------------------
     # Home-side request handlers
     # ------------------------------------------------------------------
-    def _h_get_ro(self, tempest: Tempest, message: Message) -> None:
-        self._handle_request(
-            tempest, message.payload["addr"], message.payload["requester"],
-            False, fetch_seq=message.payload.get("fetch_seq"),
-        )
-
-    def _h_get_rw(self, tempest: Tempest, message: Message) -> None:
-        self._handle_request(
-            tempest, message.payload["addr"], message.payload["requester"],
-            True, fetch_seq=message.payload.get("fetch_seq"),
-        )
-
-    def _handle_request(self, tempest: Tempest, block: int, requester: int,
-                        want_write: bool, fetch_seq: int | None = None) -> None:
-        """The directory state machine, run atomically at the home."""
+    def _h_get(self, tempest: Tempest, message: Message,
+               want_write: bool | None = None) -> None:
+        """GET_RO / GET_RW: the directory state machine, run atomically
+        at the home on the message it unpacks.  A subclass may pass the
+        access to grant as ``want_write``."""
+        payload = message.payload
+        block = payload["addr"]
+        requester = payload["requester"]
+        if want_write is None:
+            want_write = message.handler == self.GET_RW
+        fetch_seq = payload.get("fetch_seq")
         forward = self._migrated_pages.get(block & self._page_mask)
         if forward is not None and forward != tempest.node_id:
             # This page's home moved; bounce the request to the new home
@@ -337,19 +331,19 @@ class StacheProtocol:
             # At most one un-granted fetch per (block, requester) exists,
             # so the latest sequence is the one any grant must echo.
             self._req_seq[(tempest.node_id, block, requester)] = fetch_seq
-        entry = self._dir_entry(tempest, block)
-        if entry.state.is_transient:
-            entry.pending.append((requester, want_write))
-            return
-        self._start_request(tempest, block, entry, requester, want_write)
+        self._start_request(tempest, block, self._dir_entry(tempest, block),
+                            requester, want_write)
 
     def _start_request(self, tempest: Tempest, block: int,
                        entry: SoftwareDirectoryEntry, requester: int,
                        want_write: bool) -> None:
+        if entry.state.is_transient:
+            entry.pending = [*entry.pending, (requester, want_write)]
+            return
         if not want_write:
             if entry.state is DirectoryState.EXCLUSIVE:
                 # Demote the owner to ReadOnly and wait for its data.
-                entry.pending.insert(0, (requester, want_write))
+                entry.pending = [(requester, want_write), *entry.pending]
                 entry.state = DirectoryState.PENDING_WRITEBACK
                 self._send_writeback_request(tempest, block, entry.owner, "ro")
                 return
@@ -368,13 +362,13 @@ class StacheProtocol:
                 # Stale retry: the owner already has it; grant again.
                 self._grant(tempest, block, entry, requester, rw=True)
                 return
-            entry.pending.insert(0, (requester, want_write))
+            entry.pending = [(requester, want_write), *entry.pending]
             entry.state = DirectoryState.PENDING_WRITEBACK
             self._send_writeback_request(tempest, block, entry.owner, "inv")
             return
         targets = entry.sharers() - {requester}
         if entry.state is DirectoryState.SHARED and targets:
-            entry.pending.insert(0, (requester, want_write))
+            entry.pending = [(requester, want_write), *entry.pending]
             entry.state = DirectoryState.PENDING_INVALIDATE
             entry.acks_outstanding = len(targets)
             if requester != tempest.node_id:

@@ -13,12 +13,23 @@ pass-through Table 1 operations and the engine's ``post`` became the
 push itself (docs/performance.md, "Node models and data plumbing"); at
 the commit before, the same runs made 311,387 (mp3d) and 118,392 (em3d)
 calls.  The mp3d pin fell from 211,339 when ``resume`` was bound too and
-the dispatcher's fault row stopped calling ``fault_handler_for``.
+the dispatcher's fault row stopped calling ``fault_handler_for``, and
+from 208,537 when Stache's fault and request handlers unpacked their
+argument themselves.  The DirNNB em3d pin fell from 100,448 when the
+DirNNB CPU, sink and directory reached their state in one call and EM3D
+issued each edge as two reads from addresses built once; the same change
+added the decoupled em3d pin (68,595 at the commit before).
+
+``tools/call_counts.py`` counts the same run and lists where the calls
+go; its total must equal :func:`count_calls`.
 """
 
 from __future__ import annotations
 
+import gc
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +40,9 @@ from repro.sim.config import MachineConfig
 
 #: (system, app) -> pinned Python-level calls in one 4-node small run.
 PINNED_CALLS = {
-    ("typhoon:stache", "mp3d"): 208_537,
-    ("dirnnb", "em3d"): 100_448,
+    ("typhoon:stache", "mp3d"): 206_324,
+    ("dirnnb", "em3d"): 79_087,
+    ("decoupled:em3d-update", "em3d"): 64_415,
 }
 
 SLACK = 1.02
@@ -70,3 +82,24 @@ def test_calls_stay_within_budget(system, app_name, monkeypatch):
         f"{system} {app_name}/small made {calls:,} Python calls, more than "
         f"{SLACK:.0%} of the pinned {pinned:,}: a per-event path grew a "
         "call (see docs/performance.md)")
+
+
+def test_call_counts_tool_totals_the_budgeted_run(monkeypatch, capsys):
+    monkeypatch.delenv("REPRO_CONFORMANCE", raising=False)
+    path = Path(__file__).resolve().parents[2] / "tools" / "call_counts.py"
+    spec = importlib.util.spec_from_file_location("_call_counts", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    # Without cyclic collection, no finalizer of an earlier run's
+    # garbage runs inside either count.
+    gc.disable()
+    try:
+        assert tool.main(
+            ["--system", "dirnnb", "--app", "em3d", "--top", "3"]) == 0
+        total = count_calls("dirnnb", "em3d")
+    finally:
+        gc.enable()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[0] == "calls"
+    assert int(lines[0].split()[1].replace(",", "")) == total
+    assert len([line for line in lines if "(" in line]) == 3

@@ -16,7 +16,9 @@ The pins were taken when DirNNB's full map became an int bit vector,
 both directory encodings queued waiting requests in a plain list, and
 ``CacheLine`` became slotted (docs/performance.md, "Per-block state");
 at the commit before, the same runs peaked at 638,508 (em3d) and 323,892
-(ocean) bytes.
+(ocean) bytes.  The em3d pin fell from 266,980 when ``pending`` became
+the shared empty tuple until a request queues and EM3D's worker stopped
+holding its warm-up address set (its phase addresses are machine words).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from repro.sim.config import MachineConfig
 #: (system, app) -> pinned tracemalloc peak, in bytes, of one 4-node
 #: small run.
 PINNED_PEAK_BYTES = {
-    ("dirnnb", "em3d"): 266_980,
+    ("dirnnb", "em3d"): 236_236,
     ("typhoon:stache", "ocean"): 249_380,
 }
 

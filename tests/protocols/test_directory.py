@@ -190,13 +190,18 @@ class TestSharedSurface:
         entry.remove_sharer(7)  # absent: a no-op
         assert entry.sharers() == {0, 31}
 
-    def test_pending_is_a_plain_fifo_list(self, encoding):
+    def test_pending_is_a_shared_tuple_then_a_fifo_list(self, encoding):
         entry = _fresh(encoding)
-        assert entry.pending == []
+        # No list until a request queues: every fresh entry shares one
+        # empty tuple, and appending in place fails loudly.
+        assert entry.pending == ()
+        assert entry.pending is _fresh(encoding).pending
+        with pytest.raises(AttributeError):
+            entry.pending.append((1, False))
+        entry.pending = [*entry.pending, (1, False)]
         assert type(entry.pending) is list
-        entry.pending.append((1, False))
-        entry.pending.append((2, True))
-        entry.pending.insert(0, (3, True))  # the request in flight
+        entry.pending = [*entry.pending, (2, True)]
+        entry.pending = [(3, True), *entry.pending]  # the request in flight
         assert entry.pending.pop(0) == (3, True)
         assert entry.pending.pop(0) == (1, False)
         assert entry.pending == [(2, True)]

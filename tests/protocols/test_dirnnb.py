@@ -245,3 +245,127 @@ class TestFirstTouchPlacement:
         addr = region.base
         run_script(machine, {2: [("w", addr, 1)]})
         assert machine.home_of(addr) == machine.heap.home_of(addr)
+
+
+# ----------------------------------------------------------------------
+# The CPU's one-call paths: ``access`` probes the TLB dict, the cache set
+# and the shared image's word dict itself, reads homes from the heap's
+# table, and the sink dispatches through a handler-name table.
+# ----------------------------------------------------------------------
+def _counts(node):
+    return (node.cpu_tlb.hits, node.cpu_tlb.misses, node.cache.hits,
+            node.cache.misses, node.cache.upgrades)
+
+
+class TestInlineProbes:
+    def test_tlb_miss_evicts_fifo_as_the_method_does(self):
+        from repro.memory.tlb import Tlb
+        from repro.sim.config import TlbConfig
+
+        config = TlbConfig(entries=2)
+        machine, region = make_dirnnb_machine(nodes=2, tlb=config)
+        node = machine.nodes[1]
+        twin = Tlb(config)
+        pages = list(range(region.base, region.end,
+                           machine.layout.page_size))[:3]
+        for addr in pages + [pages[1], pages[0]]:
+            run_access(machine, 1, addr)
+            twin.access(machine.layout.page_number(addr))
+            assert list(node.cpu_tlb._entries) == list(twin._entries)
+            assert (node.cpu_tlb.hits, node.cpu_tlb.misses) == (
+                twin.hits, twin.misses)
+        # The third page evicted the first; the fifth access missed.
+        assert (twin.hits, twin.misses) == (1, 4)
+
+    def test_cache_hit_counts_one_hit(self, dirnnb4):
+        machine, region = dirnnb4
+        addr = addr_homed_on(machine, region, home=1)
+        run_access(machine, 1, addr)
+        node = machine.nodes[1]
+        before = _counts(node)
+        _, cycles = run_access(machine, 1, addr + 8)
+        assert cycles == machine.config.cache_hit_cycles
+        after = _counts(node)
+        assert [b - a for a, b in zip(before, after)] == [1, 0, 1, 0, 0]
+
+    def test_store_to_shared_line_is_an_upgrade_and_a_miss(self, dirnnb4):
+        machine, region = dirnnb4
+        addr = addr_homed_on(machine, region, home=0)
+        run_script(machine, {1: [("r", addr), ("b",)],
+                             2: [("r", addr), ("b",)],
+                             0: [("b",)], 3: [("b",)]})
+        node = machine.nodes[1]
+        block = machine.layout.block_of(addr)
+        assert node.cache.lookup(block).state is LineState.SHARED
+        before = _counts(node)
+        run_access(machine, 1, addr, is_write=True, value=7)
+        after = _counts(node)
+        assert [b - a for a, b in zip(before, after)] == [1, 0, 0, 1, 1]
+        assert node.cache.lookup(block).state is LineState.EXCLUSIVE
+        assert machine.shared_image.read(addr) == 7
+
+    def test_cold_miss_counts_one_miss(self, dirnnb4):
+        machine, region = dirnnb4
+        addr = addr_homed_on(machine, region, home=0)
+        node = machine.nodes[2]
+        before = _counts(node)
+        run_access(machine, 2, addr)
+        after = _counts(node)
+        assert [b - a for a, b in zip(before, after)] == [0, 1, 0, 1, 0]
+
+    def test_private_miss_fills_the_cache(self, dirnnb4):
+        machine, _region = dirnnb4
+        value, _ = run_access(machine, 1, 0x1000, is_write=True, value=3)
+        assert value is None
+        assert machine.nodes[1].cache.lookup(0x1000).state is (
+            LineState.EXCLUSIVE)
+        assert run_access(machine, 1, 0x1000)[0] == 3
+
+
+class TestHomesAndSink:
+    def test_rehome_after_build_is_seen_by_the_next_miss(self, dirnnb4):
+        machine, region = dirnnb4
+        addr = addr_homed_on(machine, region, home=0)
+        run_access(machine, 1, addr)
+        machine.heap.rehome(addr, 2)
+        block = machine.layout.block_of(addr + 64)
+        run_access(machine, 1, addr + 64)
+        assert block in machine.nodes[2].directory.entries()
+        assert block not in machine.nodes[0].directory.entries()
+
+    def test_unknown_handler_raises(self, dirnnb4):
+        from repro.network.message import Message, VirtualNetwork
+        from repro.sim.engine import SimulationError
+
+        machine, _region = dirnnb4
+        message = Message(src=1, dst=0, handler="dir.bogus",
+                          vnet=VirtualNetwork.REQUEST, payload={})
+        with pytest.raises(SimulationError, match="unknown DirNNB message"):
+            machine.nodes[0]._receive(message)
+
+    def test_history_records_a_hit_through_complete(self, dirnnb4):
+        from repro.protocols.history import AccessHistory
+
+        machine, region = dirnnb4
+        addr = addr_homed_on(machine, region, home=1)
+        node = machine.nodes[1]
+        run_access(machine, 1, addr, is_write=True, value=4)
+        calls = []
+        complete = node._complete
+
+        def counted(*args):
+            calls.append(args)
+            return complete(*args)
+
+        node._complete = counted
+        run_access(machine, 1, addr)  # a hit, no history: inline
+        assert calls == []
+        machine.history = AccessHistory()
+        start = machine.engine.now
+        value, cycles = run_access(machine, 1, addr)
+        assert value == 4 and cycles == machine.config.cache_hit_cycles
+        assert len(calls) == 1
+        (record,) = machine.history.records
+        assert (record.node, record.addr, record.is_write, record.value) == (
+            1, addr, False, 4)
+        assert (record.start, record.end) == (start, start + cycles)
