@@ -33,21 +33,11 @@ FLOP_CYCLES = 2
 OVERHEAD_CYCLES = 1
 
 
-def _no_inline(addr, is_write, value=None):
-    """Fallback for node models without an inline-hit fast lane."""
-    return None
-
-
 def _no_run(seq, start, out):
     """Fallback batched lane: commits nothing, so every element of the
     run decomposes to the scalar per-access path (node models without
     lanes, and machines with ``batch_lanes`` off)."""
     return start
-
-
-def _no_charge(cycles):
-    """Fallback inline charge: the worker yields every compute charge."""
-    return False
 
 
 def _value(value):
@@ -81,12 +71,13 @@ class AppContext:
         self.node_id = node_id
         self._node = machine.nodes[node_id]
         self._engine = machine.engine
-        # The batched inline-hit lane: node models expose access_inline,
-        # which services TLB + cache hits (the dominant reference class)
-        # in one plain call — no generator, no event queue.  Consecutive
-        # hits therefore run back-to-back in the worker's loop, entering
-        # the simulator only on a miss, fault, or sync op.
-        self._inline = getattr(self._node, "access_inline", _no_inline)
+        # The batched inline-hit lane: every node model exposes
+        # access_inline, which services TLB + cache hits (the dominant
+        # reference class) in one plain call — no generator, no event
+        # queue.  Consecutive hits therefore run back-to-back in the
+        # worker's loop, entering the simulator only on a miss, fault,
+        # or sync op.
+        self._inline = self._node.access_inline
         self._access = self._node.access
         # The vectorised run lanes: a node-model method that commits the
         # longest all-hit prefix of a run in one step.  With lanes off
@@ -98,8 +89,7 @@ class AppContext:
             self._run_writes = getattr(self._node, "run_write_prefix",
                                        _no_run)
             self._run_plan = getattr(self._node, "run_plan_prefix", _no_run)
-            self._charge_inline = getattr(self._node, "charge_inline",
-                                          _no_charge)
+            self._charge_inline = getattr(self._node, "charge_inline", None)
         else:
             # Scalar mode is the differential oracle *and* the honest
             # perf baseline: a run decomposes to exactly what an
@@ -109,10 +99,14 @@ class AppContext:
             self._run_reads = _no_run
             self._run_writes = _no_run
             self._run_plan = _no_run
-            self._charge_inline = _no_charge
+            self._charge_inline = None
             self.read_run = self._read_run_scalar
             self.write_run = self._write_run_scalar
             self.access_plan = self._plan_scalar
+        if self._charge_inline is None:
+            # No charge lane (DirNNB, or scalar mode): every compute
+            # charge is yielded.
+            self.compute = self._compute_yielded
 
     @property
     def num_nodes(self) -> int:
@@ -282,6 +276,10 @@ class AppContext:
         if cycles and not self._charge_inline(cycles):
             return (cycles,)
         return ()
+
+    def _compute_yielded(self, flops: int = 0, overhead: int = 0):
+        cycles = flops * FLOP_CYCLES + overhead * OVERHEAD_CYCLES
+        return (cycles,) if cycles else ()
 
     def barrier(self) -> Generator:
         if self._engine.ahead is not None:

@@ -146,19 +146,36 @@ class BlizzardNode(TempestNode):
         fn, seen, cost = self._rows[message.handler]
         yield cost
         self._counters[self._handlers_run_key] += 1
+        self._run(fn, seen, message)
+        extra = self.np.take_charge()
+        if extra:
+            yield extra
+
+    def _run(self, fn, seen, message: Message) -> None:
+        """Run a handler row's raw ``fn`` on ``message``: the
+        DeliveryGuard's body inline (see DispatchRows), then the
+        conformance monitor."""
         if seen is None:
             fn(self.tempest, message)
         else:
-            # The DeliveryGuard's body, inline (see DispatchRows).
             xid = message.xid
             if xid is None or not seen(message.src, xid):
                 fn(self.tempest, message)
         monitor = self.machine.conformance
         if monitor is not None:
             monitor.after_handler(self.node_id, message)
-        extra = self.np.take_charge()
-        if extra:
-            yield extra
+
+    def drain(self) -> bool:
+        """Run every queued handler now, uncharged and uncounted (the
+        end-of-run drain: the clock has stopped).  True if any ran."""
+        inbox = self._inbox
+        ran = bool(inbox)
+        while inbox:
+            message = self._pick_next_message()
+            fn, seen, _cost = self._rows[message.handler]
+            self._run(fn, seen, message)
+            self.np.take_charge()
+        return ran
 
     def _poll(self) -> Generator:
         """The inserted poll: drain whatever has arrived."""
@@ -167,7 +184,7 @@ class BlizzardNode(TempestNode):
             yield from self._service_one()
 
     def poll(self) -> Generator:
-        """Explicit user-level poll (also used by barrier-wait loops)."""
+        """Explicit user-level poll."""
         yield from self._poll()
 
     def _spin_until(self, future: Future) -> Generator:
@@ -191,10 +208,6 @@ class BlizzardNode(TempestNode):
             future.add_callback(wake)
             yield arrival
             self._arrival = None
-
-    def spin_until(self, future: Future) -> Generator:
-        """Public reply-wait loop (used by the machine's barrier wait)."""
-        yield from self._spin_until(future)
 
     # ------------------------------------------------------------------
     # Block access faults: run on this CPU

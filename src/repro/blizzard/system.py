@@ -5,50 +5,27 @@ from __future__ import annotations
 from typing import Callable, Generator
 
 from repro.blizzard.node import BlizzardNode
-from repro.machine import MachineBase
-from repro.sim.config import MachineConfig
+from repro.machine import TempestMachine
 from repro.tempest.port import CostDomain
 
 
-class BlizzardMachine(MachineBase):
+class BlizzardMachine(TempestMachine):
     """N commodity nodes running Tempest entirely in software."""
 
     system_name = "blizzard"
-
-    def __init__(self, config: MachineConfig):
-        super().__init__(config)
-        self.costs = CostDomain.from_blizzard(config.blizzard)
-        self.nodes: list[BlizzardNode] = [
-            BlizzardNode(node_id, self) for node_id in range(config.nodes)
-        ]
-        self.protocol = None
-
-    @property
-    def tempests(self) -> list:
-        return [node.tempest for node in self.nodes]
-
-    def install_protocol(self, protocol) -> None:
-        if self.protocol is not None:
-            raise RuntimeError("a protocol is already installed")
-        self.protocol = protocol
-        protocol.install(self)
-        self._maybe_auto_conformance()
-
-    # ------------------------------------------------------------------
-    def barrier_wait(self, node_id: int) -> Generator:
-        """Barrier arrival that keeps servicing protocol messages.
-
-        With no NP, a node stalled at a barrier is the only thing that
-        can run handlers for requests targeting it — so the wait loop
-        polls (which is also how real polling-based systems avoid
-        deadlock at synchronization points).
-        """
-        node = self.nodes[node_id]
-        yield from node.spin_until(self.barrier.arrive(node_id))
+    node_class = BlizzardNode
+    cost_domain = CostDomain.from_blizzard
 
     def wait(self, node_id: int, future) -> Generator:
-        """Completion wait that keeps the software dispatcher running."""
-        yield from self.nodes[node_id].spin_until(future)
+        """Completion wait that keeps servicing protocol messages.
+
+        With no NP, a node blocked on a barrier, a lock grant or a
+        transfer is the only thing that can run handlers for requests
+        targeting it — so the wait loop polls (which is also how real
+        polling-based systems avoid deadlock at synchronization points).
+        """
+        yield from self.nodes[node_id]._spin_until(future)
+        return future.value
 
     def run_workers(self, worker_factory: Callable[[int], Generator]):
         """Run workers inside a dispatcher loop, then drain leftovers.
@@ -76,28 +53,13 @@ class BlizzardMachine(MachineBase):
             done_count[0] += 1
             if done_count[0] == self.num_nodes:
                 all_done.resolve(None)
-            yield from self.nodes[node_id].spin_until(all_done)
+            yield from self.wait(node_id, all_done)
             return result
 
         finish_times = super().run_workers(wrapped)
         for _sweep in range(self.num_nodes + 1):
-            progressed = False
-            for node in self.nodes:
-                while node._inbox:
-                    message = node._pick_next_message()
-                    spec = node.registry.lookup(message.handler)
-                    spec.fn(node.tempest, message)
-                    if self.conformance is not None:
-                        self.conformance.after_handler(node.node_id, message)
-                    node.np.take_charge()
-                    progressed = True
+            drained = [node.drain() for node in self.nodes]
             self.engine.run()
-            if not progressed:
+            if not any(drained):
                 break
         return finish_times
-
-    def __repr__(self) -> str:
-        protocol = type(self.protocol).__name__ if self.protocol else "none"
-        return (
-            f"BlizzardMachine(nodes={self.num_nodes}, protocol={protocol})"
-        )

@@ -6,49 +6,22 @@ with Blizzard-style inserted access checks, and its handler processor
 runs the protocol library concurrently (see
 :mod:`repro.decoupled.node`).  Because handlers make progress without
 the compute thread's cooperation, the machine keeps
-:class:`~repro.machine.MachineBase`'s bare-future ``wait`` and hardware
-``barrier_wait`` — the ``decoupled-handlers`` guarantee that legalises
-protocols (like the em3d update protocol) whose handlers must run while
-the compute thread blocks.
+:class:`~repro.machine.MachineBase`'s bare-future ``wait`` — the
+``decoupled-handlers`` guarantee that legalises protocols (like the
+em3d update protocol) whose handlers must run while the compute thread
+blocks.
 """
 
 from __future__ import annotations
 
 from repro.decoupled.node import DecoupledNode
-from repro.machine import MachineBase
-from repro.sim.config import MachineConfig
+from repro.machine import TempestMachine
 from repro.tempest.port import CostDomain
 
 
-class DecoupledMachine(MachineBase):
+class DecoupledMachine(TempestMachine):
     """N decoupled nodes plus interconnect; runs user-level protocols."""
 
     system_name = "decoupled"
-
-    def __init__(self, config: MachineConfig):
-        super().__init__(config)
-        self.costs = CostDomain.from_decoupled(config.decoupled)
-        self.nodes: list[DecoupledNode] = [
-            DecoupledNode(node_id, self) for node_id in range(config.nodes)
-        ]
-        self.protocol = None
-
-    @property
-    def tempests(self) -> list:
-        """The per-node Tempest interfaces (what user-level code sees)."""
-        return [node.tempest for node in self.nodes]
-
-    def install_protocol(self, protocol) -> None:
-        """Install a user-level protocol library on every node."""
-        if self.protocol is not None:
-            raise RuntimeError("a protocol is already installed")
-        self.protocol = protocol
-        protocol.install(self)
-        self._maybe_auto_conformance()
-
-    def __repr__(self) -> str:
-        protocol = type(self.protocol).__name__ if self.protocol else "none"
-        return (
-            f"DecoupledMachine(nodes={self.num_nodes}, protocol={protocol}, "
-            f"cache={self.config.cache.size_bytes}B)"
-        )
+    node_class = DecoupledNode
+    cost_domain = CostDomain.from_decoupled

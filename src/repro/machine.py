@@ -1,4 +1,4 @@
-"""Common machine assembly shared by the Typhoon and DirNNB targets.
+"""Common machine assembly shared by every backend.
 
 A *machine* owns the simulation engine, the statistics registry, the
 shared-segment heap, the interconnect, and the barrier network, and builds
@@ -6,7 +6,9 @@ one node per processor.  The two target systems of Section 6 —
 Typhoon running user-level protocols, and the all-hardware DirNNB
 system — are both machines; applications run unchanged on either
 (the paper: "Unaltered shared-memory programs are simply re-linked with
-the Stache runtime library").
+the Stache runtime library").  :class:`TempestMachine` is the assembly
+of the three Tempest backends, which differ only in data (their node
+model and cost domain) and, on Blizzard, in how a blocked CPU waits.
 """
 
 from __future__ import annotations
@@ -84,6 +86,9 @@ class MachineBase:
         #: :class:`repro.tempest.port.CostDomain`); set by machines that
         #: host user-level protocols (None on all-hardware DirNNB).
         self.costs = None
+        #: The installed user-level protocol (None until
+        #: ``install_protocol``; always None on all-hardware DirNNB).
+        self.protocol = None
 
     # ------------------------------------------------------------------
     def install_fault_plan(self, faults):
@@ -183,22 +188,23 @@ class MachineBase:
     def node(self, node_id: int):
         return self.nodes[node_id]
 
-    def barrier_wait(self, node_id: int):
-        """Generator: arrive at the machine barrier and wait for release.
-
-        Machines without a hardware barrier (or whose nodes must keep
-        servicing protocol work while stalled) override this.
-        """
-        yield self.barrier.arrive(node_id)
-
     def wait(self, node_id: int, future):
-        """Generator: block ``node_id``'s thread on ``future``.
+        """Generator: block ``node_id``'s thread on ``future``; ``yield
+        from`` returns its value.
 
-        The backend-agnostic way to wait for a completion (e.g. a bulk
-        transfer): on machines whose nodes must service protocol work
-        while stalled (no NP), this spins the dispatcher.
+        The one way a thread blocks on a completion (a barrier release,
+        a lock grant, a bulk transfer): library code reaches it through
+        ``Tempest.wait``.  A backend overrides it only if its CPU must
+        run handlers while blocked (Blizzard spins its dispatcher).  A
+        backend's own CPU model (DirNNB's miss grant, ``TempestNode``'s
+        fault suspension) may still yield its futures directly.
         """
-        yield future
+        return (yield future)
+
+    def barrier_wait(self, node_id: int):
+        """Arrive at the machine barrier: ``yield from`` blocks until
+        the release (a plain call returning :meth:`wait`'s generator)."""
+        return self.wait(node_id, self.barrier.arrive(node_id))
 
     # ------------------------------------------------------------------
     def run_workers(
@@ -236,7 +242,40 @@ class MachineBase:
         self._finish_times[node_id] = self.engine.now
 
     def __repr__(self) -> str:
+        protocol = type(self.protocol).__name__ if self.protocol else "none"
         return (
             f"{type(self).__name__}(nodes={self.num_nodes}, "
-            f"cache={self.config.cache.size_bytes}B)"
+            f"protocol={protocol}, cache={self.config.cache.size_bytes}B)"
         )
+
+
+class TempestMachine(MachineBase):
+    """N Tempest nodes plus interconnect; runs user-level protocols.
+
+    A backend subclass supplies data: ``node_class`` (a
+    :class:`~repro.tempest.node.TempestNode` subclass) and
+    ``cost_domain``, the :class:`~repro.tempest.port.CostDomain`
+    constructor applied to the config section named ``system_name``.
+    """
+
+    node_class: type
+    cost_domain: Callable
+
+    def __init__(self, config: MachineConfig):
+        super().__init__(config)
+        self.costs = self.cost_domain(getattr(config, self.system_name))
+        self.nodes = [self.node_class(node_id, self)
+                      for node_id in range(config.nodes)]
+
+    @property
+    def tempests(self) -> list:
+        """The per-node Tempest interfaces (what user-level code sees)."""
+        return [node.tempest for node in self.nodes]
+
+    def install_protocol(self, protocol) -> None:
+        """Install a user-level protocol library on every node."""
+        if self.protocol is not None:
+            raise RuntimeError("a protocol is already installed")
+        self.protocol = protocol
+        protocol.install(self)
+        self._maybe_auto_conformance()

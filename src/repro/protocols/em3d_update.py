@@ -325,7 +325,7 @@ class Em3dUpdateProtocol(StacheProtocol):
                 raise SimulationError(f"node {node_id} already waiting")
             state.waiter = Future(tempest.engine)
             state.wait_key = key
-            yield state.waiter
+            yield from tempest.wait(state.waiter)
         del state.received[key]
         state.next_wait[kind] = step + 1
 

@@ -864,10 +864,10 @@ class StacheProtocol:
         self._migrations[page_addr] = ready
         tempest.send(new_home, "stache.migrate_begin",
                      addr=page_addr, origin=node_id)
-        yield ready
+        yield from tempest.wait(ready)
         # 2. Ship the data.
-        yield tempest.bulk_transfer(new_home, page_addr, page_addr,
-                                    machine.layout.page_size)
+        yield from tempest.wait(tempest.bulk_transfer(
+            new_home, page_addr, page_addr, machine.layout.page_size))
         # 3. Retire the old mapping; leave a forwarding stub and update
         # the distributed mapping table.
         tempest.unmap_page(page_addr)

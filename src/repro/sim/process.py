@@ -107,12 +107,6 @@ class Future:
         else:
             self._callbacks.append(callback)
 
-    @classmethod
-    def resolved(cls, engine: Engine, value: Any = None) -> "Future":
-        future = cls(engine)
-        future.resolve(value)
-        return future
-
 
 class Process:
     """Drives a generator through simulated time.

@@ -13,6 +13,7 @@ transfer, and VM management, is here.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.memory.address import AddressLayout
@@ -44,6 +45,8 @@ class TempestBackend(Protocol):
     heap: GlobalHeap
     written_blocks: set
     after_access: list
+    #: Its ``wait(node_id, future)`` blocks this node's thread.
+    machine: Any
 
     @property
     def num_nodes(self) -> int: ...
@@ -83,7 +86,12 @@ class Tempest:
     * ``resume(value=None)`` — restart this node's suspended thread (the
       stalled access retries): the node's
       :meth:`ComputationThread.resume
-      <repro.tempest.threads.ComputationThread.resume>`.
+      <repro.tempest.threads.ComputationThread.resume>`;
+    * ``wait(future)`` — block this node's thread on ``future``
+      (``yield from``; it returns the value): the machine's
+      :meth:`wait <repro.machine.MachineBase.wait>` for this node, which
+      keeps a backend without an NP servicing handlers meanwhile.
+      Library code (locks, barriers, transfers) waits only through it.
     """
 
     def __init__(self, backend: TempestBackend):
@@ -111,6 +119,7 @@ class Tempest:
         self.import_block = image.import_block
         self.charge = backend.np_charge
         self.resume = backend.thread.resume
+        self.wait = partial(backend.machine.wait, backend.node_id)
         self._set_tag = tags.set_tag
         self._block_mask = ~(self.layout.block_size - 1)
         self._send_message = backend.send_message
@@ -155,7 +164,8 @@ class Tempest:
     # ------------------------------------------------------------------
     def bulk_transfer(self, dst: int, src_vaddr: int, dst_vaddr: int,
                       nbytes: int) -> Future:
-        """Asynchronous bulk copy to another node; resolves on completion."""
+        """Asynchronous bulk copy to another node; resolves on completion
+        (block on it with :attr:`wait`)."""
         return self._bulk_engine.start(dst, src_vaddr, dst_vaddr, nbytes)
 
     # ------------------------------------------------------------------

@@ -142,7 +142,8 @@ class TempestPort(Protocol):
     :class:`~repro.typhoon.system.TyphoonMachine`,
     :class:`~repro.decoupled.system.DecoupledMachine`, and
     :class:`~repro.blizzard.system.BlizzardMachine` all satisfy it
-    without inheriting from anything here, and protocol modules annotate
+    through their shared :class:`~repro.machine.TempestMachine`, without
+    inheriting from anything here, and protocol modules annotate
     against it instead of naming a backend type (no module under
     ``repro.protocols`` may import ``repro.typhoon``,
     ``repro.decoupled``, or ``repro.blizzard`` — a test enforces this).

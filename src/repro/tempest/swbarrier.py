@@ -62,8 +62,9 @@ class SoftwareBarrier:
             )
 
     # ------------------------------------------------------------------
-    def arrive(self, node_id: int):
-        """Generator: block until every node has arrived at this episode."""
+    def arrive(self, node_id: int) -> Future:
+        """Send ``node_id``'s arrival; return the future its release
+        resolves, like ``BarrierNetwork.arrive`` (wait with ``wait``)."""
         tempest = self._tempests[node_id]
         episode = self._episode[node_id]
         self._episode[node_id] = episode + 1
@@ -76,7 +77,7 @@ class SoftwareBarrier:
             node=node_id,
             episode=episode,
         )
-        yield released
+        return released
 
     # ------------------------------------------------------------------
     def _on_arrive(self, tempest, message) -> None:

@@ -15,8 +15,9 @@ Two primitives are provided:
   by default), the building block for counters, tickets and fuzzy
   barriers.
 
-Both are usable from computation threads (``yield from lock.acquire(ctx)``
-style) and are exercised by the custom-synchronization example.
+Computation threads use both (``yield from lock.acquire(node_id)``);
+they block through ``Tempest.wait`` and are exercised by the
+custom-synchronization example.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class TempestLock:
             vnet=VirtualNetwork.REQUEST,
             requester=node_id,
         )
-        yield grant
+        yield from tempest.wait(grant)
 
     def release(self, node_id: int):
         """Generator: sends the release; returns without waiting."""
@@ -173,8 +174,7 @@ class FetchAndOp:
             requester=node_id,
             argument=argument,
         )
-        old = yield reply
-        return old
+        return (yield from tempest.wait(reply))
 
     @property
     def value(self) -> int:

@@ -9,37 +9,17 @@ exactly as linking against the Stache runtime library does in the paper.
 
 from __future__ import annotations
 
-from repro.machine import MachineBase
-from repro.sim.config import MachineConfig
+from repro.machine import TempestMachine
 from repro.tempest.port import CostDomain
 from repro.typhoon.node import TyphoonNode
 
 
-class TyphoonMachine(MachineBase):
+class TyphoonMachine(TempestMachine):
     """N Typhoon nodes plus interconnect; runs user-level protocols."""
 
     system_name = "typhoon"
-
-    def __init__(self, config: MachineConfig):
-        super().__init__(config)
-        self.costs = CostDomain.from_typhoon(config.typhoon)
-        self.nodes: list[TyphoonNode] = [
-            TyphoonNode(node_id, self) for node_id in range(config.nodes)
-        ]
-        self.protocol = None
-
-    @property
-    def tempests(self) -> list:
-        """The per-node Tempest interfaces (what user-level code sees)."""
-        return [node.tempest for node in self.nodes]
-
-    def install_protocol(self, protocol) -> None:
-        """Install a user-level protocol library on every node."""
-        if self.protocol is not None:
-            raise RuntimeError("a protocol is already installed")
-        self.protocol = protocol
-        protocol.install(self)
-        self._maybe_auto_conformance()
+    node_class = TyphoonNode
+    cost_domain = CostDomain.from_typhoon
 
     def use_software_barrier(self, coordinator: int = 0) -> None:
         """Replace the hardware barrier network with a message-built one.
@@ -50,19 +30,4 @@ class TyphoonMachine(MachineBase):
         """
         from repro.tempest.swbarrier import SoftwareBarrier
 
-        self._software_barrier = SoftwareBarrier(
-            self.tempests, coordinator=coordinator)
-
-    def barrier_wait(self, node_id: int):
-        barrier = getattr(self, "_software_barrier", None)
-        if barrier is None:
-            yield self.barrier.arrive(node_id)
-        else:
-            yield from barrier.arrive(node_id)
-
-    def __repr__(self) -> str:
-        protocol = type(self.protocol).__name__ if self.protocol else "none"
-        return (
-            f"TyphoonMachine(nodes={self.num_nodes}, protocol={protocol}, "
-            f"cache={self.config.cache.size_bytes}B)"
-        )
+        self.barrier = SoftwareBarrier(self.tempests, coordinator=coordinator)

@@ -84,7 +84,7 @@ class TestSpinUntil:
         landed = []
 
         def worker():
-            yield from node.spin_until(future)
+            yield from machine.wait(0, future)
             landed.append(machine.engine.now)
 
         Process(machine.engine, worker())
@@ -100,7 +100,7 @@ class TestSpinUntil:
             "h", lambda t, m: ran.append(machine.engine.now), instructions=5)
 
         def worker():
-            yield from node.spin_until(future)
+            yield from machine.wait(0, future)
 
         Process(machine.engine, worker())
         machine.engine.schedule(20, send, machine, 0, "h")
@@ -117,7 +117,7 @@ class TestSpinUntil:
         finished = []
 
         def worker():
-            yield from node.spin_until(future)
+            yield from machine.wait(0, future)
             finished.append(True)
 
         Process(machine.engine, worker())

@@ -18,7 +18,9 @@ from 208,537 when Stache's fault and request handlers unpacked their
 argument themselves.  The DirNNB em3d pin fell from 100,448 when the
 DirNNB CPU, sink and directory reached their state in one call and EM3D
 issued each edge as two reads from addresses built once; the same change
-added the decoupled em3d pin (68,595 at the commit before).
+added the decoupled em3d pin (68,595 at the commit before), and fell
+again from 79,087 when ``AppContext`` bound ``compute`` per node, so a
+node without a charge lane calls no stub.
 
 ``tools/call_counts.py`` counts the same run and lists where the calls
 go; its total must equal :func:`count_calls`.
@@ -41,7 +43,7 @@ from repro.sim.config import MachineConfig
 #: (system, app) -> pinned Python-level calls in one 4-node small run.
 PINNED_CALLS = {
     ("typhoon:stache", "mp3d"): 206_324,
-    ("dirnnb", "em3d"): 79_087,
+    ("dirnnb", "em3d"): 77_571,
     ("decoupled:em3d-update", "em3d"): 64_415,
 }
 

@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import compose
 from repro.protocols.dirnnb import DirNNBMachine
-from repro.protocols.stache import StacheProtocol
 from repro.sim.config import MachineConfig
-from repro.typhoon.system import TyphoonMachine
 
 
-def make_stache_machine(nodes=4, seed=1, shared_bytes=4 * 4096, **config_kwargs):
-    """A TyphoonMachine with Stache installed and one shared region."""
-    machine = TyphoonMachine(MachineConfig(nodes=nodes, seed=seed, **config_kwargs))
-    protocol = StacheProtocol()
-    machine.install_protocol(protocol)
+def make_stache_machine(nodes=4, seed=1, shared_bytes=4 * 4096,
+                        system="typhoon:stache", **config_kwargs):
+    """A machine with Stache installed (a TyphoonMachine unless
+    ``system`` names another backend) and one shared region."""
+    machine, protocol = compose(
+        system, MachineConfig(nodes=nodes, seed=seed, **config_kwargs))
     region = machine.heap.allocate(shared_bytes, label="test")
     protocol.setup_region(region)
     return machine, protocol, region
@@ -51,6 +51,10 @@ def run_script(machine, script):
 
     machine.run_workers(worker)
     return reads
+
+
+#: The three Tempest backends, each running Stache.
+TEMPEST_STACHE = ("typhoon:stache", "decoupled:stache", "blizzard:stache")
 
 
 @pytest.fixture

@@ -3,8 +3,10 @@
 Covers the composition layer's contract: registry contents and order,
 alias resolution, capability validation (with the missing capability
 named), registry-derived error suggestions, cost-domain resolution, the
-TempestPort structural check on both backends — and the import ban that
-keeps every module under ``repro.protocols`` backend-neutral.
+TempestPort structural check on both backends — and the layering lints:
+the import ban that keeps every module under ``repro.protocols``
+backend-neutral, and the wait rule that keeps library code blocking
+through ``Tempest.wait``.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pathlib
 import pytest
 
 import repro.protocols as protocols_pkg
+import repro.tempest as tempest_pkg
 from repro.backends import (
     ALIASES,
     BACKENDS,
@@ -246,3 +249,63 @@ def test_no_protocol_module_imports_a_backend():
                 assert not module.startswith(banned), (
                     f"{source.name} imports {module}"
                 )
+
+
+# ----------------------------------------------------------------------
+# The wait rule: library code blocks only through Tempest.wait
+# ----------------------------------------------------------------------
+#: Calls whose result is a completion the caller must wait on.
+_COMPLETIONS = ("Future", "bulk_transfer")
+
+
+def _is_completion(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(
+        func, "attr", None)
+    return name in _COMPLETIONS
+
+
+def _bare_completion_yields(path: pathlib.Path):
+    """``(function, line)`` of every ``yield`` of a completion: a
+    ``Future(...)`` or ``bulk_transfer(...)`` call, or a name or
+    attribute the function bound from one."""
+    tree = ast.parse(path.read_text())
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.Assign) and _is_completion(node.value):
+                bound.update(ast.unparse(target) for target in node.targets)
+            elif (isinstance(node, ast.AnnAssign)
+                    and _is_completion(node.value)):
+                bound.add(ast.unparse(node.target))
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Yield) or node.value is None:
+                continue
+            value = node.value
+            if _is_completion(value) or (
+                    isinstance(value, (ast.Name, ast.Attribute))
+                    and ast.unparse(value) in bound):
+                yield function.name, node.lineno
+
+
+def test_library_code_waits_through_tempest_wait():
+    """A protocol or sync library that yields its own future blocks the
+    CPU bare: on a backend whose CPU runs the handlers (Blizzard) the
+    reply's handler then never runs.  Library code waits through
+    ``Tempest.wait`` instead.  DirNNB is exempt: its CPU model is the
+    hardware's, not a library on a Tempest backend."""
+    package_dir = pathlib.Path(protocols_pkg.__file__).parent
+    tempest_dir = pathlib.Path(tempest_pkg.__file__).parent
+    sources = [source for source in sorted(package_dir.glob("*.py"))
+               if source.name != "dirnnb.py"]
+    sources += [tempest_dir / "sync.py", tempest_dir / "swbarrier.py"]
+    offenders = [
+        f"{source.name}:{line} {function}"
+        for source in sources
+        for function, line in _bare_completion_yields(source)
+    ]
+    assert offenders == []

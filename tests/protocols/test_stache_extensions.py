@@ -6,7 +6,11 @@ from repro.memory.tags import Tag
 from repro.protocols.directory import DirectoryState
 from repro.protocols.verify import check_stache_coherence
 from repro.sim.engine import SimulationError
-from tests.protocols.conftest import make_stache_machine, run_script
+from tests.protocols.conftest import (
+    TEMPEST_STACHE,
+    make_stache_machine,
+    run_script,
+)
 
 
 def addr_homed_on(machine, region, home, offset=0):
@@ -217,6 +221,28 @@ class TestPageMigration:
 
     def test_migrates_data_home_and_mapping_table(self):
         machine, protocol, region, page = self.make()
+        machine.nodes[0].image.write(page + 8, "payload")
+
+        def worker(node_id):
+            if node_id == 0:
+                yield from protocol.migrate_page(0, page, new_home=2)
+            else:
+                yield 1
+
+        machine.run_workers(worker)
+        assert machine.heap.home_of(page) == 2
+        assert machine.nodes[2].image.read(page + 8) == "payload"
+        assert machine.nodes[2].tempest.page_entry(page).mode == 1  # HOME
+        assert machine.nodes[0].tempest.page_entry(page) is None
+        assert machine.stats.get("stache.pages_migrated") == 1
+
+    @pytest.mark.parametrize("system", TEMPEST_STACHE)
+    def test_migration_runs_on_every_tempest_backend(self, system):
+        """Library waits go through ``Tempest.wait``, so the migration's
+        ready and transfer waits keep a CPU-run dispatcher servicing."""
+        machine, protocol, region = make_stache_machine(nodes=3,
+                                                        system=system)
+        page = addr_homed_on(machine, region, home=0)
         machine.nodes[0].image.write(page + 8, "payload")
 
         def worker(node_id):

@@ -41,7 +41,8 @@ def test_future_callback_fires_as_event():
 
 def test_future_callback_after_resolution():
     engine = Engine()
-    future = Future.resolved(engine, 5)
+    future = Future(engine)
+    future.resolve(5)
     seen = []
     future.add_callback(seen.append)
     engine.run()
@@ -94,15 +95,20 @@ def test_process_blocks_on_future_and_receives_value():
 
 def test_process_resolved_future_does_not_block():
     engine = Engine()
+    future = Future(engine)
+    future.resolve(9)
     got = []
 
     def body():
-        value = yield Future.resolved(engine, 9)
+        value = yield future
         got.append((value, engine.now))
 
     Process(engine, body())
     engine.run()
     assert got == [(9, 0)]
+    # The value went straight back in: the process's start is the only
+    # event, with no callback round trip through the queue.
+    assert engine._events_fired == 1
 
 
 def test_process_finished_future_carries_return_value():

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.backends import compose
 from repro.sim.config import MachineConfig
 from repro.tempest.swbarrier import SoftwareBarrier
 from repro.typhoon.system import TyphoonMachine
+from tests.protocols.conftest import TEMPEST_STACHE
 
 
 @pytest.fixture
@@ -18,7 +20,7 @@ def test_releases_only_after_all_arrive(machine):
 
     def worker(node_id):
         yield node_id * 100  # staggered arrivals
-        yield from barrier.arrive(node_id)
+        yield from machine.wait(node_id, barrier.arrive(node_id))
         release_times[node_id] = machine.engine.now
 
     machine.run_workers(worker)
@@ -34,7 +36,7 @@ def test_multiple_episodes_stay_in_lockstep(machine):
     def worker(node_id):
         for phase in range(3):
             yield (node_id + 1) * 17
-            yield from barrier.arrive(node_id)
+            yield from machine.wait(node_id, barrier.arrive(node_id))
             trace.append((phase, node_id))
 
     machine.run_workers(worker)
@@ -52,7 +54,7 @@ def test_fast_node_rearrival_does_not_poison_next_episode(machine):
         for _ in range(4):
             if node_id != 0:
                 yield 150  # node 0 is much faster
-            yield from barrier.arrive(node_id)
+            yield from machine.wait(node_id, barrier.arrive(node_id))
             counts[node_id] += 1
 
     machine.run_workers(worker)
@@ -64,7 +66,7 @@ def test_software_barrier_costs_more_than_hardware(machine):
     sw = SoftwareBarrier(machine.tempests)
 
     def sw_worker(node_id):
-        yield from sw.arrive(node_id)
+        yield from machine.wait(node_id, sw.arrive(node_id))
 
     machine.run_workers(sw_worker)
     sw_cycles = machine.execution_time
@@ -92,7 +94,7 @@ def test_machine_level_software_barrier_option(machine):
     # Everyone released together, after the last arrival (node 3 at 120),
     # via messages (so later than a hardware barrier would manage).
     assert min(release.values()) > 120
-    assert machine._software_barrier.episodes_completed == 1
+    assert machine.barrier.episodes_completed == 1
 
 
 def test_two_barriers_are_independent(machine):
@@ -100,9 +102,28 @@ def test_two_barriers_are_independent(machine):
     b = SoftwareBarrier(machine.tempests, name="b")
 
     def worker(node_id):
-        yield from a.arrive(node_id)
-        yield from b.arrive(node_id)
+        yield from machine.wait(node_id, a.arrive(node_id))
+        yield from machine.wait(node_id, b.arrive(node_id))
 
     machine.run_workers(worker)
     assert a.episodes_completed == 1
     assert b.episodes_completed == 1
+
+
+@pytest.mark.parametrize("system", TEMPEST_STACHE)
+def test_two_episodes_on_every_tempest_backend(system):
+    """Arrivals wait through ``machine.wait``, so a backend whose CPU
+    runs the handlers still counts arrivals and delivers releases."""
+    machine = compose(system, MachineConfig(nodes=4, seed=11))[0]
+    barrier = SoftwareBarrier(machine.tempests, coordinator=1)
+    trace = []
+
+    def worker(node_id):
+        for phase in range(2):
+            yield (node_id + 1) * 50
+            yield from machine.wait(node_id, barrier.arrive(node_id))
+            trace.append((phase, node_id))
+
+    machine.run_workers(worker)
+    assert barrier.episodes_completed == 2
+    assert [phase for phase, _node in trace] == [0] * 4 + [1] * 4

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.backends import compose
 from repro.sim.config import MachineConfig
 from repro.sim.process import Process
 from repro.tempest.sync import FetchAndOp, TempestLock
 from repro.typhoon.system import TyphoonMachine
+from tests.protocols.conftest import TEMPEST_STACHE
 
 
 @pytest.fixture
@@ -96,3 +98,46 @@ class TestFetchAndOp:
 
         machine.run_workers(lambda n: worker(n))
         assert cell.value == 20
+
+
+@pytest.mark.parametrize("system", TEMPEST_STACHE)
+class TestEveryTempestBackend:
+    """The primitives wait through ``Tempest.wait``, so they complete
+    with the same results on a backend whose CPU runs the handlers."""
+
+    def machine(self, system):
+        return compose(system, MachineConfig(nodes=4, seed=3))[0]
+
+    def test_lock_excludes_and_grants_in_arrival_order(self, system):
+        machine = self.machine(system)
+        lock = TempestLock(machine.tempests, home=1)
+        in_section = [0]
+        max_in_section = [0]
+        order = []
+
+        def worker(node):
+            yield node * 200  # arrivals well apart: a fixed FIFO order
+            yield from lock.acquire(node)
+            order.append(node)
+            in_section[0] += 1
+            max_in_section[0] = max(max_in_section[0], in_section[0])
+            yield 2000  # hold long enough that everyone queues
+            in_section[0] -= 1
+            yield from lock.release(node)
+
+        machine.run_workers(worker)
+        assert max_in_section[0] == 1
+        assert order == [0, 1, 2, 3]
+
+    def test_fetch_and_op_returns_each_old_value(self, system):
+        machine = self.machine(system)
+        counter = FetchAndOp(machine.tempests, home=0)
+        tickets = []
+
+        def worker(node):
+            ticket = yield from counter.apply(node, 1)
+            tickets.append(ticket)
+
+        machine.run_workers(worker)
+        assert sorted(tickets) == [0, 1, 2, 3]
+        assert counter.value == 4
