@@ -173,7 +173,9 @@ class Em3dApplication(Application):
         for index in my_h:
             for neighbour in self.h_edges[index]:
                 touched.add(self.e_nodes.addr(neighbour, VALUE_OFFSET))
-        yield from ctx.read_run(sorted(touched))
+        read = ctx.read
+        for addr in sorted(touched):
+            yield from read(addr)
         del touched  # kept alive by this frame otherwise
         yield from ctx.barrier()
 

@@ -5,15 +5,11 @@ any implementation of the mechanisms — becomes executable here: a
 *system* is the pair of a *backend* (a machine implementing
 :class:`~repro.tempest.port.TempestPort`) and a *protocol* (a library
 from :mod:`repro.protocols.registry`), named ``"<backend>:<protocol>"``
-(``typhoon:stache``, ``blizzard:ivy``, ...).  The all-hardware DirNNB
-baseline is a backend with its protocol baked into hardware: it takes no
-user-level protocol and is named plainly ``dirnnb``.
-
-Composition validates **capabilities**: each backend declares what it
-``provides`` and each protocol what it ``requires``; a mismatch raises
-:class:`CompositionError` at build time instead of deadlocking at run
-time (e.g. ``blizzard:em3d-update`` — the flush/fuzzy barrier needs a
-decoupled handler processor an all-software backend does not have).
+(``typhoon:stache``, ``blizzard:ivy``, ...).  Every Tempest backend runs
+every protocol, so the composable systems are a plain product.  The
+all-hardware DirNNB baseline is a backend with its protocol baked into
+hardware: it takes no user-level protocol and is named plainly
+``dirnnb``.
 
 The pre-registry system names (``typhoon-stache``, ``blizzard-stache``,
 ``typhoon-update``, ...) remain first-class aliases, so every harness
@@ -43,8 +39,9 @@ __all__ = [
 
 
 class CompositionError(ValueError):
-    """A syntactically valid system that cannot be built (capability
-    mismatch, or a protocol given to a backend that takes none)."""
+    """A syntactically valid system that cannot be built (a protocol
+    given to a backend that takes none, or a Tempest backend given
+    none)."""
 
 
 @dataclass(frozen=True)
@@ -55,9 +52,6 @@ class BackendEntry:
     name: str
     #: One-line description (the ``systems`` CLI listing).
     description: str
-    #: Tempest capabilities this backend implements (see
-    #: :mod:`repro.protocols.registry` for the vocabulary).
-    provides: frozenset
     #: ``factory(config) -> machine``; lazy, so backends stay unimported
     #: until composed.
     factory: Callable[[MachineConfig], object]
@@ -98,7 +92,6 @@ BACKENDS: dict[str, BackendEntry] = {
             name="dirnnb",
             description="all-hardware Dir_N NB cache coherence "
                         "(the paper's baseline; protocol in hardware)",
-            provides=frozenset(),
             factory=_dirnnb,
             builtin_protocol="dirnnb",
         ),
@@ -106,10 +99,6 @@ BACKENDS: dict[str, BackendEntry] = {
             name="typhoon",
             description="hardware Tempest: per-node network processor "
                         "runs handlers decoupled from the CPU",
-            provides=frozenset({
-                "fine-grain-tags", "active-messages", "bulk-transfer",
-                "decoupled-handlers",
-            }),
             factory=_typhoon,
         ),
         BackendEntry(
@@ -117,28 +106,20 @@ BACKENDS: dict[str, BackendEntry] = {
             description="software Tempest on dual-processor nodes: "
                         "inserted checks on the compute CPU, handlers "
                         "on a second CPU's polling dispatch loop",
-            provides=frozenset({
-                "fine-grain-tags", "active-messages", "bulk-transfer",
-                "decoupled-handlers",
-            }),
             factory=_decoupled,
         ),
         BackendEntry(
             name="blizzard",
             description="all-software Tempest: inserted checks and "
                         "polling; handlers share the CPU",
-            provides=frozenset({
-                "fine-grain-tags", "active-messages", "bulk-transfer",
-            }),
             factory=_blizzard,
         ),
     )
 }
 
-#: Legacy system names -> canonical ``backend:protocol`` strings.  The
-#: first four predate the registry and appear throughout the paper
-#: artifacts; the rest exist so every composable system also has a
-#: hyphenated spelling.
+#: Legacy system names -> canonical ``backend:protocol`` strings: the
+#: hyphenated spellings the paper artifacts, goldens and scripts used
+#: before the registry.  A system added since gets no alias.
 ALIASES: dict[str, str] = {
     "typhoon-stache": "typhoon:stache",
     "typhoon-update": "typhoon:em3d-update",
@@ -158,16 +139,14 @@ def all_systems() -> tuple[str, ...]:
     """Every composable system's canonical name, in presentation order.
 
     Backends that take no protocol appear bare (``dirnnb``); the rest
-    appear once per protocol whose requirements they satisfy.
+    appear once per registered protocol.
     """
     names: list[str] = []
     for backend in BACKENDS.values():
         if backend.builtin_protocol is not None:
             names.append(backend.name)
-            continue
-        for protocol in PROTOCOLS.values():
-            if protocol.requires <= backend.provides:
-                names.append(f"{backend.name}:{protocol.name}")
+        else:
+            names.extend(f"{backend.name}:{protocol}" for protocol in PROTOCOLS)
     return tuple(names)
 
 
@@ -189,8 +168,8 @@ def parse_system(system: str) -> tuple[BackendEntry, ProtocolEntry | None]:
 
     Accepts canonical ``backend:protocol`` strings, bare builtin-protocol
     backends (``dirnnb``), and the legacy aliases.  Raises ``ValueError``
-    for unknown names and :class:`CompositionError` for pairs that name
-    real parts but cannot work together.
+    for unknown names and :class:`CompositionError` for a protocol given
+    to a builtin-protocol backend or a Tempest backend given none.
     """
     name = canonical_name(system)
     if ":" not in name:
@@ -215,16 +194,7 @@ def parse_system(system: str) -> tuple[BackendEntry, ProtocolEntry | None]:
             f"hardware and takes no user-level protocol "
             f"(got {protocol_name!r})"
         )
-    protocol = protocol_entry(protocol_name)
-    missing = protocol.requires - backend.provides
-    if missing:
-        raise CompositionError(
-            f"cannot compose {backend.name}:{protocol.name}: protocol "
-            f"requires {', '.join(sorted(missing))}, which backend "
-            f"{backend.name!r} does not provide "
-            f"(provides: {', '.join(sorted(backend.provides)) or 'nothing'})"
-        )
-    return backend, protocol
+    return backend, protocol_entry(protocol_name)
 
 
 def compose(system: str, config: MachineConfig):
@@ -264,21 +234,12 @@ def describe_systems() -> list[dict]:
     rows = []
     for name in all_systems():
         backend, protocol = parse_system(name)
-        if protocol is None:
-            conformance = backend.builtin_protocol
-            requires = "(hardwired protocol)"
-            description = backend.description
-        else:
-            conformance = protocol.conformance
-            requires = ", ".join(sorted(protocol.requires))
-            description = protocol.description
         rows.append({
             "system": name,
             "backend": backend.name,
             "protocol": protocol.name if protocol else "(builtin)",
-            "conformance": "yes" if conformance else "no",
             "aliases": ", ".join(sorted(aliases_by_canonical.get(name, [])))
                        or "-",
-            "notes": f"requires: {requires}" if protocol else description,
+            "notes": (protocol or backend).description,
         })
     return rows

@@ -6,7 +6,6 @@ from typing import Callable, Generator
 
 from repro.blizzard.node import BlizzardNode
 from repro.machine import TempestMachine
-from repro.tempest.port import CostDomain
 
 
 class BlizzardMachine(TempestMachine):
@@ -14,7 +13,6 @@ class BlizzardMachine(TempestMachine):
 
     system_name = "blizzard"
     node_class = BlizzardNode
-    cost_domain = CostDomain.from_blizzard
 
     def wait(self, node_id: int, future) -> Generator:
         """Completion wait that keeps servicing protocol messages.

@@ -147,7 +147,7 @@ _REGISTRY = {
     ),
     "systems": (
         "List every composable backend:protocol system, grouped by "
-        "backend (with each backend's provides-set)",
+        "backend",
         lambda args: [experiments.run_backends(), experiments.run_systems()],
     ),
     "cost-points": (

@@ -6,17 +6,14 @@ with Blizzard-style inserted access checks, and its handler processor
 runs the protocol library concurrently (see
 :mod:`repro.decoupled.node`).  Because handlers make progress without
 the compute thread's cooperation, the machine keeps
-:class:`~repro.machine.MachineBase`'s bare-future ``wait`` — the
-``decoupled-handlers`` guarantee that legalises protocols (like the
-em3d update protocol) whose handlers must run while the compute thread
-blocks.
+:class:`~repro.machine.MachineBase`'s ``wait``, which blocks on the
+future alone; Blizzard, whose handlers share the CPU, polls instead.
 """
 
 from __future__ import annotations
 
 from repro.decoupled.node import DecoupledNode
 from repro.machine import TempestMachine
-from repro.tempest.port import CostDomain
 
 
 class DecoupledMachine(TempestMachine):
@@ -24,4 +21,3 @@ class DecoupledMachine(TempestMachine):
 
     system_name = "decoupled"
     node_class = DecoupledNode
-    cost_domain = CostDomain.from_decoupled

@@ -919,30 +919,25 @@ def run_conformance_matrix(nodes: int = 4, cache_bytes: int = 2048,
 # The system registry: listing and full-matrix smoke run
 # ----------------------------------------------------------------------
 def run_backends() -> ExperimentResult:
-    """List every registered backend with its provides-set.
+    """List every registered backend and how many systems it runs.
 
-    The capability half of the composition story: which Tempest
-    mechanisms each machine substrate implements, and therefore which
-    protocols it can legally run (``repro systems`` shows the resulting
-    matrix, grouped under these backends).
+    Every Tempest backend runs every registered protocol; DirNNB runs
+    its hardwired one (``repro systems`` shows the resulting matrix,
+    grouped under these backends).
     """
-    from repro.backends import BACKENDS
+    from repro.backends import BACKENDS, all_systems
 
     result = ExperimentResult(
         "backends",
-        "Registered backends and the capabilities each provides",
-        ["backend", "provides", "systems", "description"],
+        "Registered backends",
+        ["backend", "systems", "description"],
     )
-    from repro.backends import all_systems
-
     systems = all_systems()
     for backend in BACKENDS.values():
         mine = [s for s in systems
                 if s == backend.name or s.startswith(f"{backend.name}:")]
         result.add_row(
             backend=backend.name,
-            provides=", ".join(sorted(backend.provides))
-                     or "(hardwired protocol)",
             systems=len(mine),
             description=backend.description,
         )
@@ -952,28 +947,21 @@ def run_backends() -> ExperimentResult:
 def run_systems() -> ExperimentResult:
     """List every composable ``backend:protocol`` system, by backend.
 
-    Pure registry introspection (no simulation): one row per valid
-    composition from :func:`repro.backends.describe_systems` — grouped
-    by backend, in registry order — with the backend capabilities each
-    protocol requires, whether the system has an online conformance
-    spec, and its legacy aliases.  Pair with :func:`run_backends` (the
-    ``systems`` CLI command prints both) for each group's provides-set.
+    Pure registry introspection (no simulation): one row per system
+    from :func:`repro.backends.describe_systems` — grouped by backend,
+    in registry order — with its legacy aliases.  Pair with
+    :func:`run_backends` (the ``systems`` CLI command prints both).
     """
     from repro.backends import describe_systems
 
     result = ExperimentResult(
         "systems",
-        "Composable systems: every protocol on every capable backend, "
+        "Composable systems: every protocol on every Tempest backend, "
         "grouped by backend",
-        ["system", "backend", "protocol", "conformance", "aliases", "notes"],
+        ["system", "backend", "protocol", "aliases", "notes"],
     )
     for row in describe_systems():
         result.add_row(**row)
-    result.notes.append(
-        "compose others as '<backend>:<protocol>'; invalid pairs (e.g. "
-        "blizzard:em3d-update, which needs decoupled handlers) are "
-        "rejected at build time with the missing capability named"
-    )
     return result
 
 
@@ -989,7 +977,7 @@ def run_system_matrix(nodes: int = 2, cache_bytes: int = 1024,
     push.
     """
     from repro.apps.synthetic import ProducerConsumerApplication
-    from repro.backends import all_systems, parse_system
+    from repro.backends import all_systems
 
     result = ExperimentResult(
         "system-matrix",
@@ -998,21 +986,17 @@ def run_system_matrix(nodes: int = 2, cache_bytes: int = 1024,
          "checks"],
     )
     for system in all_systems():
-        backend, protocol = parse_system(system)
-        has_spec = (protocol.conformance if protocol is not None
-                    else backend.builtin_protocol) is not None
         outcome = run_application(
             system, ProducerConsumerApplication(buffer_records=4, phases=2),
-            _config(nodes, cache_bytes, seed), conformance=has_spec,
+            _config(nodes, cache_bytes, seed), conformance=True,
         )
-        monitor = outcome["machine"].conformance
         result.add_row(
             system=system,
             cycles=round(outcome["execution_time"]),
             refs=outcome["refs"],
             remote_packets=outcome["remote_packets"],
-            conformance="on" if has_spec else "no spec",
-            checks=monitor.checks if monitor is not None else 0,
+            conformance="on",
+            checks=outcome["machine"].conformance.checks,
         )
     result.notes.append(
         "every row is the same application binary; only the system "

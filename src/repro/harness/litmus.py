@@ -66,7 +66,8 @@ REPLAY_SYSTEMS = {
                "blizzard:migratory"),
     "dirnnb": ("dirnnb",),
     "ivy": ("typhoon:ivy", "decoupled:ivy", "blizzard:ivy"),
-    "em3d-update": ("typhoon:em3d-update", "decoupled:em3d-update"),
+    "em3d-update": ("typhoon:em3d-update", "decoupled:em3d-update",
+                    "blizzard:em3d-update"),
 }
 
 

@@ -25,9 +25,8 @@ def build_machine(system: str, config: MachineConfig):
     backend (``dirnnb``), or a legacy alias (``typhoon-stache``, see
     :data:`repro.backends.ALIASES`).  Returns ``(machine, protocol)``;
     protocol is None for DirNNB.  Unknown names raise ``ValueError``
-    with the registry's suggestion list; syntactically valid pairs that
-    cannot work together (capability mismatch, e.g.
-    ``blizzard:em3d-update``) raise
+    with the registry's suggestion list; a protocol given to DirNNB or a
+    Tempest backend given none (``dirnnb:stache``, ``typhoon``) raises
     :class:`repro.backends.CompositionError`.
     """
     return compose(system, config)
@@ -46,8 +45,8 @@ def run_application(system: str, app, config: MachineConfig,
     (see :mod:`repro.protocols.conformance`): the run raises
     ``CoherenceViolation`` at the first illegal transition, and the
     returned machine's ``conformance`` monitor reports check counts.
-    Requires a system whose protocol has a spec (the EM3D update
-    protocol deliberately has none).
+    Every registered protocol has a spec (em3d-update's is
+    step-indexed); a hand-built protocol without one raises.
 
     ``lanes="scalar"`` turns the batched access lanes off so every
     ``read_run``/``write_run`` decomposes to scalar accesses — the

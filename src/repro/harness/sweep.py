@@ -71,22 +71,10 @@ def _run_cell(cell: tuple) -> dict[str, Any]:
         system, app_name, dataset, cache_bytes, seed, nodes, faults = cell
     else:
         system, app_name, dataset, cache_bytes, seed, nodes = cell
-    checked = conformance
-    if checked:
-        # Every registered protocol now carries a spec, but an
-        # out-of-tree protocol without one still runs unchecked (and
-        # says so in the conformance column) rather than failing, so an
-        # all_systems() x conformance(True) sweep always completes.
-        from repro.backends import parse_system
-
-        backend, protocol = parse_system(system)
-        if (protocol.conformance if protocol is not None
-                else backend.builtin_protocol) is None:
-            checked = None
     config = MachineConfig(nodes=nodes, seed=seed).with_cache_size(cache_bytes)
     outcome = run_application(system, workload(app_name, dataset).build(),
                               config, faults=faults,
-                              conformance=bool(checked))
+                              conformance=conformance)
     row = {
         "system": system,
         "application": app_name,
@@ -104,10 +92,7 @@ def _run_cell(cell: tuple) -> dict[str, Any]:
         row["nacks"] = stats.get("tempest.nacks_sent")
     if len(cell) == 8:
         monitor = outcome["machine"].conformance
-        if conformance:
-            row["conformance"] = "on" if checked else "no spec"
-        else:
-            row["conformance"] = "off"
+        row["conformance"] = "on" if conformance else "off"
         row["checks"] = monitor.checks if monitor is not None else 0
         row["violations"] = (
             len(monitor.violations) if monitor is not None else 0
@@ -185,8 +170,8 @@ class Sweep:
         """Sweep the full composable ``backend:protocol`` matrix.
 
         Sets the system axis to every canonical system in
-        :func:`repro.backends.all_systems` — every protocol on every
-        backend whose capabilities satisfy it.
+        :func:`repro.backends.all_systems` — DirNNB plus every protocol
+        on every Tempest backend.
         """
         from repro.backends import all_systems
 
@@ -222,10 +207,8 @@ class Sweep:
         True)`` runs each combination both ways (e.g. to confirm the
         monitor is timing-passive).  With this axis present, cells
         become 8-tuples and rows gain ``conformance``/``checks``/
-        ``violations`` columns.  Every registered protocol has a spec
-        (em3d-update's is step-indexed), so every cell reports ``on``;
-        a hypothetical spec-less protocol would run unchecked with
-        ``no spec`` in the column.
+        ``violations`` columns.  Every composed system runs under its
+        protocol's spec (em3d-update's is step-indexed).
         """
         self._conformance = list(flags) if flags else None
         return self

@@ -24,6 +24,7 @@ from repro.sim.engine import Engine, SimulationError
 from repro.sim.process import Process
 from repro.sim.rng import RngStreams
 from repro.sim.stats import Stats
+from repro.tempest.port import CostDomain
 
 
 class MachineBase:
@@ -252,18 +253,18 @@ class MachineBase:
 class TempestMachine(MachineBase):
     """N Tempest nodes plus interconnect; runs user-level protocols.
 
-    A backend subclass supplies data: ``node_class`` (a
-    :class:`~repro.tempest.node.TempestNode` subclass) and
-    ``cost_domain``, the :class:`~repro.tempest.port.CostDomain`
-    constructor applied to the config section named ``system_name``.
+    A backend subclass supplies data: ``system_name``, which also names
+    the config section its :class:`~repro.tempest.port.CostDomain` is
+    resolved from, and ``node_class`` (a
+    :class:`~repro.tempest.node.TempestNode` subclass).
     """
 
     node_class: type
-    cost_domain: Callable
 
     def __init__(self, config: MachineConfig):
         super().__init__(config)
-        self.costs = self.cost_domain(getattr(config, self.system_name))
+        self.costs = CostDomain.from_section(
+            self.system_name, getattr(config, self.system_name))
         self.nodes = [self.node_class(node_id, self)
                       for node_id in range(config.nodes)]
 

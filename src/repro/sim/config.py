@@ -202,7 +202,7 @@ class TyphoonCosts:
     baf_dispatch_cycles: int = 5
     # bus round trip for the NP to touch local DRAM on behalf of a handler
     # (force-read/force-write of a 32-byte block over the MBus).
-    np_block_copy_cycles: int = 10
+    block_copy_cycles: int = 10
 
 
 @dataclass

@@ -81,46 +81,13 @@ class CostDomain:
     def __getitem__(self, name: str) -> int:
         return self.get(name)
 
-    # ------------------------------------------------------------------
     @classmethod
-    def from_typhoon(cls, costs) -> "CostDomain":
-        """Resolve from a :class:`~repro.sim.config.TyphoonCosts`."""
+    def from_section(cls, domain: str, costs) -> "CostDomain":
+        """Resolve from ``costs``, the config section named ``domain``
+        (a :class:`~repro.sim.config.TyphoonCosts`, ``DecoupledCosts``
+        or ``BlizzardCosts``)."""
         return cls(
-            domain="typhoon",
-            miss_request=costs.miss_request_instructions,
-            home_response=costs.home_response_instructions,
-            data_arrival=costs.data_arrival_instructions,
-            invalidate=costs.invalidate_handler_instructions,
-            ack=costs.ack_handler_instructions,
-            writeback=costs.writeback_handler_instructions,
-            page_fault=costs.page_fault_instructions,
-            page_replace=costs.page_replace_instructions,
-            per_message=costs.per_message_instructions,
-            block_copy=costs.np_block_copy_cycles,
-        )
-
-    @classmethod
-    def from_decoupled(cls, costs) -> "CostDomain":
-        """Resolve from a :class:`~repro.sim.config.DecoupledCosts`."""
-        return cls(
-            domain="decoupled",
-            miss_request=costs.miss_request_instructions,
-            home_response=costs.home_response_instructions,
-            data_arrival=costs.data_arrival_instructions,
-            invalidate=costs.invalidate_handler_instructions,
-            ack=costs.ack_handler_instructions,
-            writeback=costs.writeback_handler_instructions,
-            page_fault=costs.page_fault_instructions,
-            page_replace=costs.page_replace_instructions,
-            per_message=costs.per_message_instructions,
-            block_copy=costs.block_copy_cycles,
-        )
-
-    @classmethod
-    def from_blizzard(cls, costs) -> "CostDomain":
-        """Resolve from a :class:`~repro.sim.config.BlizzardCosts`."""
-        return cls(
-            domain="blizzard",
+            domain=domain,
             miss_request=costs.miss_request_instructions,
             home_response=costs.home_response_instructions,
             data_arrival=costs.data_arrival_instructions,
@@ -147,6 +114,8 @@ class TempestPort(Protocol):
     against it instead of naming a backend type (no module under
     ``repro.protocols`` may import ``repro.typhoon``,
     ``repro.decoupled``, or ``repro.blizzard`` — a test enforces this).
+    Nothing more is asked of a backend: :mod:`repro.backends` composes
+    every registered protocol with every machine that satisfies it.
 
     Each node in ``nodes`` additionally satisfies
     :class:`~repro.tempest.interface.TempestBackend` and exposes the

@@ -10,7 +10,6 @@ exactly as linking against the Stache runtime library does in the paper.
 from __future__ import annotations
 
 from repro.machine import TempestMachine
-from repro.tempest.port import CostDomain
 from repro.typhoon.node import TyphoonNode
 
 
@@ -19,7 +18,6 @@ class TyphoonMachine(TempestMachine):
 
     system_name = "typhoon"
     node_class = TyphoonNode
-    cost_domain = CostDomain.from_typhoon
 
     def use_software_barrier(self, coordinator: int = 0) -> None:
         """Replace the hardware barrier network with a message-built one.

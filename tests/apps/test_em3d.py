@@ -4,7 +4,10 @@ import math
 
 import pytest
 
+from repro.apps.base import run_app
 from repro.apps.em3d import VALUE_OFFSET, Em3dApplication
+from repro.backends import compose
+from repro.sim.config import MachineConfig
 from tests.apps.conftest import run_on_dirnnb, run_on_stache, run_on_update
 
 
@@ -90,6 +93,19 @@ class TestCorrectness:
     def test_update_protocol_matches_reference_more_iterations(self):
         app = make_app(iterations=4, remote_fraction=0.5)
         machine, _ = run_on_update(app, nodes=4)
+        e_values, h_values = collect_final_values(machine, app)
+        ref_e, ref_h = app.reference_values()
+        assert_close(e_values, ref_e)
+        assert_close(h_values, ref_h)
+
+    @pytest.mark.parametrize("nodes", [4, 16])
+    @pytest.mark.parametrize("backend", ["typhoon", "decoupled", "blizzard"])
+    def test_update_protocol_matches_reference_on_every_tempest_backend(
+            self, backend, nodes):
+        app = make_app()
+        machine, protocol = compose(f"{backend}:em3d-update",
+                                    MachineConfig(nodes=nodes, seed=1))
+        run_app(machine, app, protocol)
         e_values, h_values = collect_final_values(machine, app)
         ref_e, ref_h = app.reference_values()
         assert_close(e_values, ref_e)

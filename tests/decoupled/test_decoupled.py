@@ -175,13 +175,12 @@ class TestHandlerProcessor:
 
 
 class TestBareFutureWaits:
-    """The decoupled-handlers capability, exercised for real."""
+    """Handlers that run while the compute thread blocks on a future."""
 
     def test_em3d_update_protocol_runs_and_matches_reference(self):
-        """The composition the whole backend exists to legalise:
-        the em3d update protocol blocks compute threads on bare futures
-        at the flush/fuzzy barrier while handler processors count
-        arriving updates — a deadlock on Blizzard, correct here."""
+        """The em3d update protocol blocks compute threads at the
+        flush/fuzzy barrier while handler processors count arriving
+        updates."""
         from repro.protocols.em3d_update import Em3dUpdateProtocol
 
         machine = DecoupledMachine(MachineConfig(nodes=4, seed=1))
@@ -208,10 +207,9 @@ class TestBareFutureWaits:
         assert monitor.violations == []
 
     def test_machine_keeps_bare_future_waits(self):
-        """Structural proof of the capability: the decoupled machine
-        inherits MachineBase's bare-future wait, where Blizzard must
-        override it to spin its dispatcher; the barrier waits through
-        ``wait`` on every machine."""
+        """The decoupled machine inherits MachineBase's bare-future
+        wait, where Blizzard overrides it to spin its dispatcher; the
+        barrier waits through ``wait`` on every machine."""
         from repro.machine import MachineBase
 
         assert DecoupledMachine.wait is MachineBase.wait

@@ -3,7 +3,7 @@
 The handler-dispatch loops (the Typhoon NP, the decoupled handler CPU,
 Blizzard's CPU-side servicing) and the network send/deliver path are
 performance-critical code that must never change simulated behaviour.
-These goldens pin, for all twelve ``backend:protocol`` systems running
+These goldens pin, for all thirteen systems running
 mp3d/small on 4 nodes, the simulated execution time, a digest of the
 complete sorted statistics, and a digest of every node's final memory
 image.  They are pinned twice: once on a reliable network, and once
@@ -72,6 +72,9 @@ RELIABLE_GOLDENS = {
     "blizzard:ivy": (8232187, "1579b39f2d914435", (
         "2b4598bf6707819f", "a77c64c940e86d59", "c25beb764db77e49",
         "0c664da0f2929eda")),
+    "blizzard:em3d-update": (215748, "11259e8be72ab0e8", (
+        "df90b2708400cc25", "03ea38f59ac38eba", "75319eb905aa53ba",
+        "6ef43a8686de7598")),
 }
 
 #: IVY's rows: under this plan's losses a recall or invalidation often
@@ -113,6 +116,9 @@ LOSSY_GOLDENS = {
     "blizzard:ivy": (13608865.0, "649a1f3308daee89", (
         "86f06ac4220c5b5e", "bc1e3c597ce0aa95", "00e15bd12fc2d30c",
         "89fc0cae8ca7e8ec")),
+    "blizzard:em3d-update": (222777.0, "c7618284c9424938", (
+        "df19789ae8f87c20", "5b3c83c2744f0dac", "b1aa9517b52a6926",
+        "e17c03d38249c5b6")),
 }
 
 

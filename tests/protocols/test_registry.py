@@ -1,10 +1,10 @@
 """The protocol/backend registries and system composition.
 
 Covers the composition layer's contract: registry contents and order,
-alias resolution, capability validation (with the missing capability
-named), registry-derived error suggestions, cost-domain resolution, the
-TempestPort structural check on both backends — and the layering lints:
-the import ban that keeps every module under ``repro.protocols``
+the systems as every Tempest backend times every protocol, alias
+resolution, registry-derived error suggestions, cost-domain resolution,
+the TempestPort structural check on every backend — and the layering
+lints: the import ban that keeps every module under ``repro.protocols``
 backend-neutral, and the wait rule that keeps library code blocking
 through ``Tempest.wait``.
 """
@@ -26,8 +26,8 @@ from repro.backends import (
     parse_system,
     spec_name_for,
 )
+from repro.protocols.conformance import SPECS
 from repro.protocols.registry import (
-    CAPABILITIES,
     PROTOCOLS,
     protocol_entry,
     protocol_names,
@@ -46,23 +46,19 @@ def _config(nodes=2, cache=1024, seed=3):
 def test_protocol_registry_contents_and_order():
     assert protocol_names() == ("stache", "migratory", "ivy", "em3d-update")
     for entry in PROTOCOLS.values():
-        assert entry.requires <= CAPABILITIES
         assert callable(entry.factory)
+
+
+def test_every_protocol_factory_names_a_conformance_spec():
+    for entry in PROTOCOLS.values():
+        assert entry.factory().name in SPECS, entry.name
 
 
 def test_backend_registry_contents():
     assert tuple(BACKENDS) == ("dirnnb", "typhoon", "decoupled", "blizzard")
-    for entry in BACKENDS.values():
-        assert entry.provides <= CAPABILITIES
     assert BACKENDS["dirnnb"].builtin_protocol == "dirnnb"
-    assert BACKENDS["typhoon"].builtin_protocol is None
-    # Blizzard's one missing capability is the decoupled handler
-    # processor — the whole point of the hardware NP.
-    assert (BACKENDS["typhoon"].provides - BACKENDS["blizzard"].provides
-            == {"decoupled-handlers"})
-    # The decoupled backend's second CPU provides exactly that: same
-    # capability set as Typhoon, implemented in software.
-    assert BACKENDS["decoupled"].provides == BACKENDS["typhoon"].provides
+    for name in ("typhoon", "decoupled", "blizzard"):
+        assert BACKENDS[name].builtin_protocol is None
 
 
 def test_all_systems_is_the_valid_matrix():
@@ -73,7 +69,15 @@ def test_all_systems_is_the_valid_matrix():
         "decoupled:stache", "decoupled:migratory", "decoupled:ivy",
         "decoupled:em3d-update",
         "blizzard:stache", "blizzard:migratory", "blizzard:ivy",
+        "blizzard:em3d-update",
     )
+
+
+def test_all_systems_is_dirnnb_then_every_backend_protocol_pair():
+    tempest_backends = [b for b in BACKENDS if b != "dirnnb"]
+    assert all_systems() == ("dirnnb",) + tuple(
+        f"{backend}:{protocol}"
+        for backend in tempest_backends for protocol in PROTOCOLS)
 
 
 def test_every_alias_resolves_to_a_valid_system():
@@ -111,35 +115,12 @@ def test_unknown_system_error_suggests_the_registry():
         assert not isinstance(excinfo.value, CompositionError)
 
 
-def test_capability_mismatch_is_rejected_with_the_missing_capability():
-    with pytest.raises(CompositionError, match="decoupled-handlers"):
-        parse_system("blizzard:em3d-update")
-
-
-def test_capability_mismatch_names_every_missing_capability(monkeypatch):
-    """A combo missing several capabilities gets *all* of them named.
-
-    No shipped backend misses more than one capability, so fake one
-    with an empty provides-set and ask for the hungriest protocol."""
-    import repro.backends as backends_mod
-
-    bare = backends_mod.BackendEntry(
-        name="bare",
-        description="provides nothing (test backend)",
-        provides=frozenset(),
-        factory=lambda config: None,
-    )
-    monkeypatch.setitem(backends_mod.BACKENDS, "bare", bare)
-    with pytest.raises(CompositionError) as excinfo:
-        parse_system("bare:em3d-update")
-    message = str(excinfo.value)
-    for capability in ("active-messages", "decoupled-handlers",
-                       "fine-grain-tags"):
-        assert capability in message
-    # ... and in sorted order, so the message is deterministic.
-    positions = [message.index(c) for c in sorted(
-        ("active-messages", "decoupled-handlers", "fine-grain-tags"))]
-    assert positions == sorted(positions)
+def test_blizzard_em3d_update_composes():
+    backend, protocol = parse_system("blizzard:em3d-update")
+    assert (backend.name, protocol.name) == ("blizzard", "em3d-update")
+    machine, installed = compose("blizzard:em3d-update", _config())
+    assert machine.protocol is installed
+    assert spec_name_for(machine) == "em3d-update"
 
 
 def test_builtin_protocol_backend_takes_no_protocol():
@@ -161,13 +142,7 @@ def test_compose_builds_every_registered_system():
         else:
             assert machine.protocol is protocol
             assert isinstance(machine, TempestPort)
-            expected = PROTOCOLS[system.split(":")[1]].conformance
-            if expected is None:
-                # No registered protocol is spec-less any more, but an
-                # out-of-tree one would still report its installed name.
-                assert spec_name_for(machine) == protocol.name
-            else:
-                assert spec_name_for(machine) == expected
+        assert spec_name_for(machine) in SPECS, system
 
 
 def test_spec_name_for_dirnnb_comes_from_the_backend_registry():
@@ -205,7 +180,7 @@ def test_cost_domains_resolve_from_each_backend_config():
 
 
 def test_cost_domain_rejects_unknown_names():
-    costs = CostDomain.from_typhoon(MachineConfig().typhoon)
+    costs = CostDomain.from_section("typhoon", MachineConfig().typhoon)
     with pytest.raises(KeyError):
         costs.get("np_clock_multiplier")
     with pytest.raises(KeyError):
