@@ -343,11 +343,6 @@ def run_granularity(nodes: int = 8, cache_bytes: int = 8192,
     and MP3D's scattered cells false-share pages heavily; Ocean's strip
     layout is page-friendly and shows the gap narrowing.
     """
-    from repro.apps.base import run_app
-    from repro.protocols.ivy import IvyProtocol
-    from repro.protocols.stache import StacheProtocol
-    from repro.typhoon.system import TyphoonMachine
-
     result = ExperimentResult(
         "granularity",
         "Fine-grain (Stache, 32 B) vs. page-grain (IVY, 4 KB) coherence",
@@ -356,16 +351,12 @@ def run_granularity(nodes: int = 8, cache_bytes: int = 8192,
     )
     for app_name in ("ocean", "em3d", "mp3d"):
         measures = {}
-        for label, protocol_cls in (("stache", StacheProtocol),
-                                    ("ivy", IvyProtocol)):
-            machine = TyphoonMachine(_config(nodes, cache_bytes, seed))
-            protocol = protocol_cls()
-            machine.install_protocol(protocol)
-            app = workload(app_name, "small").build()
-            cycles = run_app(machine, app, protocol)
-            packets = (machine.stats.get("network.packets")
-                       - machine.stats.get("network.local_packets"))
-            measures[label] = (cycles, packets)
+        for label in ("stache", "ivy"):
+            outcome = run_application(f"typhoon:{label}",
+                                      workload(app_name, "small").build(),
+                                      _config(nodes, cache_bytes, seed))
+            measures[label] = (outcome["execution_time"],
+                               outcome["remote_packets"])
         result.add_row(
             application=app_name,
             stache_cycles=measures["stache"][0],
@@ -396,10 +387,6 @@ def run_migratory_protocol(nodes: int = 8, cache_bytes: int = 2048,
     exclusively, folding each migration's two transactions into one.
     """
     from repro.apps.mp3d import Mp3dApplication
-    from repro.protocols.migratory import MigratoryProtocol
-    from repro.protocols.stache import StacheProtocol
-    from repro.typhoon.system import TyphoonMachine
-    from repro.apps.base import run_app
 
     result = ExperimentResult(
         "migratory-protocol",
@@ -418,19 +405,15 @@ def run_migratory_protocol(nodes: int = 8, cache_bytes: int = 2048,
         remote_packets=dirnnb["remote_packets"],
         vs_dirnnb=1.0,
     )
-    for label, protocol_cls in (("typhoon-stache", StacheProtocol),
-                                ("typhoon-migratory", MigratoryProtocol)):
-        machine = TyphoonMachine(_config(nodes, cache_bytes, seed))
-        protocol = protocol_cls()
-        machine.install_protocol(protocol)
-        cycles = run_app(machine, Mp3dApplication(**app_params), protocol)
+    for label in ("typhoon-stache", "typhoon-migratory"):
+        outcome = run_application(label, Mp3dApplication(**app_params),
+                                  _config(nodes, cache_bytes, seed))
         result.add_row(
             system=label,
-            cycles=cycles,
-            block_faults=machine.stats.total(".cpu.block_faults"),
-            remote_packets=(machine.stats.get("network.packets")
-                            - machine.stats.get("network.local_packets")),
-            vs_dirnnb=cycles / dirnnb["execution_time"],
+            cycles=outcome["execution_time"],
+            block_faults=outcome["block_faults"],
+            remote_packets=outcome["remote_packets"],
+            vs_dirnnb=outcome["execution_time"] / dirnnb["execution_time"],
         )
     result.notes.append(
         "the migratory protocol folds each read-then-write migration "

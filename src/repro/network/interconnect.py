@@ -150,7 +150,7 @@ class Interconnect:
                     dist = self._latency_dist = self.stats.distribution(
                         "network.latency")
                 dist.add(arrival - now)
-                engine.schedule_at_anon(arrival, self._deliver, message)
+                engine.schedule_at(arrival, self._deliver, message)
                 return
         channel = (message.src, message.dst, message.vnet)
         floor = self._channel_clear.get(channel, 0)
@@ -165,19 +165,19 @@ class Interconnect:
             # The packet occupies the channel, then dies at its would-be
             # arrival.  Excluded from the delivered-latency distribution.
             counters["network.fault_drops"] += 1
-            engine.schedule_at_anon(arrival, self._drop, message)
+            engine.schedule_at(arrival, self._drop, message)
             return
         dist = self._latency_dist
         if dist is None:
             dist = self._latency_dist = self.stats.distribution("network.latency")
         dist.add(arrival - now)
-        engine.schedule_at_anon(arrival, self._deliver, message)
+        engine.schedule_at(arrival, self._deliver, message)
         if action == "dup":
             # A ghost copy trails the original; the fire-once credit and
             # the receiver's DeliveryGuard make it harmless.
             counters["network.fault_dups"] += 1
-            engine.schedule_at_anon(arrival + plan.spec.dup_lag,
-                                    self._deliver, message)
+            engine.schedule_at(arrival + plan.spec.dup_lag,
+                               self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
         if self.observers:
@@ -259,7 +259,7 @@ class BarrierNetwork:
             self.episodes += 1
             self.stats.incr("barrier.episodes")
             for waiter in waiters.values():
-                self.engine.schedule_anon(self.latency, waiter.resolve, None)
+                self.engine.schedule(self.latency, waiter.resolve, None)
         return future
 
     def __repr__(self) -> str:

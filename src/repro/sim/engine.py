@@ -25,14 +25,15 @@ Structural fast paths keep the common cases cheap (see
   phase's events, and on a heap of tuples they cost as much as the
   generator resumes they replace (docs/performance.md).
 
-* **Anonymous events.**  Most schedules never use the returned handle:
-  the caller discards it and nothing ever cancels the event.
-  :meth:`Engine.call_soon` (zero delay), :meth:`Engine.schedule_anon` /
-  :meth:`Engine.schedule_at_anon` (timed) and :meth:`Engine.post` queue a
-  bare ``(fn, args, time)`` tuple instead of allocating an :class:`_Event`,
-  skipping the hottest allocation in the simulator.  Every schedule
-  ends in one call, :meth:`Engine.post`, the push itself.  A cancelled
-  :class:`_Event` stays in its bucket as a husk and is skipped there.
+* **One kind of entry.**  Every queued event is a bare ``(fn, args,
+  time)`` tuple: :meth:`Engine.call_soon` (zero delay),
+  :meth:`Engine.schedule` / :meth:`Engine.schedule_at` (timed) and
+  :meth:`Engine.post` return no handle, and a queued event always
+  fires.  Every schedule ends in one call, :meth:`Engine.post`, the
+  push itself, and :meth:`Engine.run` has one firing path.  A caller
+  that may change its mind (the transport's retransmit timers) lets the
+  event fire as a no-op, so after such a run :attr:`Engine.now` may be a
+  spent timer's time.
 
 * **Inline clock advance.**  :meth:`Engine.horizon` is the one window
   rule: the clock may move to any ``target < horizon()`` without a
@@ -88,20 +89,6 @@ class SimulationError(RuntimeError):
     """Raised for structural misuse of the engine (e.g. scheduling in the past)."""
 
 
-class _Event:
-    """A cancellable scheduled callback (built by :meth:`Engine._event`).
-    Cancellation is a flag check at fire time."""
-
-    __slots__ = ("time", "fn", "args", "cancelled", "fired", "engine")
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        self.engine._cancelled += 1
-
-
 class Engine:
     """Event queue and simulated clock.
 
@@ -115,10 +102,9 @@ class Engine:
 
     def __init__(self) -> None:
         #: Pending events by cycle: one entry, or a deque of entries in
-        #: ``seq`` order.  Entries are ``(fn, args, time)`` tuples and
-        #: :class:`_Event` objects (each keeps its own time: an int and
-        #: a float cycle share a bucket, and the clock takes the firing
-        #: event's value).
+        #: ``seq`` order.  Entries are ``(fn, args, time)`` tuples (each
+        #: keeps its own time: an int and a float cycle share a bucket,
+        #: and the clock takes the firing event's value).
         self._buckets: dict[float, deque] = {}
         #: Heap of the cycles that have a bucket.
         self._times: list[float] = []
@@ -126,9 +112,6 @@ class Engine:
         self.now: float = 0
         self._events_fired = 0
         self._running = False
-        #: Events cancelled before they fired (``pending`` is drawn
-        #: sequence numbers minus fired minus cancelled).
-        self._cancelled = 0
         #: The exclusive horizon cap an active ``run(until=...)`` sets
         #: (just past ``until``; inf when unbounded).
         self._cap: float = inf
@@ -201,68 +184,16 @@ class Engine:
         else:
             buckets[time] = deque((held, entry))
 
-    def _event(self, time: float, fn: Callable[..., Any],
-               args: tuple) -> _Event:
-        event = _Event()
-        event.time = time
-        event.fn = fn
-        event.args = args
-        event.cancelled = False
-        event.fired = False
-        event.engine = self
-        # Queue a placeholder, then put the handle in its place: the last
-        # entry of the time's bucket (the lone entry, or the deque's tail).
-        self.post(time, None)
-        buckets = self._buckets
-        held = buckets[time]
-        if type(held) is deque:
-            held[-1] = event
-        else:
-            buckets[time] = event
-        fences = self._fence_all
-        if fences is not None:
-            self._fence(fences, time)
-        return event
-
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> _Event:
-        """Schedule ``fn(*args)`` to fire ``delay`` cycles from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        return self._event(self.now + delay, fn, args)
-
-    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> _Event:
-        """Schedule ``fn(*args)`` to fire at absolute cycle ``time``."""
-        now = self.now
-        if time < now:
-            raise SimulationError(
-                f"cannot schedule at cycle {time}; clock is already at {now}"
-            )
-        return self._event(time, fn, args)
-
-    # ------------------------------------------------------------------
-    # Anonymous scheduling (no handle, never cancelled)
-    # ------------------------------------------------------------------
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
-        """Queue ``fn(*args)`` to fire this cycle, after pending events.
-
-        The allocation-free form of ``schedule(0, ...)``: no handle is
-        returned, so the event cannot be cancelled — exactly the
-        contract of self-dispatch call sites (future callbacks, process
-        kick-off) that drop the handle on the floor anyway.
-        """
+        """Queue ``fn(*args)`` to fire this cycle, after pending events
+        (future callbacks, process kick-off)."""
         now = self.now
         self.post(now, fn, *args)
         if self._fence_all is not None:
             self._soon = now
 
-    def schedule_anon(self, delay: float, fn: Callable[..., Any],
-                      *args: Any) -> None:
-        """``schedule`` without a handle: the event cannot be cancelled.
-
-        For hot call sites (message delivery, process wakeups, barrier
-        releases) that never cancel.  Firing order is identical to
-        :meth:`schedule`.
-        """
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Queue ``fn(*args)`` to fire ``delay`` cycles from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         time = self.now + delay
@@ -271,9 +202,8 @@ class Engine:
         if fences is not None:
             self._fence(fences, time)
 
-    def schedule_at_anon(self, time: float, fn: Callable[..., Any],
-                         *args: Any) -> None:
-        """``schedule_at`` without a handle: the event cannot be cancelled."""
+    def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
+        """Queue ``fn(*args)`` to fire at absolute cycle ``time``."""
         now = self.now
         if time < now:
             raise SimulationError(
@@ -458,15 +388,9 @@ class Engine:
                         del buckets[time]
                         edge = times[0] if times else inf
                         self.edge = edge if edge < cap else cap
-                    if type(entry) is tuple:
-                        self.now = entry[2]
-                        self._events_fired += 1
-                        entry[0](*entry[1])
-                    elif not entry.cancelled:
-                        self.now = entry.time
-                        self._events_fired += 1
-                        entry.fired = True
-                        entry.fn(*entry.args)
+                    self.now = entry[2]
+                    self._events_fired += 1
+                    entry[0](*entry[1])
                     if last:
                         break
             if self.now < until < inf:
@@ -487,13 +411,13 @@ class Engine:
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
-        """Number of live events still queued (cancelled husks excluded).
+        """Number of events still queued.
 
         O(1): every schedule draws a sequence number, so this is the
-        number drawn minus the events fired and cancelled — never a
-        scan, so stray ``repr(engine)`` calls stay cheap in long runs.
+        number drawn minus the events fired — never a scan, so stray
+        ``repr(engine)`` calls stay cheap in long runs.
         """
-        return self._seq - self._events_fired - self._cancelled
+        return self._seq - self._events_fired
 
     @property
     def events_fired(self) -> int:

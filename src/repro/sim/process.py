@@ -134,7 +134,7 @@ class Process:
         #: own resume bounds no node's lookahead (Engine.post), any
         #: other process's bounds every node's.
         self._wake = (engine.post if owner is not None
-                      else engine.schedule_at_anon)
+                      else engine.schedule_at)
         engine.call_soon(self._advance, None)
 
     # ------------------------------------------------------------------

@@ -82,7 +82,7 @@ class BulkTransferEngine:
         # not tie up the NP (Section 5.2); we model that by spacing packet
         # injections one packet per SEND_INSTRUCTIONS cycles.
         for index, (offset, length) in enumerate(chunks):
-            self.backend.engine.schedule_anon(
+            self.backend.engine.schedule(
                 index * SEND_INSTRUCTIONS,
                 self._send_chunk,
                 dst, src_vaddr, dst_vaddr, offset, length,

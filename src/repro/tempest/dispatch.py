@@ -237,7 +237,7 @@ class HandlerDispatcher:
         if (self._baf_limit is not None
                 and len(self._baf_buffer) >= self._baf_limit):
             self._counters[self._baf_overflows_key] += 1
-            self.engine.schedule_anon(
+            self.engine.schedule(
                 self.costs.overflow_drain_cycles, self._present_fault, fault
             )
             return
@@ -274,7 +274,7 @@ class HandlerDispatcher:
             if wake is not None:
                 self._stall_wake = True
                 self._counters[self._stalls_key] += 1
-                self.engine.schedule_at_anon(wake, self._end_stall)
+                self.engine.schedule_at(wake, self._end_stall)
                 return
         if self._response_queue:
             self._start_message(self._response_queue.popleft())

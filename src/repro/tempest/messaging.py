@@ -117,7 +117,8 @@ class ReliableTransport:
         self.stats = stats
         #: Transaction id -> message awaiting receipt.
         self.pending: dict[int, Message] = {}
-        self._timers: dict[int, Any] = {}
+        #: Transaction id -> the token of its live retransmit timer.
+        self._timers: dict[int, object] = {}
         self._next_xid = itertools.count(1)
         #: Conformance flight recorder (set by the machine when the
         #: monitor is enabled); delivery-failure reports include its
@@ -139,11 +140,8 @@ class ReliableTransport:
 
     def on_receipt(self, message: Message) -> None:
         """A tracked message reached its receiver: stop retrying it."""
-        if self.pending.pop(message.xid, None) is None:
-            return  # duplicate of an already-received message
-        timer = self._timers.pop(message.xid, None)
-        if timer is not None:
-            timer.cancel()
+        if self.pending.pop(message.xid, None) is not None:
+            del self._timers[message.xid]
 
     def on_nack(self, nack: Message) -> None:
         """Receiver refused the packet: retransmit after ``nack_backoff``."""
@@ -151,33 +149,31 @@ class ReliableTransport:
         if xid not in self.pending:
             return  # stale NACK (original was retransmitted and received)
         self.stats.incr("tempest.nacks_received")
-        timer = self._timers.pop(xid, None)
-        if timer is not None:
-            timer.cancel()
-        self._timers[xid] = self.engine.schedule(
-            self.spec.nack_backoff, self._timeout, xid
-        )
+        self._schedule_timeout(xid, self.spec.nack_backoff)
 
     # -- timers ---------------------------------------------------------
+    # A timer is never withdrawn: each arm draws a fresh token, and a
+    # timer whose token is no longer its transaction's (received, or
+    # superseded by a NACK's re-arm) fires as a no-op.
     def _arm(self, xid: int, message: Message) -> None:
-        timeout = (
+        self._schedule_timeout(xid, (
             self.spec.retry_timeout
             * self.spec.retry_backoff ** (message.attempt - 1)
-        )
-        self._timers[xid] = self.engine.schedule(timeout, self._timeout, xid)
+        ))
 
-    def _timeout(self, xid: int) -> None:
-        message = self.pending.get(xid)
-        if message is None:
-            return  # received while the timer was in flight
+    def _schedule_timeout(self, xid: int, delay: float) -> None:
+        token = self._timers[xid] = object()
+        self.engine.schedule(delay, self._timeout, xid, token)
+
+    def _timeout(self, xid: int, token: object) -> None:
+        if self._timers.get(xid) is not token:
+            return  # received, or superseded by a later arm
+        message = self.pending[xid]
         if message.attempt >= self.spec.max_attempts:
-            # Permanent failure: disarm this transaction before raising
-            # so the error does not leave a live timer (and a pending
-            # entry) pointing at a transaction we just declared dead.
-            self.pending.pop(xid, None)
-            timer = self._timers.pop(xid, None)
-            if timer is not None:
-                timer.cancel()
+            # Permanent failure: retire the transaction before raising
+            # so no pending entry points at a transaction we just
+            # declared dead.
+            del self.pending[xid], self._timers[xid]
             self.last_failure = {
                 "node": message.src,
                 "dst": message.dst,

@@ -105,7 +105,7 @@ class NetworkProcessor(HandlerDispatcher):
                 # cannot oversubscribe it; the software drain takes a few
                 # cycles to move the packet into the queue.
                 self._in_flight[vnet] += 1
-                self.engine.schedule_anon(
+                self.engine.schedule(
                     self.costs.overflow_drain_cycles, self._launch, waiting
                 )
                 break

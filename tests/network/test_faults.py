@@ -110,7 +110,7 @@ def machine_with(spec, nodes=2, seed=3):
 
     def handler(tempest, message):
         calls.append((tempest.node_id, message.payload.get("tag"),
-                      message.xid))
+                      message.xid, machine.engine.now))
 
     for node in machine.nodes:
         node.tempest.register_handler("test.echo", handler, 10)
@@ -168,13 +168,15 @@ def test_unguarded_duplicate_runs_handler_twice():
 
 
 def test_delay_fault_postpones_arrival():
-    machine, _plan, _calls = machine_with(
+    machine, _plan, calls = machine_with(
         FaultSpec(delay_pct=1.0, delay_min=30, delay_max=30))
     machine.tempests[0].send(1, "test.echo", tag="a")
     machine.engine.run()
     latency = machine.config.network.latency
-    # send at 0, arrive at latency + 30, handler charge 10 cycles.
-    assert machine.engine.now == latency + 30 + 10
+    # send at 0, arrive at latency + 30, handler charge 10 cycles.  (The
+    # clock after the run is the spent retransmit timer's.)
+    (_node, _tag, _xid, handled), = calls
+    assert handled == latency + 30 + 10
     assert machine.stats.get("network.fault_delays") == 1
 
 
@@ -192,7 +194,7 @@ def test_reorder_bypasses_channel_fifo():
     for index in range(8):
         machine.tempests[0].send(1, "test.echo", tag=index)
     machine.engine.run()
-    received = [tag for _node, tag, _xid in calls]
+    received = [tag for _node, tag, *_ in calls]
     assert sorted(received) == list(range(8))  # nothing lost
     assert received != list(range(8))          # ...but order scrambled
     assert machine.stats.get("network.fault_reorders") == 8
@@ -223,11 +225,42 @@ def test_recv_queue_bound_nacks_and_recovers():
     for index in range(3):
         machine.tempests[0].send(1, "test.echo", tag=index)
     machine.engine.run()
-    assert sorted(tag for _n, tag, _x in calls) == [0, 1, 2]
+    assert sorted(tag for _n, tag, *_ in calls) == [0, 1, 2]
     stats = machine.stats
     assert stats.get("tempest.nacks_sent") >= 1
     assert stats.get("node1.np.nacks_sent") >= 1
     assert stats.get("tempest.nacks_received") >= 1
+    assert not machine.transport.pending
+
+
+def test_each_nack_rearm_is_followed_by_exactly_one_retransmit():
+    """A NACK supersedes the transaction's retransmit timer: the timer
+    armed at the send still fires, but as a no-op, so each retransmit
+    follows one NACK by exactly ``nack_backoff`` cycles."""
+    machine, _plan, calls = machine_with(
+        FaultSpec(recv_queue_limit=1, retry_timeout=200, nack_backoff=64))
+    machine.nodes[1].tempest.register_handler(
+        "test.slow", lambda tempest, message: None, 500)
+    sends, nacks = [], []
+
+    def observe(event, message):
+        if event == "send" and message.payload.get("tag") == "nacked":
+            sends.append(machine.engine.now)
+        elif event == "deliver" and message.handler == NACK_HANDLER:
+            nacks.append(machine.engine.now)
+
+    machine.interconnect.observers.append(observe)
+    # The slow handler holds node 1's processor past cycle 500, the
+    # second message fills its one-slot queue, and the third is NACKed
+    # again and again, long after its first timer (cycle 200) is due.
+    machine.tempests[0].send(1, "test.slow")
+    machine.tempests[0].send(1, "test.echo", tag="queued")
+    machine.tempests[0].send(1, "test.echo", tag="nacked")
+    machine.engine.run()
+    assert len(nacks) >= 3 and nacks[-1] > 200
+    assert sends[1:] == [t + 64 for t in nacks]
+    assert machine.stats.get("tempest.retries") == len(nacks)
+    assert [tag for _n, tag, *_ in calls] == ["queued", "nacked"]
     assert not machine.transport.pending
 
 
@@ -264,9 +297,9 @@ def test_stall_window_freezes_dispatch_until_wake():
     machine.engine.run()
     # Arrival at `latency` falls inside the [0, 100) stall window, so
     # dispatch waits until cycle 100, then charges 10 handler cycles.
-    assert machine.engine.now == 100 + 10
+    (_node, _tag, _xid, handled), = calls
+    assert handled == 100 + 10
     assert machine.stats.get("node1.np.stalls") >= 1
-    assert len(calls) == 1
 
 
 def test_nack_messages_are_never_tracked():

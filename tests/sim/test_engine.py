@@ -32,18 +32,16 @@ def test_same_cycle_events_fire_fifo():
 
 
 def test_handles_and_posts_share_a_cycle_in_fifo_order():
-    """A handle takes the place ``post`` queued for it: a lone bucket's
-    entry or a deque's tail, in scheduling order either way."""
+    """``schedule``, ``schedule_at`` and ``post`` fill one bucket: a lone
+    entry, then a deque, in scheduling order either way."""
     engine = Engine()
     fired = []
-    engine.schedule(7, fired.append, "handle-first")
+    engine.schedule(7, fired.append, "schedule")
     engine.post(7, fired.append, "post")
-    engine.schedule_at(7, fired.append, "handle-tail")
-    dropped = engine.schedule(7, fired.append, "cancelled")
+    engine.schedule_at(7, fired.append, "schedule_at")
     engine.post(7, fired.append, "owned", owner=0)
-    dropped.cancel()
     engine.run()
-    assert fired == ["handle-first", "post", "handle-tail", "owned"]
+    assert fired == ["schedule", "post", "schedule_at", "owned"]
     assert engine.events_fired == 4 and engine.now == 7
 
 
@@ -95,8 +93,6 @@ def test_run_until_fires_events_at_the_bound():
     fired = []
     engine.schedule(50, fired.append, "at")
     engine.schedule(51, fired.append, "past")
-    dropped = engine.schedule(52, fired.append, "cancelled")
-    dropped.cancel()
     engine.run(until=50)
     assert fired == ["at"]
     assert engine.now == 50
@@ -107,25 +103,6 @@ def test_run_until_advances_clock_even_with_empty_queue():
     engine = Engine()
     engine.run(until=99)
     assert engine.now == 99
-
-
-def test_cancelled_event_does_not_fire():
-    engine = Engine()
-    fired = []
-    event = engine.schedule(10, fired.append, "cancelled")
-    engine.schedule(5, fired.append, "kept")
-    event.cancel()
-    engine.run()
-    assert fired == ["kept"]
-
-
-def test_pending_excludes_cancelled():
-    engine = Engine()
-    keep = engine.schedule(10, lambda: None)
-    drop = engine.schedule(10, lambda: None)
-    drop.cancel()
-    assert engine.pending == 1
-    assert keep is not None
 
 
 def test_events_fired_counter():
@@ -193,28 +170,6 @@ def test_zero_delay_chain_precedes_future_heap_events():
     engine.run()
     assert fired == ["zero-0", "zero-1", "zero-2", "zero-3", "later"]
     assert engine.now == 3
-
-
-def test_cancelled_zero_delay_husks_are_skipped():
-    engine = Engine()
-    fired = []
-    keep_a = engine.schedule(0, fired.append, "a")
-    drop = engine.schedule(0, fired.append, "dropped")
-    keep_b = engine.schedule(0, fired.append, "b")
-    drop.cancel()
-    drop.cancel()  # idempotent
-    assert engine.pending == 2
-    engine.run()
-    assert fired == ["a", "b"]
-    assert keep_a.fired and keep_b.fired and not drop.fired
-
-
-def test_cancel_after_fire_is_a_no_op():
-    engine = Engine()
-    event = engine.schedule(1, lambda: None)
-    engine.run()
-    event.cancel()
-    assert engine.pending == 0  # must not go negative
 
 
 def test_schedule_at_current_time_uses_fast_lane_in_order():

@@ -53,10 +53,10 @@ def ticker(ctx, steps):
 def test_a_schedule_while_a_node_is_ahead_fails_loudly():
     engine = Engine()
     engine.enable_lookahead(11, 2)
-    engine.schedule_anon(5, lambda: None)
+    engine.schedule(5, lambda: None)
     engine.run_ahead(0, engine.horizon(0))
     engine.now += 3
-    engine.schedule_anon(1, lambda: None)
+    engine.schedule(1, lambda: None)
     with pytest.raises(SimulationError, match="ran ahead"):
         engine.catch_up(deque())
 
@@ -74,7 +74,7 @@ def test_events_queued_before_the_first_query_count_as_nobodys():
         seen.append((engine.edge, engine.horizon(0), engine.horizon(1)))
 
     engine.post(6, lambda: None, owner=1)
-    engine.schedule_at_anon(1, probe)
+    engine.schedule_at(1, probe)
     engine.run()
     # Node 1's event at 6 bounds node 0 too; the one at 3, queued after
     # the first query, bounds node 1 only.
@@ -239,8 +239,8 @@ def test_a_fired_fence_leaves_the_engine_window_to_the_lane(monkeypatch,
             return
         yield from AppContext(machine, node_id).read(base)
         resumed = Future(engine)
-        engine.schedule_anon(5, resumed.resolve, None)
-        engine.schedule_anon(25, lambda: None)
+        engine.schedule(5, resumed.resolve, None)
+        engine.schedule(25, lambda: None)
         engine.horizon(node_id)  # starts the fence bookkeeping
         yield resumed if resume == "future" else 5
         now = engine.now
