@@ -69,8 +69,11 @@ class AppContext:
     def __init__(self, machine, node_id: int):
         self.machine = machine
         self.node_id = node_id
+        self.num_nodes = machine.num_nodes
         self._node = machine.nodes[node_id]
         self._engine = machine.engine
+        self._counters = machine.stats._counters
+        self._barrier_key = f"node{node_id}.cpu.barrier_cycles"
         # The batched inline-hit lane: every node model exposes
         # access_inline, which services TLB + cache hits (the dominant
         # reference class) in one plain call — no generator, no event
@@ -107,10 +110,6 @@ class AppContext:
             # No charge lane (DirNNB, or scalar mode): every compute
             # charge is yielded.
             self.compute = self._compute_yielded
-
-    @property
-    def num_nodes(self) -> int:
-        return self.machine.num_nodes
 
     def read(self, addr: int):
         hit = self._inline(addr, False)
@@ -282,15 +281,13 @@ class AppContext:
         return (cycles,) if cycles else ()
 
     def barrier(self) -> Generator:
-        if self._engine.ahead is not None:
+        engine = self._engine
+        if engine.ahead is not None:
             # Arriving changes state every node shares: a sync point.
             yield SYNC
-        start = self.machine.engine.now
+        start = engine.now
         yield from self.machine.barrier_wait(self.node_id)
-        self.machine.stats.incr(
-            f"node{self.node_id}.cpu.barrier_cycles",
-            self.machine.engine.now - start,
-        )
+        self._counters[self._barrier_key] += engine.now - start
 
 
 class Application:

@@ -246,6 +246,7 @@ class BarrierNetwork:
         self.participants = participants
         self.latency = latency
         self.stats = stats if stats is not None else Stats()
+        self._counters = self.stats._counters
         self._waiting: dict[int, Future] = {}
         self.episodes = 0
 
@@ -257,7 +258,7 @@ class BarrierNetwork:
         if len(self._waiting) == self.participants:
             waiters, self._waiting = self._waiting, {}
             self.episodes += 1
-            self.stats.incr("barrier.episodes")
+            self._counters["barrier.episodes"] += 1
             for waiter in waiters.values():
                 self.engine.schedule(self.latency, waiter.resolve, None)
         return future

@@ -115,6 +115,12 @@ class DirectoryController:
         self._out_grants: list[tuple[int, dict]] = []
         self._block_received = False
         self._block_sent = False
+        #: Directory message handler name -> operation(payload).
+        self._ops = {
+            "dir.get": self.handle_request, "dir.ack": self._handle_ack,
+            "dir.wb_data": self._handle_wb_data,
+            "dir.repl": self._handle_replacement_hint,
+        }
 
     # ------------------------------------------------------------------
     def entry(self, block: int) -> HardwareDirectoryEntry:
@@ -134,19 +140,23 @@ class DirectoryController:
     # Serial dispatch
     # ------------------------------------------------------------------
     def receive(self, message: Message) -> None:
-        self._queue.append(message)
-        if not self._busy:
-            self._pump()
+        if self._busy:
+            self._queue.append(message)
+        else:
+            self._pump(message)
 
-    def _pump(self) -> None:
-        """Start the next queued operation (only while idle with work)."""
-        message = self._queue.popleft()
+    def _pump(self, message: Message) -> None:
+        """Start the operation ``message`` asks for (only while idle)."""
+        op = self._ops.get(message.handler)
+        if op is None:
+            raise SimulationError(
+                f"unknown directory message {message.handler}")
         self._busy = True
         self._out_messages = []
         self._out_grants = []
         self._block_received = False
         self._block_sent = False
-        self._handle(message)
+        op(message.payload)
         monitor = self.machine.conformance
         if monitor is not None:
             monitor.after_handler(self.node.node_id, message)
@@ -183,7 +193,7 @@ class DirectoryController:
             self.machine.nodes[node_id].deliver_grant(grant)
         self._busy = False
         if self._queue:
-            self._pump()
+            self._pump(self._queue.popleft())
 
     # ------------------------------------------------------------------
     # Effect helpers (buffered until occupancy ends)
@@ -216,45 +226,19 @@ class DirectoryController:
                 DATA_WORDS,
                 **grant,
             )
-        self._dispatch_pending(block, entry)
-
-    def _dispatch_pending(self, block: int,
-                          entry: HardwareDirectoryEntry) -> None:
-        if entry.state.is_transient or not entry.pending:
-            return
-        requester, want_write = entry.pending.pop(0)
-        # Each replayed request is another directory op's worth of work.
-        self._counters[self._replays_key] += 1
-        self._start_request(block, entry, requester, want_write)
+        if entry.pending and not entry.state.is_transient:
+            requester, want_write = entry.pending.pop(0)
+            # A replayed request is another directory op's worth of work.
+            self._counters[self._replays_key] += 1
+            self._start_request(block, entry, requester, want_write)
 
     # ------------------------------------------------------------------
-    # Protocol logic
+    # Protocol logic: one operation per directory message, on its payload
     # ------------------------------------------------------------------
-    def _handle(self, message: Message) -> None:
-        handler = message.handler
-        payload = message.payload
-        if handler == "dir.get":
-            self.handle_request(
-                payload["addr"], payload["requester"], payload["want_write"]
-            )
-        elif handler == "dir.ack":
-            self._handle_ack(payload["addr"], payload["sharer"])
-        elif handler == "dir.wb_data":
-            self._block_received = True
-            self._handle_wb_data(
-                payload["addr"], payload["owner"], payload["held"]
-            )
-        elif handler == "dir.repl":
-            if payload["dirty"]:
-                self._block_received = True
-            self._handle_replacement_hint(
-                payload["addr"], payload["sharer"], payload["dirty"]
-            )
-        else:
-            raise SimulationError(f"unknown directory message {handler}")
-
-    def handle_request(self, block: int, requester: int,
-                       want_write: bool) -> None:
+    def handle_request(self, payload: dict) -> None:
+        block = payload["addr"]
+        requester = payload["requester"]
+        want_write = payload["want_write"]
         monitor = self.machine.conformance
         if monitor is not None:
             monitor.note_request(block, requester)
@@ -327,9 +311,10 @@ class DirectoryController:
         entry.owner = requester
         self._grant(block, entry, requester, rw=True)
 
-    def _handle_ack(self, block: int, sharer: int) -> None:
+    def _handle_ack(self, payload: dict) -> None:
+        block = payload["addr"]
         entry = self._entries.get(block) or self.entry(block)
-        entry.sharer_bits &= ~(1 << sharer)
+        entry.sharer_bits &= ~(1 << payload["sharer"])
         entry.acks_outstanding -= 1
         if entry.acks_outstanding < 0:
             raise SimulationError(f"surplus ack for {block:#x}")
@@ -343,7 +328,9 @@ class DirectoryController:
         entry.state = DirectoryState.HOME
         self._finish_write(block, entry, requester)
 
-    def _handle_wb_data(self, block: int, owner: int, held: bool) -> None:
+    def _handle_wb_data(self, payload: dict) -> None:
+        self._block_received = True
+        block = payload["addr"]
         entry = self._entries.get(block) or self.entry(block)
         if entry.state is not DirectoryState.PENDING_WRITEBACK:
             raise SimulationError(
@@ -356,14 +343,19 @@ class DirectoryController:
             entry.sharer_bits = 0
             self._finish_write(block, entry, requester)
             return
-        entry.sharer_bits = (1 << owner if held else 0) | 1 << requester
+        entry.sharer_bits = ((1 << payload["owner"] if payload["held"] else 0)
+                             | 1 << requester)
         entry.state = DirectoryState.SHARED
         self._grant(block, entry, requester, rw=False)
 
-    def _handle_replacement_hint(self, block: int, sharer: int,
-                                 dirty: bool) -> None:
+    def _handle_replacement_hint(self, payload: dict) -> None:
+        """A sharer dropped its copy (``dir.repl``, or the home's own
+        victim: no operation runs then, and the next resets the flag)."""
+        block = payload["addr"]
+        sharer = payload["sharer"]
         entry = self._entries.get(block) or self.entry(block)
-        if dirty:
+        if payload["dirty"]:
+            self._block_received = True
             if entry.state is DirectoryState.EXCLUSIVE and entry.owner == sharer:
                 entry.state = DirectoryState.HOME
                 entry.owner = None
@@ -671,8 +663,7 @@ class DirNNBNode:
             # the miss; Table 2 charges the 5/16-cycle replacement penalty
             # only on the remote-miss path.
             self.directory._handle_replacement_hint(
-                victim_addr, self.node_id, dirty
-            )
+                {"addr": victim_addr, "sharer": self.node_id, "dirty": dirty})
             return
         yield (
             costs.replacement_exclusive if dirty else costs.replacement_shared

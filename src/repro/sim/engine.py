@@ -186,7 +186,7 @@ class Engine:
 
     def call_soon(self, fn: Callable[..., Any], *args: Any) -> None:
         """Queue ``fn(*args)`` to fire this cycle, after pending events
-        (future callbacks, process kick-off)."""
+        (process kick-off; ``Future.resolve`` inlines the same rule)."""
         now = self.now
         self.post(now, fn, *args)
         if self._fence_all is not None:

@@ -72,37 +72,39 @@ class Future:
     them.
     """
 
-    __slots__ = ("engine", "_done", "_value", "_callbacks")
+    __slots__ = ("engine", "done", "_value", "_callbacks")
 
     def __init__(self, engine: Engine):
         self.engine = engine
-        self._done = False
+        self.done = False  # a plain field: a spinning CPU reads it often
         self._value: Any = None
         self._callbacks: list[Callable[[Any], None]] = []
 
     @property
-    def done(self) -> bool:
-        return self._done
-
-    @property
     def value(self) -> Any:
-        if not self._done:
+        if not self.done:
             raise SimulationError("future not resolved yet")
         return self._value
 
     def resolve(self, value: Any = None) -> None:
-        """Resolve the future; callbacks fire as zero-delay events."""
-        if self._done:
+        """Resolve the future; each callback fires as a zero-delay event,
+        in the order added (one push each, as ``Engine.call_soon``)."""
+        if self.done:
             raise SimulationError("future resolved twice")
-        self._done = True
+        self.done = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self.engine.call_soon(callback, value)
+        callbacks = self._callbacks
+        if callbacks:
+            engine = self.engine
+            now = engine.now
+            for callback in callbacks:
+                engine.post(now, callback, value)
+            if engine._fence_all is not None:
+                engine._soon = now
 
     def add_callback(self, callback: Callable[[Any], None]) -> None:
         """Run ``callback(value)`` when resolved (immediately if already done)."""
-        if self._done:
+        if self.done:
             self.engine.call_soon(callback, self._value)
         else:
             self._callbacks.append(callback)
@@ -148,8 +150,9 @@ class Process:
         compute charges and serviced cache hits then collapses into this
         one tight loop, entering the event queue only on a miss, fault,
         or sync operation (a Future, or a delay that overlaps pending
-        work).  Whatever the generator yields while its node is ahead
-        ends the lookahead run first (:meth:`_catch_up`).
+        work).  A yielded Future costs no call here; its resolution costs
+        one push per waiter.  Whatever the generator yields while its
+        node is ahead ends the lookahead run first (:meth:`_catch_up`).
         """
         engine = self.engine
         send = self._send
@@ -176,6 +179,14 @@ class Process:
                     continue
                 self._wake(target, self._advance)
                 return
+            if kind is Future:
+                # A resolved future's value goes straight back in; a
+                # pending one resumes us (add_callback, without calls).
+                if yielded.done:
+                    send_value = yielded._value
+                    continue
+                yielded._callbacks.append(self._advance)
+                return
             send_value = self._interpret(yielded)
             if send_value is _SUSPENDED:
                 return
@@ -189,9 +200,8 @@ class Process:
         if yielded is SYNC:
             return None
         if isinstance(yielded, Future):
+            # Held over a lookahead replay (_advance takes the rest).
             if yielded.done:
-                # Already-resolved future: send the value straight back
-                # in rather than taking a heap round trip.
                 return yielded.value
             yielded.add_callback(self._advance)
             return _SUSPENDED

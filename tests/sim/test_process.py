@@ -111,6 +111,49 @@ def test_process_resolved_future_does_not_block():
     assert engine._events_fired == 1
 
 
+def test_pending_future_wait_resumes_behind_its_cycles_queued_events():
+    """A resolve queues each waiter's resume at the resolving cycle,
+    behind the events already queued there: one event per waiter."""
+    engine = Engine()
+    future = Future(engine)
+    trace = []
+
+    def waiter(name):
+        value = yield future
+        trace.append((name, value, engine.now))
+
+    Process(engine, waiter("a"))
+    Process(engine, waiter("b"))
+    engine.schedule(10, future.resolve, "v")
+    engine.schedule(10, trace.append, ("queued", None, 10))
+    engine.run()
+    assert trace == [("queued", None, 10), ("a", "v", 10), ("b", "v", 10)]
+    # Two starts, the resolve, the queued event and one resume each.
+    assert engine.events_fired == 6
+
+
+def test_future_callbacks_fire_in_the_order_they_were_added():
+    """Blizzard's spin shape: callbacks added before and after a process
+    starts waiting fire in that order, one event each."""
+    engine = Engine()
+    future = Future(engine)
+    trace = []
+
+    def waiter():
+        yield future
+        trace.append("process")
+
+    future.add_callback(lambda value: trace.append("first"))
+    Process(engine, waiter())
+    engine.run()
+    future.add_callback(lambda value: trace.append("last"))
+    engine.schedule(3, future.resolve, None)
+    fired = engine.events_fired
+    engine.run()
+    assert trace == ["first", "process", "last"]
+    assert engine.events_fired - fired == 4
+
+
 def test_process_finished_future_carries_return_value():
     engine = Engine()
 
